@@ -9,7 +9,7 @@ synthetic Clean-Clean ER dataset, then times
   per entry of ``--workers`` to chart the multicore scaling curve, with
   the per-query counts asserted bit-identical across worker settings,
 * complete ε-Join and kNN-Join passes (per-query Python loops vs the
-  threshold-pushdown / chunked-ranking kernels of
+  threshold-pushdown / top-k-distinct cutoff kernels of
   :mod:`repro.sparse.kernels`),
 * the ε-Join tuner sweep (per-row scalar similarity + threshold binning
   vs one vectorized similarity array masked per threshold) — the pass
@@ -253,7 +253,7 @@ def csr_knn_join(
     measure: str,
     workers: int = 1,
 ) -> int:
-    """Pair count via the chunked block-ranking kNN kernel."""
+    """Pair count via the per-query top-k-distinct cutoff kNN kernel."""
     shards = index.run_kernel("knn", queries, workers, k=k, measure=measure)
     return sum(len(shard.value[0]) for shard in shards)
 

@@ -18,9 +18,10 @@ never materialized unless a caller explicitly asks for it:
     prefix-filter trick transplanted to ScanCount) cuts the rows that
     reach the exact similarity check by orders of magnitude.
 ``knn``
-    The cardinality join: queries are processed in cache-sized blocks;
-    each block is ranked with the distinct-similarity tie rule and only
-    the rows of rank <= k survive the block.
+    The cardinality join: per query, the k-th largest *distinct*
+    similarity (:func:`kth_distinct_cutoff`, an ``np.partition`` onto
+    the top ``4k`` values) is the cutoff, and every row at or above it
+    survives — the paper's tie rule without ranking a single row.
 ``materialize``
     The historical ``batch_overlaps`` CSR triple, for callers that do
     need every row (the sweep-once tuners).
@@ -51,17 +52,11 @@ __all__ = [
     "materialize_kernel",
     "epsilon_kernel",
     "knn_kernel",
+    "kth_distinct_cutoff",
     "min_overlap_bounds",
-    "ranks_of_grouped_rows",
     "run_consumer",
     "CONSUMERS",
-    "KNN_BLOCK_QUERIES",
 ]
-
-#: Queries per block in the kNN consumer: large enough to amortize the
-#: vectorized rank machinery, small enough that a block's flat rows stay
-#: cache-resident instead of ballooning to the full row universe.
-KNN_BLOCK_QUERIES = 256
 
 #: Safety factor applied to the integer overlap bounds: the bound is
 #: only a *pre-filter* (an exact similarity check follows), so it is
@@ -348,36 +343,26 @@ def epsilon_kernel(
     return np.concatenate(query_parts), np.concatenate(set_parts)
 
 
-def ranks_of_grouped_rows(
-    query_ids: np.ndarray, similarities: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Distinct-similarity ranks of rows already grouped by query.
+def kth_distinct_cutoff(similarities: np.ndarray, k: int) -> float:
+    """The k-th largest *distinct* value of a non-empty array (``k >= 1``).
 
-    Precondition: ``query_ids`` is non-decreasing and rows within one
-    query are in ascending set-id order (the CSR layout every kernel
-    emits).  Under that precondition a *two*-key stable sort — by query,
-    then similarity descending — reproduces the historical three-key
-    ``lexsort((set_ids, -similarities, query_ids))`` exactly, because
-    stability supplies the ascending-set-id tiebreak for free.  Returns
-    ``(order, ranks)`` exactly like
-    :func:`repro.sparse.knn_join.distinct_similarity_ranks`.
+    When fewer than ``k`` distinct values exist, the smallest value is
+    returned.  ``similarities >= cutoff`` is then exactly the paper's
+    kNN tie rule: every row among the k highest distinct values, ties
+    kept.  ``np.partition`` moves the top ``4k`` values to the tail, and
+    when those hold at least ``k`` distinct values the answer is among
+    them — every value above the slice minimum is in the slice.  Only
+    heavily tied inputs fall back to a full ``np.unique``.
     """
-    if len(similarities) == 0:
-        empty = np.zeros(0, dtype=np.int64)
-        return empty, empty
-    order = np.lexsort((-similarities, query_ids))
-    ordered_queries = query_ids[order]
-    ordered_sims = similarities[order]
-    new_query = np.empty(len(order), dtype=bool)
-    new_query[0] = True
-    new_query[1:] = ordered_queries[1:] != ordered_queries[:-1]
-    new_value = new_query.copy()
-    new_value[1:] |= ordered_sims[1:] != ordered_sims[:-1]
-    value_index = np.cumsum(new_value)
-    query_starts = np.flatnonzero(new_query)
-    rows_per_query = np.diff(np.append(query_starts, len(order)))
-    base = np.repeat(value_index[query_starts] - 1, rows_per_query)
-    return order, value_index - base
+    total = len(similarities)
+    head = 4 * k
+    if total > head:
+        tail = np.partition(similarities, total - head)[total - head :]
+        top = np.unique(tail)
+        if len(top) >= k:
+            return top[-k]
+    distinct = np.unique(similarities)
+    return distinct[max(0, len(distinct) - k)]
 
 
 def knn_kernel(
@@ -391,43 +376,52 @@ def knn_kernel(
     hi: int,
     k: int,
     measure: str,
-    block: int = KNN_BLOCK_QUERIES,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """kNN-join pairs ``(query_id, set_id)`` for queries ``[lo, hi)``.
 
-    Queries are processed in blocks of ``block``: each block's rows are
-    materialized, ranked with the distinct-similarity tie rule, and cut
-    to rank <= k before the next block starts — peak memory is one
-    block's rows, not the full row universe.  Ranks are per-query, so
-    blocking (at any boundary) cannot change the selection.
+    One fused pass per query, shaped like :func:`epsilon_kernel`: count,
+    score the overlapping sets, and keep those at or above the query's
+    :func:`kth_distinct_cutoff`.  No row is ranked, and no rows outlive
+    their query.  Query ids are global (``lo`` offset applied); set ids
+    ascend within a query.
     """
+    num_sets = len(sizes)
+    empty = np.zeros(0, dtype=np.int64)
+    if num_sets == 0 or hi <= lo:
+        return empty, empty
     vector_measure = vector_similarity_function(measure)
+    starts, ends, qptr, _t = _slice_bounds(token_ptr, qt_ptr, qt_ids, lo, hi)
+    query_sizes = qt_sizes[lo:hi].tolist()
     query_parts: List[np.ndarray] = []
     set_parts: List[np.ndarray] = []
-    for block_lo in range(lo, hi, block):
-        block_hi = min(block_lo + block, hi)
-        local_ptr, set_ids, counts = materialize_kernel(
-            token_ptr, postings, sizes,
-            qt_ptr, qt_ids, qt_sizes, block_lo, block_hi,
-        )
-        if len(set_ids) == 0:
+    bincount = np.bincount
+    flatnonzero = np.flatnonzero
+    concatenate = np.concatenate
+    for position in range(hi - lo):
+        a, b = qptr[position], qptr[position + 1]
+        if a == b:
             continue
-        rows_per_query = np.diff(local_ptr)
-        query_ids = np.repeat(
-            np.arange(block_lo, block_hi, dtype=np.int64), rows_per_query
-        )
+        if b - a == 1:
+            candidates = postings[starts[a] : ends[a]].astype(np.int64)
+            overlaps = np.ones(len(candidates), dtype=np.int64)
+        else:
+            merged = concatenate(
+                [postings[starts[t] : ends[t]] for t in range(a, b)]
+            )
+            dense = bincount(merged, minlength=num_sets)
+            candidates = flatnonzero(dense)
+            overlaps = dense[candidates]
+        if len(candidates) == 0:
+            continue
         similarities = vector_measure(
-            sizes[set_ids],
-            np.repeat(qt_sizes[block_lo:block_hi], rows_per_query),
-            counts,
+            sizes[candidates],
+            np.full(len(candidates), query_sizes[position], dtype=np.int64),
+            overlaps,
         )
-        order, ranks = ranks_of_grouped_rows(query_ids, similarities)
-        selected = order[ranks <= k]
-        if len(selected):
-            query_parts.append(query_ids[selected])
-            set_parts.append(set_ids[selected])
+        keep = candidates[similarities >= kth_distinct_cutoff(similarities, k)]
+        set_parts.append(keep)
+        query_parts.append(np.full(len(keep), lo + position, dtype=np.int64))
     if not query_parts:
-        empty = np.zeros(0, dtype=np.int64)
         return empty, empty
     return np.concatenate(query_parts), np.concatenate(set_parts)
 

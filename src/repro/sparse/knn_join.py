@@ -86,10 +86,9 @@ class KNNJoin(SparseNNFilter):
         self.k = k
 
     def _consumer_params(self) -> Dict[str, object]:
-        # The knn kernel ranks cache-sized query blocks with the same
-        # distinct-similarity tie rule and keeps rank <= k per block, so
-        # the selection matches `_select_batch` without ever holding the
-        # full overlap-row universe.
+        # The knn kernel keeps, per query, the rows at or above the k-th
+        # distinct similarity — the same tie rule as `_select_batch`,
+        # without ranking rows or holding the overlap-row universe.
         return {"consumer": "knn", "k": self.k, "measure": self.measure_name}
 
     def _select_batch(

@@ -46,7 +46,7 @@ from ..core.parallel import query_shards, resolve_workers, run_sharded
 from ..core.profile import EntityProfile
 from ..text.cleaning import TextCleaner
 from ..text.tokenizers import RepresentationModel
-from .kernels import query_tokens
+from .kernels import kth_distinct_cutoff, query_tokens
 from .similarity import vector_similarity_function
 
 __all__ = [
@@ -559,6 +559,14 @@ class DynamicPostings:
         )
 
 
+def _check_mode(threshold: Optional[float], k: Optional[int]) -> None:
+    """Reject an out-of-range ε or k (constructor and per-call overrides)."""
+    if threshold is not None and not 0.0 <= threshold <= 1.0:
+        raise ValueError(f"threshold must be in [0, 1], got {threshold}")
+    if k is not None and k < 1:
+        raise ValueError(f"k must be positive, got {k}")
+
+
 class IncrementalScanCountFilter(IncrementalIndex):
     """Streaming set-similarity filter over :class:`DynamicPostings`.
 
@@ -585,10 +593,7 @@ class IncrementalScanCountFilter(IncrementalIndex):
     ) -> None:
         if (threshold is None) == (k is None):
             raise ValueError("configure exactly one of threshold (ε) or k")
-        if threshold is not None and not 0.0 <= threshold <= 1.0:
-            raise ValueError(f"threshold must be in [0, 1], got {threshold}")
-        if k is not None and k < 1:
-            raise ValueError(f"k must be positive, got {k}")
+        _check_mode(threshold, k)
         super().__init__(attribute=attribute)
         self.threshold = threshold
         self.k = k
@@ -618,6 +623,7 @@ class IncrementalScanCountFilter(IncrementalIndex):
             raise ValueError("pass at most one of eps / k per query")
         if eps is None and k is None:
             return self.threshold, self.k
+        _check_mode(eps, k)
         return eps, k
 
     def _select(
@@ -639,9 +645,7 @@ class IncrementalScanCountFilter(IncrementalIndex):
         else:
             # The kNN-Join tie rule: keep every set whose similarity is
             # among the k highest *distinct* values.
-            distinct = np.unique(similarities)
-            cutoff = distinct[max(0, len(distinct) - int(k))]
-            keep = similarities >= cutoff
+            keep = similarities >= kth_distinct_cutoff(similarities, int(k))
         return slots[keep].tolist()
 
     def _query(

@@ -13,9 +13,12 @@ configurations:
   down to the paper's 0.01 grid; the candidate count at t is a single
   ``(sims >= t).sum()`` over the shared similarity array, never
   materializing the pairs.
-* kNN-Join — ranks are converted to distinct-similarity ranks (the
-  vectorized machinery of :func:`~repro.sparse.knn_join.distinct_similarity_ranks`);
-  the sweep over k uses cumulative histograms, and stops at the first
+* kNN-Join — each query's rows are first cut to those at or above its
+  ``k_max``-th distinct similarity
+  (:func:`~repro.sparse.kernels.kth_distinct_cutoff`); only those
+  survivors are converted to distinct-similarity ranks (the vectorized
+  machinery of :func:`~repro.sparse.knn_join.distinct_similarity_ranks`).
+  The sweep over k uses cumulative histograms, and stops at the first
   feasible k (the paper's early termination), which also maximizes PQ.
 """
 
@@ -30,6 +33,7 @@ from ..core.optimizer import DEFAULT_RECALL_TARGET, GridSearchOptimizer
 from ..core.stages import fire_stage_hooks
 from ..datasets.generator import ERDataset
 from ..sparse.epsilon_join import EpsilonJoin
+from ..sparse.kernels import kth_distinct_cutoff
 from ..sparse.knn_join import KNNJoin, distinct_similarity_ranks
 from ..sparse.scancount import ScanCountIndex
 from ..sparse.similarity import vector_similarity_function
@@ -74,6 +78,7 @@ class _OverlapMatrix:
         query_ptr, self.set_ids, self.counts = self.index.batch_overlaps(
             query_sets, workers=workers
         )
+        self.query_ptr = query_ptr
         rows_per_query = np.diff(query_ptr)
         self.query_ids = np.repeat(
             np.arange(len(query_sets), dtype=np.int64), rows_per_query
@@ -109,6 +114,25 @@ class _OverlapMatrix:
         """Similarity of every overlap row under ``measure``."""
         return vector_similarity_function(measure)(
             self.sizes_a, self.sizes_b, self.counts
+        )
+
+    def top_distinct_rows(
+        self, similarities: np.ndarray, k: int
+    ) -> np.ndarray:
+        """Rows among their query's ``k`` highest distinct similarities.
+
+        Ascending row indices; exactly the rows of distinct-similarity
+        rank <= ``k``, found per query by :func:`kth_distinct_cutoff`
+        instead of ranking every row.
+        """
+        bounds = self.query_ptr.tolist()
+        cutoffs = np.zeros(len(bounds) - 1)
+        for query in range(len(bounds) - 1):
+            a, b = bounds[query], bounds[query + 1]
+            if a < b:
+                cutoffs[query] = kth_distinct_cutoff(similarities[a:b], k)
+        return np.flatnonzero(
+            similarities >= np.repeat(cutoffs, np.diff(self.query_ptr))
         )
 
     def duplicate_similarities(self, measure: str) -> np.ndarray:
@@ -444,23 +468,10 @@ class KNNJoinTuner:
     ) -> Optional[Tuple[int, float, float, int]]:
         """Evaluate all k at once; return the first feasible (k, pc, pq, |C|).
 
-        Uses the join's tie semantics: a candidate's rank is the number of
-        *distinct similarity values* at or above its own.  The whole sweep
-        is two histograms over the shared overlap arrays — no re-querying
-        per k.
+        The whole sweep is two histograms (:meth:`_rank_histograms`) over
+        the shared overlap arrays — no re-querying per k.
         """
-        similarities = matrix.similarities(measure)
-        order, ranks = distinct_similarity_ranks(
-            matrix.query_ids, matrix.set_ids, similarities
-        )
-        within = ranks <= k_max
-        kept_rows = order[within]
-        kept_ranks = ranks[within]
-        count_hist = np.bincount(kept_ranks, minlength=k_max + 1)[: k_max + 1]
-        is_duplicate = matrix.duplicate_row_mask(kept_rows)
-        dup_hist = np.bincount(
-            kept_ranks[is_duplicate], minlength=k_max + 1
-        )[: k_max + 1]
+        count_hist, dup_hist = self._rank_histograms(matrix, measure, k_max)
         counts = np.cumsum(count_hist)
         duplicates = np.cumsum(dup_hist)
         for k in k_values:
@@ -473,6 +484,31 @@ class KNNJoinTuner:
         pc = duplicates[k] / total_duplicates if total_duplicates else 0.0
         pq = duplicates[k] / counts[k] if counts[k] else 0.0
         return k, float(pc), float(pq), int(counts[k])
+
+    @staticmethod
+    def _rank_histograms(
+        matrix: _OverlapMatrix, measure: str, k_max: int
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Rows and duplicate rows per distinct-similarity rank 0..``k_max``.
+
+        Uses the join's tie semantics: a candidate's rank is the number of
+        *distinct similarity values* at or above its own.  Rows beyond
+        rank ``k_max`` can never be selected, so they are cut per query
+        before ranking; a survivor's rank depends only on the values at
+        or above it, all of which survive.
+        """
+        similarities = matrix.similarities(measure)
+        survivors = matrix.top_distinct_rows(similarities, k_max)
+        order, ranks = distinct_similarity_ranks(
+            matrix.query_ids[survivors],
+            matrix.set_ids[survivors],
+            similarities[survivors],
+        )
+        is_duplicate = matrix.duplicate_row_mask(survivors[order])
+        return (
+            np.bincount(ranks, minlength=k_max + 1),
+            np.bincount(ranks[is_duplicate], minlength=k_max + 1),
+        )
 
     def build_filter(self, params: Dict[str, object]) -> KNNJoin:
         return KNNJoin(

@@ -282,6 +282,29 @@ class TestScanCountInternals:
         with pytest.raises(ValueError):
             index.query(_smoke_pool(2, seed=0)[1], eps=0.2, k=2)
 
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ({"k": 0}, "k must be positive"),
+            ({"k": -2}, "k must be positive"),
+            ({"eps": 1.5}, r"threshold must be in \[0, 1\]"),
+            ({"eps": -0.1}, r"threshold must be in \[0, 1\]"),
+        ],
+        ids=["k=0", "k=-2", "eps=1.5", "eps=-0.1"],
+    )
+    def test_per_call_override_is_validated(self, override, message):
+        pool = _smoke_pool(12, seed=4)
+        index = IncrementalScanCountFilter(k=3)
+        for profile in pool:
+            index.add(profile)
+        with pytest.raises(ValueError, match=message):
+            index.query(pool[0], **override)
+        with pytest.raises(ValueError, match=message):
+            index.query_many(pool[:3], **override)
+        # Valid overrides still answer, including the indexed twin.
+        assert pool[0].uid in index.query(pool[0], k=1)
+        assert index.query(pool[0], eps=1.0) == (pool[0].uid,)
+
     def test_dynamic_postings_slot_reuse_rejected(self):
         postings = DynamicPostings()
         postings.add(0, frozenset({"a", "b"}))

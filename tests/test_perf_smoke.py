@@ -2,8 +2,9 @@
 
 A tiny-budget run of ``benchmarks/bench_sparse_kernel.py`` (2k-entity
 corpus, 1000 per side) asserting every query-phase ``*_csr`` kernel beats
-its ``*_legacy`` twin, plus the aggregation contract of the trajectory
-file.  Run just this guard with ``pytest -m perf_smoke``; it is skipped
+its ``*_legacy`` twin, a ceiling on the kNN / ε-Join kernel ratio (the
+machine's speed cancels out of it), plus the aggregation contract of
+the trajectory file.  Run just this guard with ``pytest -m perf_smoke``; it is skipped
 on known-slow CI boxes (``CI=slow-box``) where wall-clock comparisons
 are noise.  The full 5k-scale assertion (every kernel, index build
 included) is gated behind ``PERF_SMOKE_FULL=1`` — CI's dedicated perf
@@ -56,6 +57,45 @@ def test_kernel_at_least_as_fast_as_legacy():
     # The serving-path row rides along in the same trajectory.
     kernels = {row["kernel"] for row in rows}
     assert "incremental_mixed_ops" in kernels
+
+
+#: Ceiling on the knn_csr / ejoin_csr wall ratio at the 1k scale.  Both
+#: kernels share the counting loop, so the ratio cancels the machine's
+#: speed: on a 2-core Xeon VM the per-query cutoff kernel measures
+#: 2.2-2.6x, while ranking every overlap row (a lexsort per query block)
+#: measured 3.4-4.4x.
+KNN_OVER_EJOIN_MAX = 3.2
+
+
+@pytest.mark.skipif(
+    os.environ.get("CI") == "slow-box",
+    reason="wall-clock comparisons are unreliable on the slow CI box",
+)
+def test_knn_stays_within_bound_of_ejoin():
+    from repro.sparse.scancount import ScanCountIndex
+
+    bench = _load_bench()
+    __, left, right = bench.make_token_sets(1000, "T1G", seed=7)
+    index = ScanCountIndex(left)
+    knn, ejoin = [], []
+    # Interleaved runs and per-kernel minima keep a burst of load on a
+    # shared machine from landing on one kernel only.
+    for __ in range(5):
+        knn.append(
+            bench.timed(
+                lambda: bench.csr_knn_join(index, right, 5, "cosine")
+            )[0]
+        )
+        ejoin.append(
+            bench.timed(
+                lambda: bench.csr_epsilon_join(index, right, 0.5, "cosine")
+            )[0]
+        )
+    ratio = min(knn) / min(ejoin)
+    assert ratio < KNN_OVER_EJOIN_MAX, (
+        f"knn_csr is {ratio:.2f}x ejoin_csr at 1k"
+        f" (bound {KNN_OVER_EJOIN_MAX}x)"
+    )
 
 
 def test_write_rows_aggregates_instead_of_duplicating(tmp_path):

@@ -10,6 +10,8 @@ lets the benchmark tables trust the kernel swap.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.candidates import CandidateSet
 from repro.core.profile import EntityCollection, EntityProfile
@@ -434,25 +436,26 @@ class TestConsumerParity:
         rng = np.random.default_rng(100 + k)
         indexed, queries, arrays = _consumer_arrays(rng)
         index = LegacyScanCountIndex(indexed)
-        func = similarity_function("cosine")
-        for lo, hi in [(0, len(queries)), (6, 15)]:
-            query_ids, set_ids = run_consumer(
-                arrays,
-                lo,
-                hi,
-                {"consumer": "knn", "k": k, "measure": "cosine"},
-            )
-            got = set(zip(query_ids.tolist(), set_ids.tolist()))
-            expected = {
-                (position, set_id)
-                for position in range(lo, hi)
-                for set_id in legacy_knn_select(
-                    index, queries[position], k, func
+        for measure in ("cosine", "dice", "jaccard"):
+            func = similarity_function(measure)
+            for lo, hi in [(0, len(queries)), (6, 15)]:
+                query_ids, set_ids = run_consumer(
+                    arrays,
+                    lo,
+                    hi,
+                    {"consumer": "knn", "k": k, "measure": measure},
                 )
-            }
-            assert got == expected
+                got = set(zip(query_ids.tolist(), set_ids.tolist()))
+                expected = {
+                    (position, set_id)
+                    for position in range(lo, hi)
+                    for set_id in legacy_knn_select(
+                        index, queries[position], k, func
+                    )
+                }
+                assert got == expected, measure
 
-    def test_knn_block_boundary_invariance(self):
+    def test_knn_range_split_invariance(self):
         from repro.sparse.kernels import knn_kernel
 
         rng = np.random.default_rng(41)
@@ -460,13 +463,16 @@ class TestConsumerParity:
         args = (
             arrays["token_ptr"], arrays["postings"], arrays["sizes"],
             arrays["qt_ptr"], arrays["qt_ids"], arrays["qt_sizes"],
-            0, len(queries),
         )
-        baseline = knn_kernel(*args, k=3, measure="jaccard")
-        for block in (1, 2, 7):
-            blocked = knn_kernel(*args, k=3, measure="jaccard", block=block)
-            np.testing.assert_array_equal(baseline[0], blocked[0])
-            np.testing.assert_array_equal(baseline[1], blocked[1])
+        lo, hi = 2, len(queries) - 1
+        whole = knn_kernel(*args, lo, hi, k=3, measure="jaccard")
+        for mid in range(lo, hi + 1):
+            head = knn_kernel(*args, lo, mid, k=3, measure="jaccard")
+            tail = knn_kernel(*args, mid, hi, k=3, measure="jaccard")
+            for part in (0, 1):
+                np.testing.assert_array_equal(
+                    whole[part], np.concatenate((head[part], tail[part]))
+                )
 
     def test_unknown_consumer_rejected(self):
         from repro.sparse.kernels import run_consumer
@@ -505,36 +511,50 @@ class TestMinOverlapBounds:
         assert bounds.min() >= 1
 
 
-class TestRanksOfGroupedRows:
-    @pytest.mark.parametrize("seed", range(4))
-    def test_matches_three_key_lexsort_on_grouped_input(self, seed):
-        from repro.sparse.kernels import ranks_of_grouped_rows
+def _cutoff_reference(values, k):
+    distinct = np.unique(values)
+    return distinct[max(0, len(distinct) - k)]
 
-        rng = np.random.default_rng(seed)
-        # Grouped rows: query ids non-decreasing, set ids ascending
-        # within each query — exactly the CSR layout kernels emit.
-        query_parts, set_parts = [], []
-        for query in range(8):
-            rows = int(rng.integers(0, 12))
-            members = np.sort(
-                rng.choice(40, size=rows, replace=False)
-            ).astype(np.int64)
-            query_parts.append(np.full(rows, query, dtype=np.int64))
-            set_parts.append(members)
-        query_ids = np.concatenate(query_parts)
-        set_ids = np.concatenate(set_parts)
-        sims = rng.choice([0.2, 0.4, 0.6, 0.8, 1.0], size=len(query_ids))
-        order2, ranks2 = ranks_of_grouped_rows(query_ids, sims)
-        order3, ranks3 = distinct_similarity_ranks(query_ids, set_ids, sims)
-        np.testing.assert_array_equal(order2, order3)
-        np.testing.assert_array_equal(ranks2, ranks3)
 
-    def test_empty(self):
-        from repro.sparse.kernels import ranks_of_grouped_rows
+class TestKthDistinctCutoff:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=st.lists(
+            st.integers(0, 12).map(lambda v: v / 12), min_size=1, max_size=80
+        ),
+        k=st.integers(1, 25),
+    )
+    def test_matches_unique_reference(self, values, k):
+        from repro.sparse.kernels import kth_distinct_cutoff
 
-        empty = np.zeros(0, dtype=np.int64)
-        order, ranks = ranks_of_grouped_rows(empty, empty)
-        assert len(order) == 0 and len(ranks) == 0
+        # A 13-value pool forces heavy ties and k beyond the distinct
+        # count; sizes span n <= 4k and n > 4k for every k drawn.
+        values = np.asarray(values, dtype=np.float64)
+        assert kth_distinct_cutoff(values, k) == _cutoff_reference(values, k)
+
+    @pytest.mark.parametrize(
+        "values, k, expected",
+        [
+            ([0.5], 1, 0.5),  # n = 1
+            ([0.5], 3, 0.5),  # k beyond the single distinct value
+            ([0.7] * 50, 2, 0.7),  # all equal, n > 4k
+            ([0.1, 0.9, 0.9, 0.3], 1, 0.9),  # k = 1 keeps only the max
+            ([0.1, 0.9, 0.9, 0.3], 2, 0.3),  # n <= 4k
+            ([0.9] * 20 + [0.1, 0.2], 2, 0.2),  # tied top forces fallback
+        ],
+    )
+    def test_edge_cases(self, values, k, expected):
+        from repro.sparse.kernels import kth_distinct_cutoff
+
+        assert kth_distinct_cutoff(np.asarray(values), k) == expected
+
+    def test_input_is_not_modified(self):
+        from repro.sparse.kernels import kth_distinct_cutoff
+
+        values = np.random.default_rng(5).random(100)
+        before = values.copy()
+        kth_distinct_cutoff(values, 3)
+        np.testing.assert_array_equal(values, before)
 
 
 class TestDistinctSimilarityRanks:

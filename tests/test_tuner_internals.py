@@ -7,7 +7,13 @@ from repro.blocking.metablocking import MetaBlocking
 from repro.blocking.workflow import ComparisonPropagation
 from repro.tuning.blocking import BlockingWorkflowTuner
 from repro.tuning.dense import EmbeddingCache, _first_feasible_k
-from repro.tuning.sparse import _snap_down, tokenize_collection
+from repro.sparse.knn_join import distinct_similarity_ranks
+from repro.tuning.sparse import (
+    KNNJoinTuner,
+    _OverlapMatrix,
+    _snap_down,
+    tokenize_collection,
+)
 
 
 class TestSnapDown:
@@ -23,6 +29,65 @@ class TestSnapDown:
     def test_never_exceeds_input(self):
         for value in (0.011, 0.5, 0.999):
             assert _snap_down(value) <= value + 1e-12
+
+
+def _seeded_overlap_matrix(seed):
+    rng = np.random.default_rng(seed)
+    vocabulary = [f"t{i}" for i in range(60)]
+
+    def token_sets(count):
+        return [
+            frozenset(rng.choice(vocabulary, rng.integers(1, 30), False))
+            for __ in range(count)
+        ]
+
+    indexed = token_sets(150)
+    # Query q is a noisy copy of indexed set q (one token swapped), so
+    # the duplicates land at every rank from the top down.
+    queries = [
+        (tokens - {sorted(tokens)[0]}) | {str(rng.choice(vocabulary))}
+        for tokens in indexed[:40]
+    ]
+    gt_pairs = [(query, query) for query in range(len(queries))]
+    return _OverlapMatrix(indexed, queries, gt_pairs)
+
+
+def _ranked_histograms(matrix, measure, k_max):
+    """The reference sweep: rank every overlap row, then cut at k_max."""
+    similarities = matrix.similarities(measure)
+    order, ranks = distinct_similarity_ranks(
+        matrix.query_ids, matrix.set_ids, similarities
+    )
+    within = ranks <= k_max
+    is_duplicate = matrix.duplicate_row_mask(order[within])
+    kept = ranks[within]
+    return (
+        np.bincount(kept, minlength=k_max + 1),
+        np.bincount(kept[is_duplicate], minlength=k_max + 1),
+    )
+
+
+class TestKNNRankHistograms:
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("k_max", [1, 5, 50])
+    @pytest.mark.parametrize("measure", ["cosine", "jaccard"])
+    def test_preselection_matches_ranking_every_row(
+        self, measure, k_max, seed
+    ):
+        matrix = _seeded_overlap_matrix(seed)
+        got = KNNJoinTuner._rank_histograms(matrix, measure, k_max)
+        expected = _ranked_histograms(matrix, measure, k_max)
+        np.testing.assert_array_equal(got[0], expected[0])
+        np.testing.assert_array_equal(got[1], expected[1])
+        assert got[1].sum() > 0  # the duplicates reach the histogram
+
+    def test_preselection_prunes_rows(self):
+        matrix = _seeded_overlap_matrix(0)
+        similarities = matrix.similarities("cosine")
+        survivors = matrix.top_distinct_rows(similarities, 5)
+        assert 0 < len(survivors) < len(similarities) // 2
+        # Survivors stay in CSR order: query-major, set ids ascending.
+        assert np.all(np.diff(matrix.row_keys[survivors]) > 0)
 
 
 class TestFirstFeasibleK:
