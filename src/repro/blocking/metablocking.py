@@ -17,7 +17,7 @@ speed even on million-pair graphs.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -59,22 +59,6 @@ PRUNING_ALGORITHMS: Tuple[str, ...] = (
 )
 
 
-def _group_tops(
-    entities: np.ndarray, weights: np.ndarray, k: int
-) -> np.ndarray:
-    """Boolean mask: row is among its entity's k highest-weighted rows."""
-    order = np.lexsort((-weights, entities))
-    sorted_entities = entities[order]
-    # Rank of each row within its entity group, 0 = best weight.
-    boundaries = np.flatnonzero(np.diff(sorted_entities)) + 1
-    starts = np.concatenate(([0], boundaries))
-    lengths = np.diff(np.concatenate((starts, [len(order)])))
-    ranks = np.arange(len(order)) - np.repeat(starts, lengths)
-    mask = np.zeros(len(order), dtype=bool)
-    mask[order] = ranks < k
-    return mask
-
-
 def _group_means(entities: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Per row: the mean weight of the rows sharing its entity."""
     size = int(entities.max()) + 1 if len(entities) else 0
@@ -90,6 +74,51 @@ def _group_maxima(entities: np.ndarray, weights: np.ndarray) -> np.ndarray:
     maxima = np.full(size, -np.inf)
     np.maximum.at(maxima, entities, weights)
     return maxima[entities]
+
+
+def _side_tops(
+    entities: np.ndarray,
+    degree: np.ndarray,
+    ranks: np.ndarray,
+    distinct: int,
+    k: int,
+    row_order: Optional[np.ndarray],
+) -> np.ndarray:
+    """One side of :meth:`PairGraph.node_tops`.
+
+    ``ranks`` is the dense weight rank of every row (0 = best, below
+    ``distinct``), ``degree`` the rows per entity, and ``row_order`` the
+    rows grouped by entity in ascending row order (``None`` when the
+    rows already are).
+    """
+    heavy = np.flatnonzero(degree > k)
+    if not len(heavy):
+        return np.ones(len(entities), dtype=bool)
+    keys = entities * distinct + ranks
+    keys.sort()
+    starts = np.cumsum(degree) - degree
+    kth = keys[starts[heavy] + (k - 1)]
+    # Per entity, the rank of its k-th best row; an entity with at most
+    # k rows keeps them all, as no rank reaches ``distinct``.
+    cutoff = np.full(len(degree), distinct, dtype=np.int64)
+    cutoff[heavy] = kth - heavy * distinct
+    row_cutoff = cutoff[entities]
+    mask = ranks < row_cutoff
+    # Rows tied with the cutoff fill what the strictly better rows leave
+    # of the entity's k slots, first rows first.
+    slots = np.zeros(len(degree), dtype=np.int64)
+    slots[heavy] = k - (np.searchsorted(keys, kth) - starts[heavy])
+    tied = ranks == row_cutoff
+    if row_order is None:
+        tied_rows = np.flatnonzero(tied)
+    else:
+        tied_rows = row_order[tied[row_order]]
+    tied_entities = entities[tied_rows]
+    group_starts = np.flatnonzero(np.diff(tied_entities, prepend=-1))
+    group_sizes = np.diff(np.append(group_starts, len(tied_rows)))
+    position = np.arange(len(tied_rows)) - np.repeat(group_starts, group_sizes)
+    mask[tied_rows] = position < slots[tied_entities]
+    return mask
 
 
 class PairGraph:
@@ -145,6 +174,8 @@ class PairGraph:
         size_right = int(self.rights.max()) + 1 if len(self.rights) else 0
         self._left_degree = np.bincount(self.lefts, minlength=size_left)
         self._right_degree = np.bincount(self.rights, minlength=size_right)
+        # Rows grouped by right entity, built on first use by node_tops.
+        self._right_order: Optional[np.ndarray] = None
 
     @staticmethod
     def _count_map(index) -> np.ndarray:
@@ -219,6 +250,45 @@ class PairGraph:
                 statistic += np.where(expected > 0, diff * diff / safe, 0.0)
         return statistic
 
+    def node_tops(
+        self, weights: np.ndarray, k: int
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Per-node top-k retention masks ``(left_mask, right_mask)``.
+
+        A row is in ``left_mask`` when it is among the ``k`` best rows of
+        its left entity, ordered by weight descending with ties broken by
+        ascending row index; ``right_mask`` is the same for the right
+        entity.  CNP keeps ``left | right``, RCNP ``left & right``, and
+        the learned family's CEP ``left | right`` over its scores.
+
+        No row is ranked within its entity: ``weights`` get one dense
+        rank shared by both sides (0 = best), and per side one plain sort
+        of the int64 keys ``entity * D + rank`` (``D`` distinct weights,
+        so a key stays
+        below 2**63 for any graph the tuners build) yields every
+        entity's k-th best key.  Rows strictly better than it are kept;
+        rows tied with it fill the remaining slots in row order.
+        """
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
+        if not len(self):
+            return np.zeros(0, dtype=bool), np.zeros(0, dtype=bool)
+        # Ascending negated weights put the best weight first, exactly
+        # as the descending order (-0.0 ties 0.0).
+        values, ranks = np.unique(-np.asarray(weights), return_inverse=True)
+        distinct = len(values)
+        if self._right_order is None:
+            self._right_order = np.argsort(self.rights, kind="stable")
+        return (
+            _side_tops(
+                self.lefts, self._left_degree, ranks, distinct, k, None
+            ),
+            _side_tops(
+                self.rights, self._right_degree, ranks, distinct, k,
+                self._right_order,
+            ),
+        )
+
     def candidate_set(self, mask: np.ndarray) -> CandidateSet:
         """The pairs selected by a boolean ``mask`` as a CandidateSet."""
         lefts = self.lefts[mask].tolist()
@@ -249,8 +319,7 @@ def prune_mask(graph: PairGraph, weights: np.ndarray, algorithm: str) -> np.ndar
         entities = len(graph._left_blocks) + len(graph._right_blocks)
         blocks_per_entity = graph.total_assignments / max(1, entities)
         k = max(1, int(blocks_per_entity) - 1)
-        top_left = _group_tops(graph.lefts, weights, k)
-        top_right = _group_tops(graph.rights, weights, k)
+        top_left, top_right = graph.node_tops(weights, k)
         if algorithm == "CNP":
             return top_left | top_right
         return top_left & top_right

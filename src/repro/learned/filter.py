@@ -31,7 +31,7 @@ from typing import Iterator, Optional, Tuple
 import numpy as np
 
 from ..blocking.building import StandardBlocking
-from ..blocking.metablocking import PairGraph, _group_tops
+from ..blocking.metablocking import PairGraph
 from ..core.candidates import CandidateSet
 from ..core.fastpairs import encode_pairs, groundtruth_keys
 from ..core.filters import Filter
@@ -93,6 +93,8 @@ class SupervisedMetaBlocking(Filter):
             raise ValueError(
                 f"pruning must be one of {SMB_PRUNING_MODES}, got {pruning!r}"
             )
+        if int(k) < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
         if weights is None and oracle is None:
             raise ValueError(
                 "SupervisedMetaBlocking needs either trained `weights` or a "
@@ -154,9 +156,8 @@ class SupervisedMetaBlocking(Filter):
             if self.pruning == "WEP":
                 mask = scores >= self.threshold
             else:  # CEP: per-entity top-k, kept when best on either side.
-                mask = _group_tops(graph.lefts, scores, self.k) | _group_tops(
-                    graph.rights, scores, self.k
-                )
+                top_left, top_right = graph.node_tops(scores, self.k)
+                mask = top_left | top_right
             self._kept_keys = keys[mask]
             self._kept_scores = scores[mask]
             candidates = graph.candidate_set(mask)

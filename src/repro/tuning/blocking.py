@@ -21,8 +21,6 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional
 
-import numpy as np
-
 from ..blocking.building import (
     BlockBuilder,
     ExtendedQGramsBlocking,
@@ -34,7 +32,7 @@ from ..blocking.building import (
 from ..blocking.cleaning import BlockFiltering, BlockPurging
 from ..blocking.metablocking import PairGraph, prune_mask
 from ..blocking.workflow import BlockingWorkflow, ComparisonPropagation, MetaBlocking
-from ..core.fastpairs import evaluate_keys, groundtruth_keys
+from ..core.fastpairs import encode_pairs, evaluate_keys, groundtruth_keys
 from ..core.optimizer import DEFAULT_RECALL_TARGET, GridSearchOptimizer
 from ..core.stages import fire_stage_hooks
 from ..datasets.generator import ERDataset
@@ -215,15 +213,15 @@ class BlockingWorkflowTuner:
                     )
                     # Meta-blocking: one graph, six weightings, seven prunings.
                     graph = PairGraph(filtered)
+                    # The graph's rows are (left, right)-sorted, so masked
+                    # keys stay sorted-unique — no re-sort needed.
+                    graph_keys = encode_pairs(graph.lefts, graph.rights, width)
                     for scheme in spaces.weighting_schemes(self.profile):
                         weights = graph.weights(scheme)
                         for algorithm in spaces.pruning_algorithms(self.profile):
                             mask = prune_mask(graph, weights, algorithm)
-                            keys = np.sort(
-                                graph.lefts[mask] * width + graph.rights[mask]
-                            )
                             evaluation = evaluate_keys(
-                                keys, gt_keys, size1, size2
+                                graph_keys[mask], gt_keys, size1, size2
                             )
                             tried += 1
                             best = better(

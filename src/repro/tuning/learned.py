@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..blocking.building import StandardBlocking
-from ..blocking.metablocking import PairGraph, _group_tops
+from ..blocking.metablocking import PairGraph
 from ..core.fastpairs import encode_pairs, evaluate_keys, groundtruth_keys
 from ..core.optimizer import DEFAULT_RECALL_TARGET, GridSearchOptimizer
 from ..datasets.generator import ERDataset
@@ -97,10 +97,9 @@ class SupervisedMetaBlockingTuner:
                         scores >= threshold,
                     ))
                 for k in spaces.smb_topk(self.profile):
+                    top_left, top_right = graph.node_tops(scores, k)
                     masks.append((
-                        {"pruning": "CEP", "k": int(k)},
-                        _group_tops(graph.lefts, scores, k)
-                        | _group_tops(graph.rights, scores, k),
+                        {"pruning": "CEP", "k": int(k)}, top_left | top_right
                     ))
                 for prune_params, mask in masks:
                     # The graph's rows are (left, right)-sorted, so the

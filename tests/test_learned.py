@@ -146,6 +146,14 @@ class TestFilter:
                 oracle=small_generated.groundtruth, pruning="BLAST"
             )
 
+    @pytest.mark.parametrize("k", [0, -3])
+    def test_rejects_k_below_one(self, small_generated, k):
+        # CEP with such a k would silently keep no candidate.
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            SupervisedMetaBlocking(
+                oracle=small_generated.groundtruth, pruning="CEP", k=k
+            )
+
     def test_training_is_deterministic_byte_identical_keys(
         self, small_generated
     ):

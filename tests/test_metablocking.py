@@ -1,9 +1,12 @@
 """Unit tests for Comparison Propagation and Meta-blocking."""
 
+from collections import defaultdict
+
 import numpy as np
 import pytest
 
 from repro.blocking.blocks import Block, BlockCollection
+from repro.blocking.building import StandardBlocking
 from repro.blocking.metablocking import (
     PRUNING_ALGORITHMS,
     WEIGHTING_SCHEMES,
@@ -12,6 +15,7 @@ from repro.blocking.metablocking import (
     PairGraph,
     prune_mask,
 )
+from repro.datasets.registry import load_dataset
 
 
 @pytest.fixture()
@@ -258,3 +262,150 @@ class TestPruneMaskEdgeCases:
         weights = graph.weights("ARCS")
         for algorithm in ("CNP", "RCNP", "WNP", "RWNP", "BLAST"):
             assert np.all(prune_mask(graph, weights, algorithm)), algorithm
+
+
+def _random_blocks(rng, n_blocks, n_entities, max_side):
+    """A random block collection; blocks may share and repeat entities."""
+    blocks = []
+    for index in range(n_blocks):
+        left = np.unique(rng.integers(0, n_entities, rng.integers(1, max_side)))
+        right = np.unique(rng.integers(0, n_entities, rng.integers(1, max_side)))
+        blocks.append(
+            Block(f"b{index}", tuple(left.tolist()), tuple(right.tolist()))
+        )
+    return BlockCollection(blocks)
+
+
+def _reference_tops(entities, weights, k):
+    """Per entity, sort rows by (-weight, row index) and keep the first k."""
+    groups = defaultdict(list)
+    for row, entity in enumerate(entities.tolist()):
+        groups[entity].append(row)
+    mask = np.zeros(len(entities), dtype=bool)
+    for rows in groups.values():
+        rows.sort(key=lambda row: (-weights[row], row))
+        mask[rows[:k]] = True
+    return mask
+
+
+def _assert_matches_reference(graph, weights, k):
+    left, right = graph.node_tops(weights, k)
+    assert np.array_equal(left, _reference_tops(graph.lefts, weights, k))
+    assert np.array_equal(right, _reference_tops(graph.rights, weights, k))
+
+
+def _max_degree(graph):
+    return max(
+        np.bincount(graph.lefts).max(), np.bincount(graph.rights).max()
+    )
+
+
+class TestPairGraphRowOrder:
+    """evaluate_keys needs sorted-unique keys, which the tuners take from
+    masked graph rows without re-sorting."""
+
+    @staticmethod
+    def _assert_strictly_increasing(graph):
+        step_left = np.diff(graph.lefts)
+        step_right = np.diff(graph.rights)
+        assert np.all((step_left > 0) | ((step_left == 0) & (step_right > 0)))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_rows_strictly_increasing_random(self, seed):
+        rng = np.random.default_rng(seed)
+        graph = PairGraph(_random_blocks(rng, 30, 25, 7))
+        assert len(graph) > 0
+        self._assert_strictly_increasing(graph)
+
+    def test_largest_right_id_in_an_early_block(self):
+        graph = PairGraph(
+            BlockCollection(
+                [
+                    Block("first", (3, 0), (9, 1)),
+                    Block("second", (0, 2), (2, 1)),
+                    Block("third", (1,), (0,)),
+                ]
+            )
+        )
+        self._assert_strictly_increasing(graph)
+        assert graph.rights.max() == 9
+
+
+class TestNodeTops:
+    """node_tops keeps each entity's k best rows, ties by row index."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_heavy_ties_match_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        graph = PairGraph(_random_blocks(rng, 12, 10, 6))
+        values = rng.integers(1, 6)  # one to five distinct weights
+        weights = rng.integers(0, values, len(graph)).astype(np.float64)
+        max_degree = _max_degree(graph)
+        for k in (1, 2, max_degree, max_degree + 1):
+            _assert_matches_reference(graph, weights, k)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_signed_zeros_tie(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        graph = PairGraph(_random_blocks(rng, 12, 10, 6))
+        weights = rng.choice([0.0, -0.0, 1.0], len(graph))
+        max_degree = _max_degree(graph)
+        for k in (1, 2, max_degree, max_degree + 1):
+            _assert_matches_reference(graph, weights, k)
+
+    def test_distinct_weights_match_reference(self):
+        rng = np.random.default_rng(7)
+        graph = PairGraph(_random_blocks(rng, 40, 30, 8))
+        weights = rng.random(len(graph))
+        for k in (1, 2, 3, _max_degree(graph)):
+            _assert_matches_reference(graph, weights, k)
+
+    def test_one_row_groups_keep_everything(self):
+        graph = PairGraph(
+            BlockCollection([Block(f"k{i}", (i,), (i,)) for i in range(5)])
+        )
+        left, right = graph.node_tops(np.arange(5.0), 1)
+        assert left.all() and right.all()
+
+    def test_tie_goes_to_lower_row(self):
+        # Left entity 0 has three equally weighted rows (0,0), (0,1), (0,2).
+        graph = PairGraph(BlockCollection([Block("k", (0,), (0, 1, 2))]))
+        left, right = graph.node_tops(np.ones(3), 2)
+        assert left.tolist() == [True, True, False]
+        assert right.all()
+
+    def test_empty_graph(self):
+        graph = PairGraph(BlockCollection([]))
+        left, right = graph.node_tops(np.zeros(0), 3)
+        assert left.dtype == bool and len(left) == 0
+        assert right.dtype == bool and len(right) == 0
+
+    @pytest.mark.parametrize("k", [0, -3])
+    def test_rejects_k_below_one(self, blocks, k):
+        graph = PairGraph(blocks)
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            graph.node_tops(graph.weights("CBS"), k)
+
+
+class TestCardinalityNodePruningOnRealGraph:
+    """CNP/RCNP on a d1 Standard Blocking graph against the reference."""
+
+    @pytest.fixture(scope="class")
+    def d1_graph(self):
+        dataset = load_dataset("d1")
+        blocks = StandardBlocking().build(dataset.left, dataset.right)
+        # CNP's k: the mean number of blocks per entity, minus one.
+        entities = (max(blocks.left_index()) + 1) + (
+            max(blocks.right_index()) + 1
+        )
+        k = max(1, int(blocks.total_assignments / entities) - 1)
+        return PairGraph(blocks), k
+
+    @pytest.mark.parametrize("scheme", WEIGHTING_SCHEMES)
+    def test_cnp_and_rcnp_match_reference(self, d1_graph, scheme):
+        graph, k = d1_graph
+        weights = graph.weights(scheme)
+        left = _reference_tops(graph.lefts, weights, k)
+        right = _reference_tops(graph.rights, weights, k)
+        assert np.array_equal(prune_mask(graph, weights, "CNP"), left | right)
+        assert np.array_equal(prune_mask(graph, weights, "RCNP"), left & right)
