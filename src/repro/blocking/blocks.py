@@ -9,6 +9,7 @@ with an empty side contributes nothing and is dropped at construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import (
     Dict,
     Iterable,
@@ -20,6 +21,8 @@ from typing import (
     Tuple,
 )
 
+import numpy as np
+
 from ..core.candidates import CandidateSet
 from ..core.incremental import IncrementalIndex
 from ..core.profile import EntityProfile
@@ -27,6 +30,7 @@ from ..core.profile import EntityProfile
 __all__ = [
     "Block",
     "BlockCollection",
+    "BlockMembers",
     "IncrementalBlockIndex",
     "build_blocks_from_keys",
 ]
@@ -51,6 +55,53 @@ class Block:
         return len(self.left) + len(self.right)
 
 
+@dataclass(frozen=True)
+class BlockMembers:
+    """The members of a block collection in a CSR-like layout.
+
+    Per side, ``left`` / ``right`` concatenate the blocks' entity ids in
+    block order and ``left_sizes`` / ``right_sizes`` hold how many of
+    them each block owns (all int64).
+    """
+
+    left: np.ndarray
+    left_sizes: np.ndarray
+    right: np.ndarray
+    right_sizes: np.ndarray
+
+    @property
+    def comparisons(self) -> np.ndarray:
+        """Per block, the number of cross-side pairs it induces."""
+        return self.left_sizes * self.right_sizes
+
+    def pair_occurrences(self, width: int) -> np.ndarray:
+        """The keys ``left * width + right`` of every pair of every block.
+
+        Repeats are kept, block by block and left-major; ``width`` must
+        exceed every right id.  Each left member repeats once per right
+        of its block, whose slice of ``right`` a cumsum-with-resets index
+        walks.
+        """
+        per_left = np.repeat(self.right_sizes, self.left_sizes)
+        keys = np.repeat(self.left, per_left)
+        if not len(keys):
+            return keys
+        right_starts = np.cumsum(self.right_sizes) - self.right_sizes
+        first = np.repeat(right_starts, self.left_sizes)[per_left > 0]
+        lengths = per_left[per_left > 0]
+        # Step 1 inside a run; at a run's start, jump there from the end
+        # of the previous run.
+        steps = first.copy()
+        steps[1:] -= first[:-1] + lengths[:-1] - 1
+        index = np.ones(len(keys), dtype=np.int64)
+        index[np.cumsum(lengths) - lengths] = steps
+        np.cumsum(index, out=index)
+        keys *= width
+        # "clip" lets take() gather into its own index array unbuffered.
+        keys += self.right.take(index, out=index, mode="clip")
+        return keys
+
+
 class BlockCollection:
     """An ordered list of blocks plus entity-to-block inverted indexes."""
 
@@ -58,8 +109,7 @@ class BlockCollection:
         self.blocks: List[Block] = [
             b for b in blocks if b.left and b.right
         ]
-        self._left_index: Optional[Dict[int, List[int]]] = None
-        self._right_index: Optional[Dict[int, List[int]]] = None
+        self._indexes: Dict[str, Dict[int, List[int]]] = {}
 
     def __len__(self) -> int:
         return len(self.blocks)
@@ -82,56 +132,48 @@ class BlockCollection:
 
     def blocks_of_left(self, entity: int) -> List[int]:
         """Indices of the blocks containing E1 entity ``entity``."""
-        return self._ensure_left_index().get(entity, [])
+        return self.left_index().get(entity, [])
 
     def blocks_of_right(self, entity: int) -> List[int]:
         """Indices of the blocks containing E2 entity ``entity``."""
-        return self._ensure_right_index().get(entity, [])
+        return self.right_index().get(entity, [])
 
     def left_index(self) -> Dict[int, List[int]]:
         """Full E1-entity -> block-indices map."""
-        return self._ensure_left_index()
+        return self._index("left")
 
     def right_index(self) -> Dict[int, List[int]]:
         """Full E2-entity -> block-indices map."""
-        return self._ensure_right_index()
+        return self._index("right")
 
-    def _ensure_left_index(self) -> Dict[int, List[int]]:
-        if self._left_index is None:
+    def _index(self, side: str) -> Dict[int, List[int]]:
+        if side not in self._indexes:
             index: Dict[int, List[int]] = {}
             for block_id, block in enumerate(self.blocks):
-                for entity in block.left:
+                for entity in getattr(block, side):
                     index.setdefault(entity, []).append(block_id)
-            self._left_index = index
-        return self._left_index
+            self._indexes[side] = index
+        return self._indexes[side]
 
-    def _ensure_right_index(self) -> Dict[int, List[int]]:
-        if self._right_index is None:
-            index: Dict[int, List[int]] = {}
-            for block_id, block in enumerate(self.blocks):
-                for entity in block.right:
-                    index.setdefault(entity, []).append(block_id)
-            self._right_index = index
-        return self._right_index
+    def members(self) -> BlockMembers:
+        """The block members as flat arrays (see :class:`BlockMembers`)."""
+        sides = []
+        for side in ("left", "right"):
+            groups = [getattr(block, side) for block in self.blocks]
+            sizes = np.fromiter(map(len, groups), np.int64, len(groups))
+            flat = np.fromiter(
+                chain.from_iterable(groups), np.int64, int(sizes.sum())
+            )
+            sides.extend((flat, sizes))
+        return BlockMembers(*sides)
 
-    def pair_keys(self, width: int) -> "np.ndarray":
+    def pair_keys(self, width: int) -> np.ndarray:
         """Distinct cross-side pairs as sorted ``left * width + right`` keys.
 
         The fast path used by the configuration optimizer (see
         :mod:`repro.core.fastpairs`); ``width`` must exceed every right id.
         """
-        import numpy as np
-
-        chunks = []
-        for block in self.blocks:
-            left = np.asarray(block.left, dtype=np.int64)
-            right = np.asarray(block.right, dtype=np.int64)
-            chunks.append(
-                (np.repeat(left, len(right)) * width) + np.tile(right, len(left))
-            )
-        if not chunks:
-            return np.zeros(0, dtype=np.int64)
-        return np.unique(np.concatenate(chunks))
+        return np.unique(self.members().pair_occurrences(width))
 
     def distinct_pairs(self) -> CandidateSet:
         """All distinct cross-side pairs (Comparison Propagation semantics)."""

@@ -7,8 +7,9 @@ precision gain.
 
 from __future__ import annotations
 
-import math
-from typing import Dict, List
+from typing import List, Tuple
+
+import numpy as np
 
 from .blocks import Block, BlockCollection
 
@@ -38,12 +39,10 @@ class BlockPurging:
         if total_entities <= 0:
             # Infer the input size from the block assignments: every
             # entity placed in at least one block is counted once.
-            left = set()
-            right = set()
-            for block in blocks:
-                left.update(block.left)
-                right.update(block.right)
-            total_entities = len(left) + len(right)
+            members = blocks.members()
+            total_entities = len(np.unique(members.left)) + len(
+                np.unique(members.right)
+            )
         return self.size_fraction * total_entities
 
     def clean(
@@ -76,34 +75,45 @@ class BlockFiltering:
     def clean(self, blocks: BlockCollection) -> BlockCollection:
         if self.ratio >= 1.0 or not len(blocks):
             return blocks
-        keep_left = self._retained(blocks.left_index(), blocks)
-        keep_right = self._retained(blocks.right_index(), blocks)
-        rebuilt: List[Block] = []
-        for block_id, block in enumerate(blocks):
-            lefts = tuple(
-                e for e in block.left if block_id in keep_left.get(e, ())
+        members = blocks.members()
+        # Every block's place in the (comparisons, block id) order.
+        order = np.argsort(members.comparisons, kind="stable")
+        block_rank = np.empty_like(order)
+        block_rank[order] = np.arange(len(order))
+        lefts, left_bounds = self._survivors(
+            members.left, members.left_sizes, block_rank
+        )
+        rights, right_bounds = self._survivors(
+            members.right, members.right_sizes, block_rank
+        )
+        # The collection drops the blocks left with an empty side.
+        return BlockCollection(
+            Block(key=block.key, left=lefts[l0:l1], right=rights[r0:r1])
+            for block, l0, l1, r0, r1 in zip(
+                blocks, left_bounds, left_bounds[1:],
+                right_bounds, right_bounds[1:],
             )
-            rights = tuple(
-                e for e in block.right if block_id in keep_right.get(e, ())
-            )
-            if lefts and rights:
-                rebuilt.append(Block(key=block.key, left=lefts, right=rights))
-        return BlockCollection(rebuilt)
+        )
 
-    def _retained(
-        self,
-        index: Dict[int, List[int]],
-        blocks: BlockCollection,
-    ) -> Dict[int, frozenset]:
-        """Per entity, the set of block ids it survives in."""
-        retained: Dict[int, frozenset] = {}
-        for entity, block_ids in index.items():
-            limit = max(1, math.ceil(self.ratio * len(block_ids)))
-            ordered = sorted(
-                block_ids, key=lambda b: (blocks[b].comparisons, b)
-            )
-            retained[entity] = frozenset(ordered[:limit])
-        return retained
+    def _survivors(
+        self, entities: np.ndarray, sizes: np.ndarray, block_rank: np.ndarray
+    ) -> Tuple[Tuple[int, ...], List[int]]:
+        """One side's surviving members and, per block, their bounds.
+
+        One sort of the keys ``entity * n_blocks + block_rank`` orders
+        each entity's assignments; one survives when fewer than
+        ``max(1, ceil(ratio * n))`` of the entity's ``n`` sort strictly
+        before it, so an entity's copies in one block share their fate.
+        """
+        keys = entities * len(block_rank) + np.repeat(block_rank, sizes)
+        counts = np.bincount(entities)
+        limits = np.maximum(1, np.ceil(self.ratio * counts)).astype(np.int64)
+        starts = np.cumsum(counts) - counts
+        before = np.searchsorted(np.sort(keys), keys) - starts[entities]
+        keep = before < limits[entities]
+        kept_so_far = np.concatenate(([0], np.cumsum(keep)))
+        bounds = kept_so_far[np.concatenate(([0], np.cumsum(sizes)))]
+        return tuple(entities[keep].tolist()), bounds.tolist()
 
     def describe(self) -> str:
         return f"block-filtering(r={self.ratio})"

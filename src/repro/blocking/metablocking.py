@@ -17,7 +17,7 @@ speed even on million-pair graphs.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -29,6 +29,7 @@ __all__ = [
     "WEIGHTING_SCHEMES",
     "PRUNING_ALGORITHMS",
     "PairGraph",
+    "NodeRanking",
     "MetaBlocking",
     "prune_mask",
 ]
@@ -76,49 +77,101 @@ def _group_maxima(entities: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return maxima[entities]
 
 
-def _side_tops(
-    entities: np.ndarray,
-    degree: np.ndarray,
-    ranks: np.ndarray,
-    distinct: int,
-    k: int,
-    row_order: Optional[np.ndarray],
-) -> np.ndarray:
-    """One side of :meth:`PairGraph.node_tops`.
+class NodeRanking:
+    """One weight vector ranked within every node of a :class:`PairGraph`.
 
-    ``ranks`` is the dense weight rank of every row (0 = best, below
-    ``distinct``), ``degree`` the rows per entity, and ``row_order`` the
-    rows grouped by entity in ascending row order (``None`` when the
-    rows already are).
+    What depends on the weights alone is built on first use and shared:
+    the dense rank and the sorted per-side keys by every ``k`` of
+    :meth:`tops`, the per-entity mean weights by WNP and RWNP.  It holds
+    the graph's arrays, not the graph, so the graph can cache it.
     """
-    heavy = np.flatnonzero(degree > k)
-    if not len(heavy):
-        return np.ones(len(entities), dtype=bool)
-    keys = entities * distinct + ranks
-    keys.sort()
-    starts = np.cumsum(degree) - degree
-    kth = keys[starts[heavy] + (k - 1)]
-    # Per entity, the rank of its k-th best row; an entity with at most
-    # k rows keeps them all, as no rank reaches ``distinct``.
-    cutoff = np.full(len(degree), distinct, dtype=np.int64)
-    cutoff[heavy] = kth - heavy * distinct
-    row_cutoff = cutoff[entities]
-    mask = ranks < row_cutoff
-    # Rows tied with the cutoff fill what the strictly better rows leave
-    # of the entity's k slots, first rows first.
-    slots = np.zeros(len(degree), dtype=np.int64)
-    slots[heavy] = k - (np.searchsorted(keys, kth) - starts[heavy])
-    tied = ranks == row_cutoff
-    if row_order is None:
-        tied_rows = np.flatnonzero(tied)
-    else:
-        tied_rows = row_order[tied[row_order]]
-    tied_entities = entities[tied_rows]
-    group_starts = np.flatnonzero(np.diff(tied_entities, prepend=-1))
-    group_sizes = np.diff(np.append(group_starts, len(tied_rows)))
-    position = np.arange(len(tied_rows)) - np.repeat(group_starts, group_sizes)
-    mask[tied_rows] = position < slots[tied_entities]
-    return mask
+
+    def __init__(self, graph: "PairGraph", weights: np.ndarray) -> None:
+        # A private copy: the graph reuses this ranking while the weights
+        # it is asked about compare equal to these.
+        self.weights = np.array(weights)
+        self._sides = (
+            (graph.lefts, graph._left_degree),
+            (graph.rights, graph._right_degree),
+        )
+        self._ranks: Optional[np.ndarray] = None
+        self._distinct = 0
+        self._keys: List[Optional[np.ndarray]] = [None, None]
+        self._means: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self._last_tops: Optional[Tuple[int, Tuple[np.ndarray, ...]]] = None
+
+    def _dense_rank(self) -> None:
+        # Ascending negated weights put the best weight first, exactly
+        # as the descending order (-0.0 ties 0.0).
+        values, self._ranks = np.unique(-self.weights, return_inverse=True)
+        self._distinct = len(values)
+
+    def tops(self, k: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Per-node top-k retention masks ``(left_mask, right_mask)``.
+
+        A row is in ``left_mask`` when it is among the ``k`` best rows of
+        its left entity, ordered by weight descending with ties broken by
+        ascending row index; ``right_mask`` is the same for the right
+        entity.  CNP keeps ``left | right``, RCNP ``left & right``, and
+        the learned family's CEP ``left | right`` over its scores.
+
+        No row is ranked within its entity: with ``D`` distinct weights,
+        one plain sort per side of the int64 keys ``entity * D + rank``
+        (below 2**63 for any graph the tuners build) yields every
+        entity's k-th best key.  Rows strictly better than it are kept;
+        rows tied with it fill the remaining slots in row order.  The
+        masks of the last ``k`` are kept for CNP's and RCNP's calls to
+        share, so they come back read-only.
+        """
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
+        if self._last_tops is None or self._last_tops[0] != k:
+            masks = self._side_tops(0, k), self._side_tops(1, k)
+            for mask in masks:
+                mask.flags.writeable = False
+            self._last_tops = k, masks
+        return self._last_tops[1]
+
+    def _side_tops(self, side: int, k: int) -> np.ndarray:
+        entities, degree = self._sides[side]
+        heavy = np.flatnonzero(degree > k)
+        if not len(heavy):
+            return np.ones(len(entities), dtype=bool)
+        if self._ranks is None:
+            self._dense_rank()
+        ranks, distinct = self._ranks, self._distinct
+        keys = self._keys[side]
+        if keys is None:
+            keys = self._keys[side] = np.sort(entities * distinct + ranks)
+        starts = np.cumsum(degree) - degree
+        kth = keys[starts[heavy] + (k - 1)]
+        # Per entity, the rank of its k-th best row; an entity with at most
+        # k rows keeps them all, as no rank reaches ``distinct``.
+        cutoff = np.full(len(degree), distinct, dtype=np.int64)
+        cutoff[heavy] = kth - heavy * distinct
+        row_cutoff = cutoff[entities]
+        mask = ranks < row_cutoff
+        # Rows tied with the cutoff fill what the strictly better rows leave
+        # of the entity's k slots, first rows first.
+        slots = np.zeros(len(degree), dtype=np.int64)
+        slots[heavy] = k - (np.searchsorted(keys, kth) - starts[heavy])
+        tied_rows = np.flatnonzero(ranks == row_cutoff)
+        tied_rows = tied_rows[np.argsort(entities[tied_rows], kind="stable")]
+        tied_entities = entities[tied_rows]
+        position = np.arange(len(tied_rows)) - np.searchsorted(
+            tied_entities, tied_entities
+        )
+        mask[tied_rows] = position < slots[tied_entities]
+        return mask
+
+    def means(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Per row, the mean weight of its left and of its right entity."""
+        if self._means is None:
+            self._means = tuple(
+                _group_means(entities, self.weights)
+                for entities, _ in self._sides
+            )
+        return self._means
 
 
 class PairGraph:
@@ -134,58 +187,30 @@ class PairGraph:
     def __init__(self, blocks: BlockCollection) -> None:
         self.n_blocks = len(blocks)
         self.total_assignments = blocks.total_assignments
-        left_chunks = []
-        right_chunks = []
-        arc_chunks = []
-        for block in blocks:
-            if not block.comparisons:
-                # A block with an empty side induces no pairs; the ARCS
-                # weight 1/comparisons below would divide by zero.  The
-                # standard cleaning steps never emit such blocks, but
-                # directly constructed collections can.
-                continue
-            left = np.asarray(block.left, dtype=np.int64)
-            right = np.asarray(block.right, dtype=np.int64)
-            left_chunks.append(np.repeat(left, len(right)))
-            right_chunks.append(np.tile(right, len(left)))
-            arc_chunks.append(
-                np.full(block.comparisons, 1.0 / block.comparisons)
-            )
-        if left_chunks:
-            all_lefts = np.concatenate(left_chunks)
-            all_rights = np.concatenate(right_chunks)
-            all_arcs = np.concatenate(arc_chunks)
-            width = int(all_rights.max()) + 1
-            keys = all_lefts * width + all_rights
-            unique_keys, inverse = np.unique(keys, return_inverse=True)
-            self.lefts = unique_keys // width
-            self.rights = unique_keys % width
-            self.common = np.bincount(inverse).astype(np.float64)
-            self.arcs = np.bincount(inverse, weights=all_arcs)
-        else:
-            self.lefts = np.zeros(0, dtype=np.int64)
-            self.rights = np.zeros(0, dtype=np.int64)
-            self.common = np.zeros(0)
-            self.arcs = np.zeros(0)
-        # Blocks per entity (|B_i|) and node degrees (|v_i|).
-        self._left_blocks = self._count_map(blocks.left_index())
-        self._right_blocks = self._count_map(blocks.right_index())
-        size_left = int(self.lefts.max()) + 1 if len(self.lefts) else 0
-        size_right = int(self.rights.max()) + 1 if len(self.rights) else 0
-        self._left_degree = np.bincount(self.lefts, minlength=size_left)
-        self._right_degree = np.bincount(self.rights, minlength=size_right)
-        # Rows grouped by right entity, built on first use by node_tops.
-        self._right_order: Optional[np.ndarray] = None
-
-    @staticmethod
-    def _count_map(index) -> np.ndarray:
-        if not index:
-            return np.zeros(0, dtype=np.int64)
-        size = max(index) + 1
-        counts = np.zeros(size, dtype=np.int64)
-        for entity, block_ids in index.items():
-            counts[entity] = len(block_ids)
-        return counts
+        members = blocks.members()
+        # Blocks per entity (|B_i|).
+        self._left_blocks = np.bincount(members.left)
+        self._right_blocks = np.bincount(members.right)
+        width = max(1, len(self._right_blocks))
+        unique_keys, inverse = np.unique(
+            members.pair_occurrences(width), return_inverse=True
+        )
+        self.lefts, self.rights = np.divmod(unique_keys, width)
+        del unique_keys
+        self.common = np.bincount(inverse).astype(np.float64)
+        # ARCS sums 1/||b|| over the pair's occurrences in block order.
+        # A block with an empty side has no occurrence, so clamping its
+        # zero comparisons only avoids a division warning.
+        comparisons = members.comparisons
+        self.arcs = np.bincount(
+            inverse,
+            weights=np.repeat(1.0 / np.maximum(comparisons, 1), comparisons),
+        ).astype(np.float64, copy=False)  # an empty bincount is int64
+        # Node degrees (|v_i|).
+        self._left_degree = np.bincount(self.lefts)
+        self._right_degree = np.bincount(self.rights)
+        # The ranking of the last weight vector, reused while it is equal.
+        self._ranking: Optional[NodeRanking] = None
 
     def __len__(self) -> int:
         return len(self.lefts)
@@ -250,44 +275,18 @@ class PairGraph:
                 statistic += np.where(expected > 0, diff * diff / safe, 0.0)
         return statistic
 
-    def node_tops(
-        self, weights: np.ndarray, k: int
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-node top-k retention masks ``(left_mask, right_mask)``.
+    def node_ranking(self, weights: np.ndarray) -> NodeRanking:
+        """The :class:`NodeRanking` of ``weights`` on this graph.
 
-        A row is in ``left_mask`` when it is among the ``k`` best rows of
-        its left entity, ordered by weight descending with ties broken by
-        ascending row index; ``right_mask`` is the same for the right
-        entity.  CNP keeps ``left | right``, RCNP ``left & right``, and
-        the learned family's CEP ``left | right`` over its scores.
-
-        No row is ranked within its entity: ``weights`` get one dense
-        rank shared by both sides (0 = best), and per side one plain sort
-        of the int64 keys ``entity * D + rank`` (``D`` distinct weights,
-        so a key stays
-        below 2**63 for any graph the tuners build) yields every
-        entity's k-th best key.  Rows strictly better than it are kept;
-        rows tied with it fill the remaining slots in row order.
+        The graph keeps the last ranking it built and returns it again
+        while the weights compare equal to the ones it ranked, so the
+        per-node pruning algorithms of one weight vector share one
+        ranking across their separate :func:`prune_mask` calls.
         """
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        if not len(self):
-            return np.zeros(0, dtype=bool), np.zeros(0, dtype=bool)
-        # Ascending negated weights put the best weight first, exactly
-        # as the descending order (-0.0 ties 0.0).
-        values, ranks = np.unique(-np.asarray(weights), return_inverse=True)
-        distinct = len(values)
-        if self._right_order is None:
-            self._right_order = np.argsort(self.rights, kind="stable")
-        return (
-            _side_tops(
-                self.lefts, self._left_degree, ranks, distinct, k, None
-            ),
-            _side_tops(
-                self.rights, self._right_degree, ranks, distinct, k,
-                self._right_order,
-            ),
-        )
+        ranking = self._ranking
+        if ranking is None or not np.array_equal(ranking.weights, weights):
+            ranking = self._ranking = NodeRanking(self, weights)
+        return ranking
 
     def candidate_set(self, mask: np.ndarray) -> CandidateSet:
         """The pairs selected by a boolean ``mask`` as a CandidateSet."""
@@ -302,7 +301,11 @@ def prune_mask(graph: PairGraph, weights: np.ndarray, algorithm: str) -> np.ndar
     """Boolean retention mask over the graph's pairs for one algorithm.
 
     Exposed at module level so that the configuration optimizer can reuse
-    one weighted graph across all pruning algorithms.
+    one weighted graph across all pruning algorithms.  Per weight vector,
+    the graph's :meth:`~PairGraph.node_ranking` is shared by the calls
+    for CNP and RCNP (dense rank, sorted per-side keys and the top-k
+    masks) and for WNP and RWNP (per-entity mean weights), so only the
+    per-algorithm combination runs per call.
     """
     algorithm = algorithm.upper()
     if not len(graph):
@@ -319,13 +322,12 @@ def prune_mask(graph: PairGraph, weights: np.ndarray, algorithm: str) -> np.ndar
         entities = len(graph._left_blocks) + len(graph._right_blocks)
         blocks_per_entity = graph.total_assignments / max(1, entities)
         k = max(1, int(blocks_per_entity) - 1)
-        top_left, top_right = graph.node_tops(weights, k)
+        top_left, top_right = graph.node_ranking(weights).tops(k)
         if algorithm == "CNP":
             return top_left | top_right
         return top_left & top_right
     if algorithm in ("WNP", "RWNP"):
-        mean_left = _group_means(graph.lefts, weights)
-        mean_right = _group_means(graph.rights, weights)
+        mean_left, mean_right = graph.node_ranking(weights).means()
         if algorithm == "WNP":
             return (weights >= mean_left) | (weights >= mean_right)
         return (weights >= mean_left) & (weights >= mean_right)

@@ -156,7 +156,7 @@ class SupervisedMetaBlocking(Filter):
             if self.pruning == "WEP":
                 mask = scores >= self.threshold
             else:  # CEP: per-entity top-k, kept when best on either side.
-                top_left, top_right = graph.node_tops(scores, self.k)
+                top_left, top_right = graph.node_ranking(scores).tops(self.k)
                 mask = top_left | top_right
             self._kept_keys = keys[mask]
             self._kept_scores = scores[mask]

@@ -7,8 +7,11 @@ comparison cleaning configuration is a point of one joint grid.
 
 The search shares expensive intermediates across the grid: blocks are
 built once per builder configuration, the blocking graph once per block
-collection, and the pair weights once per weighting scheme — only the
-(cheap, vectorized) pruning step runs per full configuration.
+collection — its rows are also the distinct pairs that Comparison
+Propagation and the recall bound evaluate — the pair weights once per
+weighting scheme, and each weight vector's node ranking (dense rank,
+sorted per-side keys, per-entity means) once for all pruning algorithms
+that read it.  Only pruning runs per configuration, on arrays.
 
 Early termination mirrors the paper: Block Purging / Filtering bound the
 recall of everything downstream, so as soon as the distinct pairs of the
@@ -175,8 +178,12 @@ class BlockingWorkflowTuner:
                         filtered = blocks
                     if filtered.total_comparisons > MAX_GRAPH_COMPARISONS:
                         continue
-                    pair_keys = filtered.pair_keys(width)
-                    upper = evaluate_keys(pair_keys, gt_keys, size1, size2)
+                    graph = PairGraph(filtered)
+                    # The graph's rows are the distinct pairs, (left,
+                    # right)-sorted: their keys are sorted-unique, and so
+                    # are the keys under any mask — no re-sort needed.
+                    graph_keys = encode_pairs(graph.lefts, graph.rights, width)
+                    upper = evaluate_keys(graph_keys, gt_keys, size1, size2)
                     base_params = dict(builder_params)
                     base_params.update({"purging": purging, "ratio": ratio})
                     if upper.pc < self.target_recall:
@@ -212,10 +219,6 @@ class BlockingWorkflowTuner:
                         ),
                     )
                     # Meta-blocking: one graph, six weightings, seven prunings.
-                    graph = PairGraph(filtered)
-                    # The graph's rows are (left, right)-sorted, so masked
-                    # keys stay sorted-unique — no re-sort needed.
-                    graph_keys = encode_pairs(graph.lefts, graph.rights, width)
                     for scheme in spaces.weighting_schemes(self.profile):
                         weights = graph.weights(scheme)
                         for algorithm in spaces.pruning_algorithms(self.profile):

@@ -96,8 +96,9 @@ class SupervisedMetaBlockingTuner:
                         {"pruning": "WEP", "threshold": float(threshold)},
                         scores >= threshold,
                     ))
+                ranking = graph.node_ranking(scores)
                 for k in spaces.smb_topk(self.profile):
-                    top_left, top_right = graph.node_tops(scores, k)
+                    top_left, top_right = ranking.tops(k)
                     masks.append((
                         {"pruning": "CEP", "k": int(k)}, top_left | top_right
                     ))

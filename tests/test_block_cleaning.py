@@ -1,9 +1,14 @@
 """Unit tests for Block Purging and Block Filtering."""
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.blocking.blocks import Block, BlockCollection
 from repro.blocking.cleaning import BlockFiltering, BlockPurging
+from repro.tuning.spaces import block_filtering_ratios
 
 
 def make_blocks():
@@ -100,3 +105,115 @@ class TestBlockFiltering:
     def test_empty_collection(self):
         empty = BlockCollection([])
         assert len(BlockFiltering(0.5).clean(empty)) == 0
+
+
+def reference_filtering(blocks, ratio):
+    """Block Filtering by its definition, one entity at a time.
+
+    Per entity, its block ids sorted by ``(comparisons, id)``; it stays
+    in the first ``max(1, ceil(ratio * n))`` of them.  Membership is by
+    block id, so an entity listed twice in a block keeps both copies.
+    """
+    if ratio >= 1.0 or not len(blocks):
+        return blocks
+
+    def retained(index):
+        kept = {}
+        for entity, block_ids in index.items():
+            limit = max(1, math.ceil(ratio * len(block_ids)))
+            ordered = sorted(
+                block_ids, key=lambda b: (blocks[b].comparisons, b)
+            )
+            kept[entity] = frozenset(ordered[:limit])
+        return kept
+
+    keep_left = retained(blocks.left_index())
+    keep_right = retained(blocks.right_index())
+    rebuilt = []
+    for block_id, block in enumerate(blocks):
+        lefts = tuple(e for e in block.left if block_id in keep_left[e])
+        rights = tuple(e for e in block.right if block_id in keep_right[e])
+        if lefts and rights:
+            rebuilt.append(Block(key=block.key, left=lefts, right=rights))
+    return BlockCollection(rebuilt)
+
+
+#: Every ratio either tuning profile sweeps.
+ALL_RATIOS = sorted(
+    set(block_filtering_ratios("fast")) | set(block_filtering_ratios("full"))
+)
+
+# Few entity ids and short sides: comparisons tie often, some entities
+# sit in exactly one block, and a side may list an entity twice.
+_side = st.lists(st.integers(0, 7), min_size=1, max_size=4)
+_collections = st.lists(st.tuples(_side, _side), max_size=12).map(
+    lambda sides: BlockCollection(
+        Block(f"b{i}", tuple(left), tuple(right))
+        for i, (left, right) in enumerate(sides)
+    )
+)
+
+
+def _as_tuples(blocks):
+    return [(b.key, b.left, b.right) for b in blocks]
+
+
+class TestBlockFilteringReference:
+    @settings(max_examples=60, deadline=None)
+    @given(_collections)
+    def test_matches_reference_on_every_ratio(self, blocks):
+        for ratio in ALL_RATIOS:
+            assert _as_tuples(BlockFiltering(ratio).clean(blocks)) == (
+                _as_tuples(reference_filtering(blocks, ratio))
+            ), ratio
+
+    def test_comparison_ties_break_by_block_id(self):
+        # Entity 0 sits in three blocks of one comparison each.
+        blocks = BlockCollection(
+            [Block(f"b{i}", (0,), (i,)) for i in range(3)]
+        )
+        cleaned = BlockFiltering(0.4).clean(blocks)
+        assert _as_tuples(cleaned) == [("b0", (0,), (0,)), ("b1", (0,), (1,))]
+        assert _as_tuples(cleaned) == _as_tuples(
+            reference_filtering(blocks, 0.4)
+        )
+
+    def test_single_block_entities_stay(self):
+        blocks = BlockCollection(
+            [Block("a", (0,), (0, 1)), Block("b", (1,), (2,))]
+        )
+        assert _as_tuples(BlockFiltering(0.025).clean(blocks)) == (
+            _as_tuples(blocks)
+        )
+
+    def test_block_emptied_on_one_side_is_dropped(self):
+        # Left entity 0 keeps only its smaller block "a"; "b" loses its
+        # only left member and disappears.
+        blocks = BlockCollection(
+            [Block("a", (0,), (0,)), Block("b", (0,), (0, 1, 2))]
+        )
+        cleaned = BlockFiltering(0.5).clean(blocks)
+        assert [b.key for b in cleaned] == ["a"]
+        assert _as_tuples(cleaned) == _as_tuples(
+            reference_filtering(blocks, 0.5)
+        )
+
+    def test_entity_listed_twice_keeps_both_copies(self):
+        # Left entity 0 has four assignments, by comparisons: "s", twice
+        # "a", "z".  ceil(0.4 * 4) = 2 admits "s" and the first copy in
+        # "a", but membership is by block, so both copies stay.
+        blocks = BlockCollection(
+            [
+                Block("z", (0,), (3, 4, 5, 6, 7)),
+                Block("a", (0, 0), (1, 2)),
+                Block("s", (0,), (0,)),
+            ]
+        )
+        cleaned = BlockFiltering(0.4).clean(blocks)
+        assert _as_tuples(cleaned) == [
+            ("a", (0, 0), (1, 2)),
+            ("s", (0,), (0,)),
+        ]
+        assert _as_tuples(cleaned) == _as_tuples(
+            reference_filtering(blocks, 0.4)
+        )

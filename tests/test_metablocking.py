@@ -4,6 +4,8 @@ from collections import defaultdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.blocking.blocks import Block, BlockCollection
 from repro.blocking.building import StandardBlocking
@@ -15,6 +17,7 @@ from repro.blocking.metablocking import (
     PairGraph,
     prune_mask,
 )
+from repro.core.fastpairs import encode_pairs
 from repro.datasets.registry import load_dataset
 
 
@@ -289,7 +292,7 @@ def _reference_tops(entities, weights, k):
 
 
 def _assert_matches_reference(graph, weights, k):
-    left, right = graph.node_tops(weights, k)
+    left, right = graph.node_ranking(weights).tops(k)
     assert np.array_equal(left, _reference_tops(graph.lefts, weights, k))
     assert np.array_equal(right, _reference_tops(graph.rights, weights, k))
 
@@ -332,7 +335,7 @@ class TestPairGraphRowOrder:
 
 
 class TestNodeTops:
-    """node_tops keeps each entity's k best rows, ties by row index."""
+    """NodeRanking.tops keeps each entity's k best rows, ties by row index."""
 
     @pytest.mark.parametrize("seed", range(12))
     def test_heavy_ties_match_reference(self, seed):
@@ -364,19 +367,19 @@ class TestNodeTops:
         graph = PairGraph(
             BlockCollection([Block(f"k{i}", (i,), (i,)) for i in range(5)])
         )
-        left, right = graph.node_tops(np.arange(5.0), 1)
+        left, right = graph.node_ranking(np.arange(5.0)).tops(1)
         assert left.all() and right.all()
 
     def test_tie_goes_to_lower_row(self):
         # Left entity 0 has three equally weighted rows (0,0), (0,1), (0,2).
         graph = PairGraph(BlockCollection([Block("k", (0,), (0, 1, 2))]))
-        left, right = graph.node_tops(np.ones(3), 2)
+        left, right = graph.node_ranking(np.ones(3)).tops(2)
         assert left.tolist() == [True, True, False]
         assert right.all()
 
     def test_empty_graph(self):
         graph = PairGraph(BlockCollection([]))
-        left, right = graph.node_tops(np.zeros(0), 3)
+        left, right = graph.node_ranking(np.zeros(0)).tops(3)
         assert left.dtype == bool and len(left) == 0
         assert right.dtype == bool and len(right) == 0
 
@@ -384,7 +387,7 @@ class TestNodeTops:
     def test_rejects_k_below_one(self, blocks, k):
         graph = PairGraph(blocks)
         with pytest.raises(ValueError, match="k must be >= 1"):
-            graph.node_tops(graph.weights("CBS"), k)
+            graph.node_ranking(graph.weights("CBS")).tops(k)
 
 
 class TestCardinalityNodePruningOnRealGraph:
@@ -409,3 +412,113 @@ class TestCardinalityNodePruningOnRealGraph:
         right = _reference_tops(graph.rights, weights, k)
         assert np.array_equal(prune_mask(graph, weights, "CNP"), left | right)
         assert np.array_equal(prune_mask(graph, weights, "RCNP"), left & right)
+
+
+def reference_graph(blocks):
+    """A PairGraph built by the per-block ``repeat``/``tile`` expansion."""
+    lefts, rights, arcs = [], [], []
+    for block in blocks:
+        if not block.comparisons:
+            continue
+        left = np.asarray(block.left, dtype=np.int64)
+        right = np.asarray(block.right, dtype=np.int64)
+        lefts.append(np.repeat(left, len(right)))
+        rights.append(np.tile(right, len(left)))
+        arcs.append(np.full(block.comparisons, 1.0 / block.comparisons))
+
+    def count_map(index):
+        if not index:
+            return np.zeros(0, dtype=np.int64)
+        counts = np.zeros(max(index) + 1, dtype=np.int64)
+        for entity, block_ids in index.items():
+            counts[entity] = len(block_ids)
+        return counts
+
+    graph = object.__new__(PairGraph)
+    graph.n_blocks = len(blocks)
+    graph.total_assignments = blocks.total_assignments
+    if lefts:
+        all_rights = np.concatenate(rights)
+        width = int(all_rights.max()) + 1
+        keys = np.concatenate(lefts) * width + all_rights
+        unique_keys, inverse = np.unique(keys, return_inverse=True)
+        graph.lefts = unique_keys // width
+        graph.rights = unique_keys % width
+        graph.common = np.bincount(inverse).astype(np.float64)
+        graph.arcs = np.bincount(inverse, weights=np.concatenate(arcs))
+    else:
+        graph.lefts = np.zeros(0, dtype=np.int64)
+        graph.rights = np.zeros(0, dtype=np.int64)
+        graph.common = np.zeros(0)
+        graph.arcs = np.zeros(0)
+    graph._left_blocks = count_map(blocks.left_index())
+    graph._right_blocks = count_map(blocks.right_index())
+    graph._left_degree = np.bincount(graph.lefts)
+    graph._right_degree = np.bincount(graph.rights)
+    graph._ranking = None
+    return graph
+
+
+_GRAPH_ARRAYS = (
+    "lefts", "rights", "common", "arcs", "_left_blocks", "_right_blocks",
+)
+
+# Sides of up to five members over few ids: pairs repeat across blocks
+# and a side may list one entity twice.
+_side = st.lists(st.integers(0, 9), min_size=1, max_size=5)
+_collections = st.lists(st.tuples(_side, _side), max_size=10).map(
+    lambda sides: BlockCollection(
+        Block(f"b{i}", tuple(left), tuple(right))
+        for i, (left, right) in enumerate(sides)
+    )
+)
+
+
+class TestPairGraphParity:
+    """The flat pair expansion against the per-block construction."""
+
+    @staticmethod
+    def _assert_parity(blocks):
+        graph, reference = PairGraph(blocks), reference_graph(blocks)
+        for name in _GRAPH_ARRAYS:
+            ours, theirs = getattr(graph, name), getattr(reference, name)
+            assert ours.dtype == theirs.dtype, name
+            assert ours.tobytes() == theirs.tobytes(), name
+        # An entity listed twice on both sides of a block can leave the
+        # JS union at zero; both graphs weigh such a pair 0.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for scheme in WEIGHTING_SCHEMES:
+                assert (
+                    graph.weights(scheme).tobytes()
+                    == reference.weights(scheme).tobytes()
+                ), scheme
+        top = int(graph.rights.max()) + 1 if len(graph) else 1
+        for width in (top, top + 1, 1000):
+            assert np.array_equal(
+                blocks.pair_keys(width),
+                encode_pairs(graph.lefts, graph.rights, width),
+            ), width
+
+    @settings(max_examples=80, deadline=None)
+    @given(_collections)
+    def test_matches_per_block_construction(self, blocks):
+        self._assert_parity(blocks)
+
+    def test_duplicate_member(self):
+        self._assert_parity(
+            BlockCollection(
+                [Block("a", (0, 0, 1), (2, 2)), Block("b", (0,), (2,))]
+            )
+        )
+
+    def test_single_block(self):
+        self._assert_parity(BlockCollection([Block("a", (3, 1), (0, 4))]))
+
+    def test_empty_collection(self):
+        self._assert_parity(BlockCollection([]))
+
+    def test_d1_standard_blocking(self):
+        dataset = load_dataset("d1")
+        self._assert_parity(
+            StandardBlocking().build(dataset.left, dataset.right)
+        )

@@ -3,9 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.blocking.metablocking import MetaBlocking
+from repro.blocking.blocks import BlockCollection
+from repro.blocking.metablocking import MetaBlocking, NodeRanking, PairGraph
 from repro.blocking.workflow import ComparisonPropagation
+from repro.datasets.registry import load_dataset
+from repro.tuning import blocking as blocking_tuning
+from repro.tuning import spaces
 from repro.tuning.blocking import BlockingWorkflowTuner
+from repro.tuning.learned import SupervisedMetaBlockingTuner
 from repro.tuning.dense import EmbeddingCache, _first_feasible_k
 from repro.sparse.knn_join import distinct_similarity_ranks
 from repro.tuning.sparse import (
@@ -215,3 +220,84 @@ class TestTokenizeCollection:
         first.append(frozenset({"mutated"}))
         second = tokenize_collection(texts, "T1G", False)
         assert frozenset({"mutated"}) not in second
+
+
+class TestSharedGraphWork:
+    """Work that does not depend on the configuration runs once."""
+
+    @pytest.fixture()
+    def ranking_log(self, monkeypatch):
+        """Per dense rank, the (graph, weight vector) it ranked."""
+        graphs = []  # kept alive, so ids stay unique
+        keys = {}
+        ranked = []
+        node_ranking = PairGraph.node_ranking
+        dense_rank = NodeRanking._dense_rank
+
+        def logged_node_ranking(graph, weights):
+            ranking = node_ranking(graph, weights)
+            graphs.append(graph)
+            keys[id(ranking)] = (id(graph), np.asarray(weights).tobytes())
+            return ranking
+
+        def logged_dense_rank(ranking):
+            ranked.append(keys[id(ranking)])
+            return dense_rank(ranking)
+
+        monkeypatch.setattr(PairGraph, "node_ranking", logged_node_ranking)
+        monkeypatch.setattr(NodeRanking, "_dense_rank", logged_dense_rank)
+        return graphs, ranked
+
+    def test_blocking_tuner(self, ranking_log, monkeypatch):
+        _, ranked = ranking_log
+        calls = {"graphs": 0, "prune_mask": 0, "pair_keys": 0}
+
+        def counted(name, function):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+
+            return wrapper
+
+        # The tuner's own graphs and masks; the runtime measurement of the
+        # winner goes through MetaBlocking and is not counted.
+        monkeypatch.setattr(
+            blocking_tuning, "PairGraph", counted("graphs", PairGraph)
+        )
+        monkeypatch.setattr(
+            blocking_tuning,
+            "prune_mask",
+            counted("prune_mask", blocking_tuning.prune_mask),
+        )
+        monkeypatch.setattr(
+            BlockCollection,
+            "pair_keys",
+            counted("pair_keys", BlockCollection.pair_keys),
+        )
+        result = BlockingWorkflowTuner("SBW").tune(load_dataset("d1"))
+
+        assert calls["pair_keys"] == 0
+        # One Comparison Propagation row per graph; every other row is
+        # one meta-blocking configuration with exactly one prune_mask.
+        configurations = len(spaces.weighting_schemes()) * len(
+            spaces.pruning_algorithms()
+        )
+        assert calls["prune_mask"] == (
+            result.configurations_tried - calls["graphs"]
+        )
+        assert calls["prune_mask"] % configurations == 0
+        swept = calls["prune_mask"] // configurations
+        assert swept > 0
+        # At most one dense rank per (graph, weighting scheme).
+        assert 0 < len(ranked) <= swept * len(spaces.weighting_schemes())
+        assert len(set(ranked)) == len(ranked)
+
+    def test_smb_tuner(self, ranking_log):
+        graphs, ranked = ranking_log
+        SupervisedMetaBlockingTuner().tune(load_dataset("d1"))
+        tuner_graph = id(graphs[0])
+        # One dense rank per (model, sample size), shared by every k.
+        assert sum(graph == tuner_graph for graph, _ in ranked) == len(
+            spaces.smb_models()
+        ) * len(spaces.smb_sample_sizes())
+        assert len(set(ranked)) == len(ranked)
