@@ -1,15 +1,10 @@
-"""Microbenchmark: cardinality estimators and cost-based grid pruning.
+"""Microbenchmark: cost-based grid pruning.
 
 Dependency-free (stdlib + numpy + the repro package): for each
-(dataset, setting, method) cell it
-
-* runs the Problem-1 tuner twice — without and with cost-based pruning —
-  asserting the selected configuration is identical (the layer's hard
-  invariant) and recording both wall times plus the pruned fraction of
-  the enumerated grid,
-* scores the winning configuration with the ``"estimate"``-mode
-  cardinality estimator and records its q-error against the measured
-  candidate count ``max(est/true, true/est)``.
+(dataset, setting, method) cell it runs the Problem-1 tuner twice —
+without and with cost-based pruning — asserting the selected
+configuration is identical (the layer's hard invariant) and recording
+both wall times plus the pruned fraction of the enumerated grid.
 
 Rows share BENCH_sparse.json with the kernel bench and ride its
 aggregation helpers (keyed merge, run-count-weighted medians, atomic
@@ -17,13 +12,11 @@ rewrite).  Row kinds (``dataset`` is ``<name>[@<attribute>]:<method>``):
 
 * ``{kernel: "tune_noprune", wall_s, candidates: |C| of the winner}``
 * ``{kernel: "tune_prune", wall_s, candidates, pruned_frac}``
-* ``{kernel: "estimate_qerror", wall_s: estimation time,
-     candidates: true |C|, qerror}``
 
 Tokenization and statistics caches are shared process-wide, so the
 prune/no-prune wall-clock comparison is run-order fair only after the
-first repeat; the headline metrics (parity, pruned fraction, q-error)
-are deterministic either way.
+first repeat; the headline metrics (parity, pruned fraction) are
+deterministic either way.
 
 Usage::
 
@@ -36,7 +29,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -44,7 +36,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from bench_sparse_kernel import timed_median, write_rows  # noqa: E402
 
-from repro.core import registry  # noqa: E402
 from repro.datasets.registry import DATASET_NAMES, load_dataset  # noqa: E402
 from repro.tuning import tune_method  # noqa: E402
 
@@ -59,20 +50,13 @@ DEFAULT_METHODS = (
 DEFAULT_DATASETS = ("d1", "d5")
 
 
-def qerror(estimated: float, true: float) -> float:
-    """The symmetric ratio error, with +1 smoothing around zero counts."""
-    estimated = max(1.0, float(estimated))
-    true = max(1.0, float(true))
-    return max(estimated / true, true / estimated)
-
-
 def bench_cell(
     dataset_name: str,
     method: str,
     attribute: Optional[str],
     repeats: int,
 ) -> List[Dict[str, object]]:
-    """The three benchmark rows of one (dataset, setting, method) cell."""
+    """The two benchmark rows of one (dataset, setting, method) cell."""
     dataset = load_dataset(dataset_name)
     attr = dataset.key_attribute if attribute == "key" else attribute
     label = f"{dataset_name}@{attr}:{method}" if attr else (
@@ -92,7 +76,7 @@ def bench_cell(
     enumerated = max(1, pruned.configurations_enumerated)
     pruned_frac = pruned.configurations_pruned / enumerated
 
-    rows = [
+    return [
         {
             "kernel": "tune_noprune",
             "dataset": label,
@@ -111,26 +95,6 @@ def bench_cell(
             "pruned_frac": round(pruned_frac, 4),
         },
     ]
-    # An all-infeasible cell yields an empty-params sentinel result; it
-    # has no winning configuration to score a q-error against.
-    if plain.params:
-        estimator = registry.build_estimator(method, mode="estimate")
-        start = time.perf_counter()
-        estimator.prepare(dataset, attr)
-        estimated = estimator.estimate_candidates(plain.params)
-        estimate_s = time.perf_counter() - start
-        rows.append(
-            {
-                "kernel": "estimate_qerror",
-                "dataset": label,
-                "workers": 1,
-                "wall_s": round(estimate_s, 6),
-                "candidates": int(plain.candidates),
-                "runs": runs,
-                "qerror": round(qerror(estimated, plain.candidates), 4),
-            }
-        )
-    return rows
 
 
 def run_benchmarks(
@@ -181,10 +145,8 @@ def main(argv: Sequence[str] = None) -> int:
     )
     write_rows(rows, Path(args.out))
     for row in rows:
-        extras = "".join(
-            f"  {name}={row[name]}"
-            for name in ("pruned_frac", "qerror")
-            if name in row
+        extras = (
+            f"  pruned_frac={row['pruned_frac']}" if "pruned_frac" in row else ""
         )
         print(
             f"{row['kernel']:>16}  {row['dataset']:<24}"

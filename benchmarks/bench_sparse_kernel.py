@@ -1,27 +1,25 @@
-"""Microbenchmark: chunked CSR ScanCount kernels vs the legacy dict path.
+"""Microbenchmark: the chunked CSR ScanCount kernels.
 
 Dependency-free (stdlib + numpy + the repro package): generates a
 synthetic Clean-Clean ER dataset, then times
 
-* inverted-index build (dict-of-lists vs CSR arrays),
-* the full overlap pass over all queries (per-query dict merge vs the
-  counting-only consumer ``ScanCountIndex.count_overlaps``) — repeated
-  per entry of ``--workers`` to chart the multicore scaling curve, with
-  the per-query counts asserted bit-identical across worker settings,
-* complete ε-Join and kNN-Join passes (per-query Python loops vs the
-  threshold-pushdown / top-k-distinct cutoff kernels of
-  :mod:`repro.sparse.kernels`),
-* the ε-Join tuner sweep (per-row scalar similarity + threshold binning
-  vs one vectorized similarity array masked per threshold) — the pass
-  ``tuning/sparse.py`` runs once per (cleaning, model) grid point,
+* the CSR inverted-index build,
+* the full overlap pass over all queries (the counting-only consumer
+  ``ScanCountIndex.count_overlaps``) — repeated per entry of
+  ``--workers`` to chart the multicore scaling curve, with the per-query
+  counts asserted bit-identical across worker settings,
+* complete ε-Join and kNN-Join passes (the threshold-pushdown /
+  top-k-distinct cutoff kernels of :mod:`repro.sparse.kernels`),
+* the ε-Join tuner sweep (one vectorized similarity array masked per
+  threshold) — the pass ``tuning/sparse.py`` runs once per (cleaning,
+  model) grid point,
 * a seeded mixed add/remove/query stream over the incremental ScanCount
-  filter (``incremental_mixed_ops`` — the serving path; absolute wall
-  time, no legacy twin).
+  filter (``incremental_mixed_ops`` — the serving path).
 
-Above ``--legacy-limit`` entities (default 20k) the quadratic legacy
-twins, the materializing sweep and the serving stream are skipped — the
-pushdown kernels are the only paths that remain tractable there, which
-is exactly the claim the large row exists to document.
+Above :data:`MATERIALIZE_LIMIT` entities per side the materializing
+sweep and the serving stream are skipped — the pushdown kernels are the
+only paths that remain tractable there, which is exactly the claim the
+large row exists to document.
 
 Each row is ``{kernel, dataset, workers, wall_s, candidates, runs}``:
 ``wall_s`` the median over ``--repeats`` runs, ``runs`` how many runs
@@ -44,15 +42,7 @@ import json
 import os
 import time
 from pathlib import Path
-from typing import (
-    Callable,
-    Dict,
-    FrozenSet,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -60,20 +50,15 @@ from repro.core.incremental import random_operations
 from repro.datasets.generator import DatasetSpec, ERDataset, generate
 from repro.datasets.noise import NoiseProfile
 from repro.sparse.base import batch_similarities
-from repro.sparse.scancount import (
-    IncrementalScanCountFilter,
-    LegacyScanCountIndex,
-    ScanCountIndex,
-)
-from repro.sparse.similarity import similarity_function
+from repro.sparse.scancount import IncrementalScanCountFilter, ScanCountIndex
 from repro.text.tokenizers import RepresentationModel
 
 MEASURES = ("cosine", "jaccard")
 #: Tuner-style threshold grid (ascending), used for the sweep benches.
 THRESHOLDS = [round(t, 2) for t in np.arange(0.05, 1.0, 0.05)]
-#: Entities per side above which the quadratic legacy twins (and the
-#: materializing sweep) are skipped; the kernels carry on alone.
-DEFAULT_LEGACY_LIMIT = 20000
+#: Entities per side above which the materializing sweep and the serving
+#: stream are skipped; the pushdown kernels carry on alone.
+MATERIALIZE_LIMIT = 20000
 
 
 def timed(function: Callable[[], object]) -> Tuple[float, object]:
@@ -130,95 +115,6 @@ def make_token_sets(
 
 
 # ----------------------------------------------------------------------
-# Legacy reference paths (the pre-CSR per-query Python loops).
-# ----------------------------------------------------------------------
-
-
-def legacy_full_scan(
-    index: LegacyScanCountIndex, queries: Sequence[FrozenSet[str]]
-) -> int:
-    """One overlap pass over every query; returns total overlap rows."""
-    rows = 0
-    for query in queries:
-        rows += len(index.overlaps(query))
-    return rows
-
-
-def legacy_epsilon_join(
-    index: LegacyScanCountIndex,
-    queries: Sequence[FrozenSet[str]],
-    threshold: float,
-    measure: str,
-) -> int:
-    func = similarity_function(measure)
-    pairs = 0
-    for query in queries:
-        query_size = len(query)
-        for i, overlap in index.overlaps(query).items():
-            if func(index.size_of(i), query_size, overlap) >= threshold:
-                pairs += 1
-    return pairs
-
-
-def legacy_knn_join(
-    index: LegacyScanCountIndex,
-    queries: Sequence[FrozenSet[str]],
-    k: int,
-    measure: str,
-) -> int:
-    func = similarity_function(measure)
-    pairs = 0
-    for query in queries:
-        query_size = len(query)
-        scored = [
-            (func(index.size_of(i), query_size, overlap), i)
-            for i, overlap in index.overlaps(query).items()
-        ]
-        scored.sort(key=lambda item: (-item[0], item[1]))
-        distinct_values = 0
-        previous = None
-        for similarity, __ in scored:
-            if similarity != previous:
-                if distinct_values == k:
-                    break
-                distinct_values += 1
-                previous = similarity
-            pairs += 1
-    return pairs
-
-
-def legacy_tuner_sweep(
-    index: LegacyScanCountIndex, queries: Sequence[FrozenSet[str]]
-) -> Dict[str, List[int]]:
-    """Candidate counts per (measure, threshold), the legacy way.
-
-    Mirrors the original ``EpsilonJoinTuner`` counting pass: one Python
-    loop over every (query, overlapping set) row, scalar similarity per
-    measure, counts binned per threshold.
-    """
-    functions = {m: similarity_function(m) for m in MEASURES}
-    grid = np.asarray(THRESHOLDS)
-    histograms = {m: [0] * (len(THRESHOLDS) + 1) for m in MEASURES}
-    for query in queries:
-        query_size = len(query)
-        for i, overlap in index.overlaps(query).items():
-            indexed_size = index.size_of(i)
-            for measure in MEASURES:
-                similarity = functions[measure](
-                    indexed_size, query_size, overlap
-                )
-                # Number of grid thresholds <= similarity.
-                histograms[measure][
-                    int(np.searchsorted(grid, similarity, side="right"))
-                ] += 1
-    counts: Dict[str, List[int]] = {}
-    for measure in MEASURES:
-        suffix = np.cumsum(histograms[measure][::-1])[::-1]
-        counts[measure] = [int(c) for c in suffix[1:]]
-    return counts
-
-
-# ----------------------------------------------------------------------
 # CSR kernel paths.
 # ----------------------------------------------------------------------
 
@@ -261,7 +157,8 @@ def csr_knn_join(
 def csr_tuner_sweep(
     index: ScanCountIndex, queries: Sequence[FrozenSet[str]]
 ) -> Dict[str, List[int]]:
-    """The batched equivalent: similarity arrays once, masks per point.
+    """Candidate counts per (measure, threshold): one similarity array
+    per measure, masked per grid point.
 
     This is the one consumer that genuinely needs every overlap row
     (thresholds are decided after the pass), so it rides the
@@ -293,15 +190,14 @@ def run_benchmarks(
     seed: int = 42,
     repeats: int = 1,
     workers_list: Sequence[int] = (1,),
-    legacy_limit: int = DEFAULT_LEGACY_LIMIT,
 ) -> List[Dict[str, object]]:
     """All kernel timings as BENCH_sparse.json rows (one row per kernel).
 
     ``repeats`` runs each kernel that many times and records the median;
     ``workers_list`` adds one ``batch_query_csr`` / ``ejoin_csr`` row per
     worker count (per-query results asserted identical across counts).
-    Legacy twins, the materializing sweep and the serving stream only run
-    up to ``legacy_limit`` entities — beyond it their quadratic row
+    The materializing sweep and the serving stream only run up to
+    :data:`MATERIALIZE_LIMIT` entities — beyond it their quadratic row
     universe is the very thing the kernels exist to avoid.
     """
     dataset = make_dataset(size, seed)
@@ -309,7 +205,7 @@ def run_benchmarks(
     left = [representation.tokens(t) for t in dataset.left.texts(None)]
     right = [representation.tokens(t) for t in dataset.right.texts(None)]
     dataset_label = f"{dataset.spec.name}-{model}"
-    full = size <= legacy_limit
+    full = size <= MATERIALIZE_LIMIT
     workers_list = sorted({1, *(int(w) for w in workers_list)})
     rows: List[Dict[str, object]] = []
 
@@ -331,23 +227,11 @@ def run_benchmarks(
             }
         )
 
-    legacy: Optional[LegacyScanCountIndex] = None
-    if full:
-        build_legacy_s, legacy, runs = timed_median(
-            lambda: LegacyScanCountIndex(left), repeats
-        )
-        record("index_build_legacy", build_legacy_s, 0, runs)
     build_csr_s, csr, runs = timed_median(
         lambda: ScanCountIndex(left), repeats
     )
     record("index_build_csr", build_csr_s, 0, runs)
 
-    legacy_rows = None
-    if legacy is not None:
-        scan_legacy_s, legacy_rows, runs = timed_median(
-            lambda: legacy_full_scan(legacy, right), repeats
-        )
-        record("batch_query_legacy", scan_legacy_s, legacy_rows, runs)
     base_counts: Optional[np.ndarray] = None
     for workers in workers_list:
         scan_csr_s, counts, runs = timed_median(
@@ -363,18 +247,8 @@ def run_benchmarks(
         record(
             "batch_query_csr", scan_csr_s, int(counts.sum()), runs, workers
         )
-    if legacy_rows is not None:
-        assert legacy_rows == int(base_counts.sum()), (
-            "overlap row counts diverged"
-        )
 
     threshold = 0.5
-    if legacy is not None:
-        ejoin_legacy_s, legacy_pairs, runs = timed_median(
-            lambda: legacy_epsilon_join(legacy, right, threshold, "cosine"),
-            repeats,
-        )
-        record("ejoin_legacy", ejoin_legacy_s, legacy_pairs, runs)
     base_pairs: Optional[int] = None
     for workers in workers_list:
         ejoin_csr_s, csr_pairs, runs = timed_median(
@@ -390,45 +264,22 @@ def run_benchmarks(
                 f"e-join pair counts diverged at workers={workers}"
             )
         record("ejoin_csr", ejoin_csr_s, csr_pairs, runs, workers)
-    if legacy is not None:
-        assert legacy_pairs == base_pairs, "e-join candidate counts diverged"
 
-    k = 5
-    if legacy is not None:
-        knn_legacy_s, knn_legacy_pairs, runs = timed_median(
-            lambda: legacy_knn_join(legacy, right, k, "cosine"), repeats
-        )
-        record("knn_legacy", knn_legacy_s, knn_legacy_pairs, runs)
     knn_csr_s, knn_csr_pairs, runs = timed_median(
-        lambda: csr_knn_join(csr, right, k, "cosine"), repeats
+        lambda: csr_knn_join(csr, right, 5, "cosine"), repeats
     )
     record("knn_csr", knn_csr_s, knn_csr_pairs, runs)
-    if legacy is not None:
-        assert knn_legacy_pairs == knn_csr_pairs, (
-            "kNN candidate counts diverged"
-        )
 
     if full:
-        sweep_legacy_s, sweep_legacy, runs = timed_median(
-            lambda: legacy_tuner_sweep(legacy, right), repeats
-        )
-        record(
-            "ejoin_tuner_sweep_legacy",
-            sweep_legacy_s,
-            sum(sweep_legacy["cosine"]),
-            runs,
-        )
         sweep_csr_s, sweep_csr, runs = timed_median(
             lambda: csr_tuner_sweep(csr, right), repeats
         )
         record(
             "ejoin_tuner_sweep_csr", sweep_csr_s, sum(sweep_csr["cosine"]), runs
         )
-        assert sweep_legacy == sweep_csr, "tuner sweep counts diverged"
 
     # Streaming serving path: a seeded mixed add/remove/query stream over
     # the incremental ScanCount filter (same ε-join semantics as above).
-    # One row, no legacy twin — the trajectory tracks absolute wall time.
     def run_incremental() -> int:
         index = IncrementalScanCountFilter(threshold=threshold, model=model)
         operations = random_operations(
@@ -455,25 +306,6 @@ def run_benchmarks(
     return rows
 
 
-def speedup(
-    rows: Sequence[Dict[str, object]], stage: str, workers: int = 1
-) -> float:
-    """legacy / csr wall-clock ratio for one benchmark stage."""
-    legacy = csr = None
-    for row in rows:
-        if int(row.get("workers", 1)) != 1 and row["kernel"].endswith("_csr"):
-            if int(row.get("workers", 1)) != workers:
-                continue
-        if row["kernel"] == f"{stage}_legacy":
-            legacy = float(row["wall_s"])
-        elif row["kernel"] == f"{stage}_csr":
-            if int(row.get("workers", 1)) == workers:
-                csr = float(row["wall_s"])
-    if legacy is None or csr is None:
-        raise KeyError(f"stage {stage!r} lacks a legacy/csr twin")
-    return legacy / csr if csr > 0 else float("inf")
-
-
 # ----------------------------------------------------------------------
 # Trajectory file: aggregate repeats, rewrite atomically.
 # ----------------------------------------------------------------------
@@ -481,8 +313,9 @@ def speedup(
 
 #: Optional per-row metric fields (floats) that ride along with the core
 #: schema when present: the estimator bench (``bench_estimator.py``)
-#: records its q-error and pruned-fraction rows, the serving bench
-#: (``bench_serving.py``) its throughput and latency quantiles.
+#: records its pruned fraction, the serving bench (``bench_serving.py``)
+#: its throughput and latency quantiles; ``qerror`` keeps the recorded
+#: q-error rows of the retired estimate mode intact on rewrite.
 OPTIONAL_METRICS = ("qerror", "pruned_frac", "ops_per_s", "p50_ms", "p99_ms")
 
 
@@ -583,10 +416,6 @@ def main(argv: Sequence[str] = None) -> int:
     parser.add_argument("--workers", default="1",
                         help="comma-separated worker counts for the"
                         " scaling rows (e.g. 1,2,4,8)")
-    parser.add_argument("--legacy-limit", type=int,
-                        default=DEFAULT_LEGACY_LIMIT,
-                        help="skip the quadratic legacy twins above this"
-                        " many entities per side")
     parser.add_argument("--out", default="BENCH_sparse.json",
                         help="output JSON path (rows are aggregated by"
                         " kernel/dataset/workers and rewritten atomically)")
@@ -599,7 +428,6 @@ def main(argv: Sequence[str] = None) -> int:
         seed=args.seed,
         repeats=args.repeats,
         workers_list=workers_list or (1,),
-        legacy_limit=args.legacy_limit,
     )
     write_rows(rows, Path(args.out))
     for row in rows:
@@ -607,12 +435,6 @@ def main(argv: Sequence[str] = None) -> int:
             f"{row['kernel']:>26} w{row['workers']}  {row['wall_s']:9.4f}s  "
             f"candidates={row['candidates']}  runs={row['runs']}"
         )
-    for stage in ("index_build", "batch_query", "ejoin", "knn",
-                  "ejoin_tuner_sweep"):
-        try:
-            print(f"{stage:>26}  speedup x{speedup(rows, stage):.1f}")
-        except KeyError:
-            print(f"{stage:>26}  (no legacy twin at this scale)")
     return 0
 
 

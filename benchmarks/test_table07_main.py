@@ -148,5 +148,5 @@ def test_benchmark_tuned_blocking_workflow(matrix, benchmark):
     """Throughput of the tuned SBW workflow on the smallest dataset."""
     dataset = load_dataset(matrix.datasets[0])
     cell = matrix.get("SBW", matrix.datasets[0], "a")
-    workflow = BlockingWorkflowTuner("SBW").build_workflow(cell.params)
+    workflow = BlockingWorkflowTuner("SBW").build_filter(cell.params)
     benchmark(workflow.candidates, dataset.left, dataset.right)

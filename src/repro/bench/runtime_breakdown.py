@@ -57,13 +57,13 @@ def breakdown_filter(
     setting: str,
     attribute: Optional[str] = None,
 ) -> PhaseBreakdown:
-    """Run ``filter_`` once and read its phase timer."""
+    """Run ``filter_`` once and read its stage trace."""
     filter_.candidates(dataset.left, dataset.right, attribute)
     return PhaseBreakdown(
         method=method,
         dataset=dataset.name,
         setting=setting,
-        phases=filter_.timer.as_dict(),
+        phases=filter_.trace.as_dict(),
     )
 
 

@@ -3,7 +3,7 @@ the method registry and the stage-trace layer."""
 
 from . import registry
 from .candidates import CandidateSet
-from .filters import Filter, PhaseTimer
+from .filters import Filter
 from .groundtruth import GroundTruth
 from .incremental import IncrementalFilterAdapter, IncrementalIndex
 from .registry import FilterSpec
@@ -39,7 +39,6 @@ __all__ = [
     "GroundTruth",
     "IncrementalFilterAdapter",
     "IncrementalIndex",
-    "PhaseTimer",
     "Stage",
     "StageRecord",
     "StageTrace",

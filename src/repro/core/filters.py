@@ -20,16 +20,7 @@ from .candidates import CandidateSet
 from .profile import EntityCollection
 from .stages import Stage, StageTrace
 
-__all__ = ["Filter", "PhaseTimer"]
-
-
-class PhaseTimer(StageTrace):
-    """Backward-compatible alias of :class:`~repro.core.stages.StageTrace`.
-
-    The original flat phase timer grew into the structured stage trace;
-    the old name (and its ``phase(name)`` vocabulary) is kept for
-    external callers and historical tests.
-    """
+__all__ = ["Filter"]
 
 
 class Filter(abc.ABC):
@@ -50,11 +41,6 @@ class Filter(abc.ABC):
 
     def __init__(self) -> None:
         self.trace = StageTrace()
-
-    @property
-    def timer(self) -> StageTrace:
-        """Legacy name of :attr:`trace` (the old ``PhaseTimer`` slot)."""
-        return self.trace
 
     def candidates(
         self,

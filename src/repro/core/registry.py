@@ -82,9 +82,8 @@ class FilterSpec:
         baselines.
     estimator_factory:
         Builds the method's
-        :class:`~repro.tuning.estimator.CardinalityEstimator`; signature
-        ``(mode)`` with ``mode`` one of ``"bound"`` / ``"estimate"``.
-        ``None`` for methods without a cardinality model.
+        :class:`~repro.tuning.estimator.CardinalityEstimator`; takes no
+        arguments.  ``None`` for methods without a cardinality model.
     baseline_factory:
         Builds the default-parameter filter.  ``None`` for tuned methods.
     excluded_datasets:
@@ -113,7 +112,7 @@ class FilterSpec:
         Callable[[Mapping[str, object]], object]
     ] = None
     supports_workers: bool = False
-    estimator_factory: Optional[Callable[[str], object]] = None
+    estimator_factory: Optional[Callable[[], object]] = None
 
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
@@ -225,11 +224,11 @@ class FilterSpec:
         """True when the method ships a cardinality estimator."""
         return self.estimator_factory is not None
 
-    def build_estimator(self, mode: str = "bound"):
-        """The method's cardinality estimator in one mode."""
+    def build_estimator(self):
+        """The method's cardinality estimator."""
         if self.estimator_factory is None:
             raise ValueError(f"{self.code} has no cardinality estimator")
-        return self.estimator_factory(mode)
+        return self.estimator_factory()
 
 
 _REGISTRY: Dict[str, FilterSpec] = {}
@@ -349,9 +348,9 @@ def estimator_codes() -> Tuple[str, ...]:
     return tuple(s.code for s in all_specs() if s.supports_estimation)
 
 
-def build_estimator(code: str, mode: str = "bound"):
-    """The cardinality estimator for ``code`` in ``mode``."""
-    return get(code).build_estimator(mode)
+def build_estimator(code: str):
+    """The cardinality estimator for ``code``."""
+    return get(code).build_estimator()
 
 
 def check_consistency() -> None:
@@ -436,30 +435,26 @@ def check_consistency() -> None:
             finally:
                 service.close()
         if spec.supports_estimation:
-            for mode in ("bound", "estimate"):
-                estimator = spec.build_estimator(mode)
-                for attribute in (
-                    "prepare", "estimate_candidates", "pc_upper_bound"
-                ):
-                    if not hasattr(estimator, attribute):
-                        raise AssertionError(
-                            f"{spec.code}: estimator "
-                            f"{type(estimator).__name__} lacks {attribute}"
-                        )
-                if estimator.code != spec.code:
+            estimator = spec.build_estimator()
+            for attribute in (
+                "prepare", "estimate_candidates", "pc_upper_bound"
+            ):
+                if not hasattr(estimator, attribute):
                     raise AssertionError(
-                        f"{spec.code}: estimator reports code "
-                        f"{estimator.code!r}"
+                        f"{spec.code}: estimator "
+                        f"{type(estimator).__name__} lacks {attribute}"
                     )
-                description = estimator.describe()
-                if (
-                    description.get("code") != spec.code
-                    or description.get("mode") != mode
-                ):
-                    raise AssertionError(
-                        f"{spec.code}: describe() does not round-trip "
-                        f"(got {description!r})"
-                    )
+            if estimator.code != spec.code:
+                raise AssertionError(
+                    f"{spec.code}: estimator reports code "
+                    f"{estimator.code!r}"
+                )
+            description = estimator.describe()
+            if description.get("code") != spec.code:
+                raise AssertionError(
+                    f"{spec.code}: describe() does not round-trip "
+                    f"(got {description!r})"
+                )
         if spec.is_baseline:
             continue
         tuner = spec.make_tuner()

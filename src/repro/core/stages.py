@@ -10,9 +10,9 @@ string literals scattered across the families:
   :data:`NN_STAGES` for sparse/dense NN methods) are shared by the filter
   implementations, the method registry (:mod:`repro.core.registry`) and
   the run-time breakdown of :mod:`repro.bench.runtime_breakdown`.
-* :class:`StageTrace` — the structured successor of the old
-  ``PhaseTimer``: per-stage wall time *and* entry counts and input/output
-  cardinalities, with support for nesting and re-entrancy.  Its
+* :class:`StageTrace` — every filter's ``trace``: per-stage wall time
+  *and* entry counts and input/output cardinalities, with support for
+  nesting and re-entrancy.  Its
   :meth:`~StageTrace.as_dict` stays byte-compatible with the flat
   ``{phase: seconds}`` mapping the breakdown JSON always used.
 """
@@ -231,8 +231,8 @@ class StageTrace:
     Entering the same stage twice accumulates into one record; entering a
     stage while another is active nests it under the active one.  The
     flat :meth:`as_dict` view reports *top-level* stages only, so nested
-    time is never double-counted and the output stays identical to the
-    historical ``PhaseTimer`` breakdown JSON.
+    time is never double-counted and the output keeps the flat
+    ``{phase: seconds}`` shape of the breakdown JSON.
     """
 
     def __init__(self) -> None:
@@ -265,9 +265,6 @@ class StageTrace:
             self._stack.pop()
             if _STAGE_HOOKS:
                 fire_stage_hooks("exit", name)
-
-    #: Backward-compatible alias — the old ``PhaseTimer`` vocabulary.
-    phase = stage
 
     def add_external(
         self,

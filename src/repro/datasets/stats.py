@@ -19,7 +19,6 @@ feed the cost-based tuning layer.
 from __future__ import annotations
 
 import json
-import math
 import os
 import tempfile
 from collections import Counter
@@ -226,10 +225,6 @@ class TokenStats:
     #: the number of pairs sharing >= 1 key.
     df_product_sum: int
     df_product_max: int
-    #: sum(log(1 - df_l/N_l * df_r/N_r)) over shared keys: the
-    #: independence-model log-probability that a random pair shares no
-    #: key (-inf when some key covers a whole side).
-    log_disjoint_mass: float
     #: Vocabulary mass curve: (top-k, cumulative share of
     #: ``df_product_sum`` held by the k heaviest shared keys).
     mass_curve: Tuple[Tuple[int, float], ...]
@@ -392,13 +387,6 @@ def compute_token_stats(
     df_product_max = max(products.values(), default=0)
 
     num_left, num_right = len(left_sets), len(right_sets)
-    log_disjoint_mass = 0.0
-    for key in shared:
-        probability = (df_left[key] / num_left) * (df_right[key] / num_right)
-        if probability >= 1.0:
-            log_disjoint_mass = float("-inf")
-            break
-        log_disjoint_mass += math.log1p(-probability)
 
     ranked = sorted(products.values(), reverse=True)
     mass_curve: List[Tuple[int, float]] = []
@@ -481,7 +469,6 @@ def compute_token_stats(
         right_covered=right_covered,
         df_product_sum=df_product_sum,
         df_product_max=df_product_max,
-        log_disjoint_mass=log_disjoint_mass,
         mass_curve=tuple(mass_curve),
         block_size_histogram=block_size_histogram,
         top_keys=top_keys,

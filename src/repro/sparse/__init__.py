@@ -13,7 +13,6 @@ from .prefix_joins import AllPairsJoin, PPJoin, TokenOrder
 from .scancount import (
     DynamicPostings,
     IncrementalScanCountFilter,
-    LegacyScanCountIndex,
     ScanCountIndex,
 )
 from .similarity import (
@@ -38,7 +37,6 @@ __all__ = [
     "EpsilonJoin",
     "IncrementalScanCountFilter",
     "KNNJoin",
-    "LegacyScanCountIndex",
     "PPJoin",
     "QueryTokens",
     "ScanCountIndex",

@@ -9,17 +9,15 @@ The query phase runs through the chunked counting kernels of
 :mod:`repro.sparse.kernels`: each join declares a *consumer*
 (:meth:`_consumer_params`) that reduces every query's count vector in
 place — the ε-Join masks with an integer overlap bound before the exact
-similarity check, the kNN join ranks cache-sized query blocks — so the
-flat overlap-row universe is never materialized on the hot path.  The
+similarity check, the kNN join cuts each query at its k-th distinct
+similarity — so the flat overlap-row universe is never materialized.  The
 selected pairs are encoded directly into
 :func:`~repro.core.fastpairs.encode_pairs` keys — no intermediate Python
 sets.  A ``workers=`` knob shards the query axis over
 :mod:`repro.core.parallel` worker processes; results are byte-identical
 for every worker count (see the determinism argument there), and
 per-shard wall times land as nested ``shard-N`` records under the QUERY
-stage.  The per-query :meth:`_scored`/:meth:`_select` helpers and the
-materializing :meth:`_select_batch` survive as compatibility shims over
-the same kernels.
+stage.
 """
 
 from __future__ import annotations
@@ -31,7 +29,6 @@ import numpy as np
 from ..core.candidates import CandidateSet
 from ..core.fastpairs import encode_pairs, keys_to_candidate_set, unique_keys
 from ..core.filters import Filter
-from ..core.parallel import resolve_workers
 from ..core.profile import EntityCollection
 from ..core.stages import INDEX, NN_STAGES, PREPROCESS, QUERY
 from ..text.cleaning import TextCleaner
@@ -148,37 +145,17 @@ class SparseNNFilter(Filter):
     # Join-type specific selection.
     # ------------------------------------------------------------------
 
-    def _consumer_params(self) -> Optional[Dict[str, object]]:
-        """Kernel consumer + params answering this join, or ``None``.
-
-        Joins that declare a consumer run the non-materializing chunked
-        kernel (serial or sharded).  ``None`` falls back to the
-        materialize-then-:meth:`_select_batch` path, so external
-        subclasses that only implement ``_select_batch`` keep working.
-        """
-        return None
+    def _consumer_params(self) -> Dict[str, object]:
+        """Kernel consumer + params answering this join (see kernels)."""
+        raise NotImplementedError
 
     def _select_pairs(
         self, index: ScanCountIndex, queries: Sequence[FrozenSet[str]]
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Selected ``(query_ids, set_ids)`` pairs over the whole batch."""
-        params = self._consumer_params()
-        workers = resolve_workers(self.workers)
-        if params is None:
-            query_ptr, set_ids, counts = index.batch_overlaps(
-                queries, workers=workers
-            )
-            similarities = batch_similarities(
-                index, queries, query_ptr, set_ids, counts, self.measure_name
-            )
-            query_ids = np.repeat(
-                np.arange(len(queries), dtype=np.int64), np.diff(query_ptr)
-            )
-            rows = self._select_batch(query_ids, set_ids, similarities)
-            return query_ids[rows], set_ids[rows]
-        params = dict(params)
+        params = dict(self._consumer_params())
         consumer = str(params.pop("consumer"))
-        shards = index.run_kernel(consumer, queries, workers, **params)
+        shards = index.run_kernel(consumer, queries, self.workers, **params)
         if len(shards) > 1:
             for position, shard in enumerate(shards):
                 self.trace.add_external(
@@ -194,39 +171,6 @@ class SparseNNFilter(Filter):
             np.concatenate([shard.value[0] for shard in shards]),
             np.concatenate([shard.value[1] for shard in shards]),
         )
-
-    def _select_batch(
-        self,
-        query_ids: np.ndarray,
-        set_ids: np.ndarray,
-        similarities: np.ndarray,
-    ) -> np.ndarray:
-        """Row indices (into the flat CSR arrays) selected by the join."""
-        raise NotImplementedError
-
-    # ------------------------------------------------------------------
-    # Per-query compatibility shims (tests, ablations, external callers).
-    # ------------------------------------------------------------------
-
-    def _select(self, index: ScanCountIndex, query: FrozenSet[str]) -> List[int]:
-        """Indexed ids selected for one query set."""
-        query_ptr, set_ids, counts = index.batch_overlaps([query])
-        similarities = batch_similarities(
-            index, [query], query_ptr, set_ids, counts, self.measure_name
-        )
-        query_ids = np.zeros(len(set_ids), dtype=np.int64)
-        rows = self._select_batch(query_ids, set_ids, similarities)
-        return set_ids[rows].tolist()
-
-    def _scored(
-        self, index: ScanCountIndex, query: FrozenSet[str]
-    ) -> List[Tuple[float, int]]:
-        """(similarity, indexed id) for every set overlapping the query."""
-        query_size = len(query)
-        return [
-            (self.measure(index.size_of(set_id), query_size, overlap), set_id)
-            for set_id, overlap in index.overlaps(query).items()
-        ]
 
     def describe(self) -> str:
         flags = []

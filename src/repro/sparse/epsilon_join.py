@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-import numpy as np
-
 from .base import SparseNNFilter
 
 __all__ = ["EpsilonJoin"]
@@ -40,21 +38,12 @@ class EpsilonJoin(SparseNNFilter):
     def _consumer_params(self) -> Dict[str, object]:
         # The epsilon kernel pushes the threshold into the counting loop
         # via a per-size integer overlap bound; its survivors still pass
-        # the exact similarity check, so the pair set matches
-        # `_select_batch` bit for bit.
+        # the exact similarity check (similarity >= threshold).
         return {
             "consumer": "epsilon",
             "threshold": self.threshold,
             "measure": self.measure_name,
         }
-
-    def _select_batch(
-        self,
-        query_ids: np.ndarray,
-        set_ids: np.ndarray,
-        similarities: np.ndarray,
-    ) -> np.ndarray:
-        return np.flatnonzero(similarities >= self.threshold)
 
     def describe(self) -> str:
         return f"{super().describe()} t={self.threshold:.2f}"

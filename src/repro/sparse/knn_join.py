@@ -87,20 +87,9 @@ class KNNJoin(SparseNNFilter):
 
     def _consumer_params(self) -> Dict[str, object]:
         # The knn kernel keeps, per query, the rows at or above the k-th
-        # distinct similarity — the same tie rule as `_select_batch`,
+        # distinct similarity — the tie rule of `distinct_similarity_ranks`,
         # without ranking rows or holding the overlap-row universe.
         return {"consumer": "knn", "k": self.k, "measure": self.measure_name}
-
-    def _select_batch(
-        self,
-        query_ids: np.ndarray,
-        set_ids: np.ndarray,
-        similarities: np.ndarray,
-    ) -> np.ndarray:
-        order, ranks = distinct_similarity_ranks(
-            query_ids, set_ids, similarities
-        )
-        return order[ranks <= self.k]
 
     def describe(self) -> str:
         return f"{super().describe()} k={self.k}"

@@ -22,9 +22,10 @@ iteration over postings) and counts them with one ``np.bincount``, so the
 per-element work happens in NumPy rather than in a Python dict-merge
 loop; the results for the whole batch come back as flat CSR arrays.
 
-:class:`LegacyScanCountIndex` retains the original dict-of-lists
-implementation; it exists as the reference point for the parity tests and
-for ``benchmarks/bench_sparse_kernel.py``.
+Both sparse joins query this one index through :meth:`ScanCountIndex.
+run_kernel` (the reduction consumers of :mod:`repro.sparse.kernels`);
+:meth:`ScanCountIndex.batch_overlaps` materializes every overlap row for
+the callers that need all of them, such as the tuners' threshold sweeps.
 
 The incremental (serving) form of the same structure is
 :class:`DynamicPostings` — a token -> postings delta dict layered over a
@@ -51,10 +52,12 @@ from .similarity import vector_similarity_function
 
 __all__ = [
     "ScanCountIndex",
-    "LegacyScanCountIndex",
     "DynamicPostings",
     "IncrementalScanCountFilter",
 ]
+
+#: The empty overlap-row array every no-match result shares.
+_EMPTY = np.zeros(0, dtype=np.int64)
 
 
 class ScanCountIndex:
@@ -136,18 +139,6 @@ class ScanCountIndex:
     def postings(self) -> np.ndarray:
         """Concatenated posting lists (int32 set ids, CSR order)."""
         return self._postings_arr
-
-    def __getattr__(self, name: str):
-        if name == "_postings":
-            raise AttributeError(
-                "ScanCountIndex._postings was removed: postings now live in "
-                "contiguous CSR arrays. Use the `token_ptr` / `postings` / "
-                "`vocabulary` properties, or the `overlaps` / "
-                "`batch_overlaps` query API."
-            )
-        raise AttributeError(
-            f"{type(self).__name__!r} object has no attribute {name!r}"
-        )
 
     # ------------------------------------------------------------------
     # Queries.
@@ -271,45 +262,6 @@ class ScanCountIndex:
         )
 
 
-class LegacyScanCountIndex:
-    """Reference dict-of-lists ScanCount (pre-CSR implementation).
-
-    Kept only so the parity tests and the microbenchmark can compare the
-    vectorized kernel against the original per-query Python loop; new code
-    should use :class:`ScanCountIndex`.
-    """
-
-    def __init__(self, token_sets: Sequence[FrozenSet[str]]) -> None:
-        self._sizes: List[int] = [len(tokens) for tokens in token_sets]
-        self._postings: Dict[str, List[int]] = {}
-        for set_id, tokens in enumerate(token_sets):
-            for token in tokens:
-                self._postings.setdefault(token, []).append(set_id)
-
-    def __len__(self) -> int:
-        return len(self._sizes)
-
-    def size_of(self, set_id: int) -> int:
-        return self._sizes[set_id]
-
-    @property
-    def vocabulary_size(self) -> int:
-        return len(self._postings)
-
-    def overlaps(self, query: FrozenSet[str]) -> Dict[int, int]:
-        counts: Dict[int, int] = {}
-        for token in query:
-            for set_id in self._postings.get(token, ()):
-                counts[set_id] = counts.get(set_id, 0) + 1
-        return counts
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"LegacyScanCountIndex(sets={len(self)}, "
-            f"vocabulary={self.vocabulary_size})"
-        )
-
-
 class DynamicPostings:
     """A mutable ScanCount index: CSR snapshot + delta dict + tombstones.
 
@@ -410,50 +362,13 @@ class DynamicPostings:
         slots.  The two contributions are disjoint by construction (a
         slot lives in the snapshot *or* the delta, never both).
         """
-        empty = np.zeros(0, dtype=np.int64)
-        live_slots, live_sizes = self._live_index()
+        live_slots, __ = self._live_index()
         if len(live_slots) == 0:
-            return empty, empty, empty
-        slot_parts: List[np.ndarray] = []
-        count_parts: List[np.ndarray] = []
+            return _EMPTY, _EMPTY, _EMPTY
+        set_ids = csr_counts = _EMPTY
         if self._csr is not None and len(self._csr):
             __, set_ids, csr_counts = self._csr.batch_overlaps([query])
-            if len(set_ids):
-                slot_parts.append(self._csr_slots[set_ids])
-                count_parts.append(csr_counts)
-        delta = self._delta
-        delta_lists = [delta[token] for token in query if token in delta]
-        if delta_lists:
-            if len(delta_lists) == 1:
-                merged = np.asarray(delta_lists[0], dtype=np.int64)
-            else:
-                merged = np.concatenate(
-                    [
-                        np.asarray(posting, dtype=np.int64)
-                        for posting in delta_lists
-                    ]
-                )
-            delta_slots, delta_counts = np.unique(merged, return_counts=True)
-            slot_parts.append(delta_slots)
-            count_parts.append(delta_counts.astype(np.int64))
-        if not slot_parts:
-            return empty, empty, empty
-        slots = np.concatenate(slot_parts)
-        overlaps = np.concatenate(count_parts)
-        positions = np.searchsorted(live_slots, slots)
-        positions = np.minimum(positions, len(live_slots) - 1)
-        alive = live_slots[positions] == slots
-        positions = positions[alive]
-        return slots[alive], overlaps[alive], live_sizes[positions]
-
-    def overlap_counts(self, query: FrozenSet[str]) -> Dict[int, int]:
-        """Exact token overlap of ``query`` with every live set, by slot.
-
-        Dict view over :meth:`overlap_arrays`, kept for callers that want
-        mapping semantics rather than the vectorized arrays.
-        """
-        slots, overlaps, __ = self.overlap_arrays(query)
-        return dict(zip(slots.tolist(), overlaps.tolist()))
+        return self._merge_live(query, set_ids, csr_counts)
 
     def batch_overlap_arrays(
         self, queries: Sequence[FrozenSet[str]]
@@ -467,57 +382,62 @@ class DynamicPostings:
         liveness mask.  Row-for-row equal to calling
         :meth:`overlap_arrays` per query.
         """
-        empty = np.zeros(0, dtype=np.int64)
-        results: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        live_slots, live_sizes = self._live_index()
+        live_slots, __ = self._live_index()
         if len(live_slots) == 0:
-            return [(empty, empty, empty) for __ in queries]
+            return [(_EMPTY, _EMPTY, _EMPTY) for __ in queries]
         if self._csr is not None and len(self._csr):
             query_ptr, set_ids, csr_counts = self._csr.batch_overlaps(
                 list(queries)
             )
         else:
             query_ptr = np.zeros(len(queries) + 1, dtype=np.int64)
-            set_ids = csr_counts = empty
-        for position, query in enumerate(queries):
-            slot_parts: List[np.ndarray] = []
-            count_parts: List[np.ndarray] = []
-            lo, hi = int(query_ptr[position]), int(query_ptr[position + 1])
-            if hi > lo:
-                slot_parts.append(self._csr_slots[set_ids[lo:hi]])
-                count_parts.append(csr_counts[lo:hi])
-            delta = self._delta
-            delta_lists = [
-                delta[token] for token in query if token in delta
-            ]
-            if delta_lists:
-                if len(delta_lists) == 1:
-                    merged = np.asarray(delta_lists[0], dtype=np.int64)
-                else:
-                    merged = np.concatenate(
-                        [
-                            np.asarray(posting, dtype=np.int64)
-                            for posting in delta_lists
-                        ]
-                    )
-                delta_slots, delta_counts = np.unique(
-                    merged, return_counts=True
-                )
-                slot_parts.append(delta_slots)
-                count_parts.append(delta_counts.astype(np.int64))
-            if not slot_parts:
-                results.append((empty, empty, empty))
-                continue
-            slots = np.concatenate(slot_parts)
-            overlaps = np.concatenate(count_parts)
-            positions = np.searchsorted(live_slots, slots)
-            positions = np.minimum(positions, len(live_slots) - 1)
-            alive = live_slots[positions] == slots
-            positions = positions[alive]
-            results.append(
-                (slots[alive], overlaps[alive], live_sizes[positions])
+            set_ids = csr_counts = _EMPTY
+        bounds = query_ptr.tolist()
+        return [
+            self._merge_live(
+                query,
+                set_ids[bounds[position] : bounds[position + 1]],
+                csr_counts[bounds[position] : bounds[position + 1]],
             )
-        return results
+            for position, query in enumerate(queries)
+        ]
+
+    def _merge_live(
+        self,
+        query: FrozenSet[str],
+        set_ids: np.ndarray,
+        csr_counts: np.ndarray,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One query's live ``(slots, overlaps, sizes)``: the merge step.
+
+        ``(set_ids, csr_counts)`` are the query's CSR snapshot overlaps;
+        the delta postings are merged in with one ``np.unique`` and
+        tombstoned slots are masked out of both parts.
+        """
+        live_slots, live_sizes = self._live_index()
+        slot_parts: List[np.ndarray] = []
+        count_parts: List[np.ndarray] = []
+        if len(set_ids):
+            slot_parts.append(self._csr_slots[set_ids])
+            count_parts.append(csr_counts)
+        delta = self._delta
+        delta_lists = [delta[token] for token in query if token in delta]
+        if delta_lists:
+            merged = np.fromiter(
+                chain.from_iterable(delta_lists), dtype=np.int64
+            )
+            delta_slots, delta_counts = np.unique(merged, return_counts=True)
+            slot_parts.append(delta_slots)
+            count_parts.append(delta_counts.astype(np.int64))
+        if not slot_parts:
+            return _EMPTY, _EMPTY, _EMPTY
+        slots = np.concatenate(slot_parts)
+        overlaps = np.concatenate(count_parts)
+        positions = np.searchsorted(live_slots, slots)
+        positions = np.minimum(positions, len(live_slots) - 1)
+        alive = live_slots[positions] == slots
+        positions = positions[alive]
+        return slots[alive], overlaps[alive], live_sizes[positions]
 
     def stats(self) -> Dict[str, int]:
         """Structural gauges: live/delta/dead postings and compactions."""

@@ -13,8 +13,8 @@ materialized again at query time.
 Each scalar measure has an array counterpart (``*_array``) operating on
 whole ``(sizes_a, sizes_b, overlaps)`` count arrays at once; they perform
 the same float64 operations in the same order, so results are
-bit-identical with the scalar versions — the batched join kernel relies
-on this for parity with the legacy per-query path.
+bit-identical with the scalar versions — the batched join kernels rely
+on this for parity with the per-query reference joins of the test suite.
 """
 
 from __future__ import annotations

@@ -148,7 +148,7 @@ class BlockingWorkflowTuner:
         needed = math.ceil(self.target_recall * total_duplicates)
         estimator: Optional[BlockingEstimator] = None
         if self.prune:
-            estimator = BlockingEstimator(self.workflow, mode="bound")
+            estimator = BlockingEstimator(self.workflow)
             estimator.prepare(dataset, attribute)
 
         for builder_params in spaces.builder_grid(self.builder_name, self.profile):
@@ -251,7 +251,7 @@ class BlockingWorkflowTuner:
             best.runtime = GridSearchOptimizer(
                 self.target_recall
             ).measure_runtime(
-                self.build_workflow(best.params), dataset, attribute
+                self.build_filter(best.params), dataset, attribute
             )
         return best
 
@@ -279,9 +279,6 @@ class BlockingWorkflowTuner:
             filtering_ratio=ratio if ratio < 1.0 else None,
             cleaner=cleaner,
         )
-
-    #: Historical name of :meth:`build_filter`, kept for external callers.
-    build_workflow = build_filter
 
 
 # ----------------------------------------------------------------------
@@ -332,9 +329,7 @@ def _register() -> None:
                 incremental_factory=lambda params, name=WORKFLOW_NAMES[code]: (
                     _build_incremental(name, params)
                 ),
-                estimator_factory=lambda mode="bound", code=code: (
-                    BlockingEstimator(code, mode=mode)
-                ),
+                estimator_factory=lambda code=code: BlockingEstimator(code),
             )
         )
 

@@ -333,7 +333,7 @@ class LSHTuner:
         Only coverage facts are used — LSH gives no candidate floor, so
         no PQ-domination rule applies.
         """
-        estimator = MinHashEstimator("MH-LSH", mode="bound")
+        estimator = MinHashEstimator("MH-LSH")
         estimator.prepare(dataset, attribute)
         total_duplicates = len(dataset.groundtruth)
         needed = math.ceil(self.target_recall * total_duplicates)
@@ -448,15 +448,9 @@ def _register() -> None:
                     )
                 ),
                 estimator_factory=(
-                    (
-                        lambda mode="bound": MinHashEstimator(
-                            "MH-LSH", mode=mode
-                        )
-                    )
+                    (lambda: MinHashEstimator("MH-LSH"))
                     if code == "MH-LSH"
-                    else lambda mode="bound", code=code: DenseLSHEstimator(
-                        code, mode=mode
-                    )
+                    else lambda code=code: DenseLSHEstimator(code)
                 ),
                 # MinHash signatures over every shingle set exhaust memory
                 # on the largest dataset (the paper's "-" cell).
@@ -493,9 +487,7 @@ def _register() -> None:
                         prune=prune,
                     )
                 ),
-                estimator_factory=lambda mode="bound", code=code: (
-                    DenseKNNEstimator(code, mode=mode)
-                ),
+                estimator_factory=lambda code=code: DenseKNNEstimator(code),
                 # DeepBlocker trains an autoencoder per run; excluded from
                 # the largest dataset like the paper's "-" cell.
                 excluded_datasets=(

@@ -5,19 +5,14 @@ estimators here produce cheap per-configuration candidate-cardinality
 figures from the token statistics of :mod:`repro.datasets.stats`
 (doc-frequency convolutions, groundtruth overlap triples, MCV entries),
 letting the tuners discard dominated configurations before any filter
-runs.  Two modes, mirroring the PostBOUND interface:
-
-* ``"bound"`` — provable statements.  ``estimate_candidates`` is an
-  upper bound on |C| (candidate pairs share at least one key, so
-  ``sum(df_left * df_right)`` over the shared vocabulary — divided by
-  the minimal overlap a threshold requires — caps the count), and
-  ``pc_upper_bound`` caps the achievable pair completeness (key-disjoint
-  duplicates can never become candidates).  The tuners prune only on
-  bound-mode facts, which is why pruning never changes the selected
-  configuration.
-* ``"estimate"`` — calibrated expectations under an independence model
-  (collision probabilities from band/row math, geometric overlap tails),
-  benchmarked for q-error by ``benchmarks/bench_estimator.py``.
+runs.  Every figure is a provable bound, in the PostBOUND sense:
+``estimate_candidates`` is an upper bound on |C| (candidate pairs share
+at least one key, so ``sum(df_left * df_right)`` over the shared
+vocabulary — divided by the minimal overlap a threshold requires — caps
+the count), and ``pc_upper_bound`` caps the achievable pair completeness
+(key-disjoint duplicates can never become candidates).  The tuners prune
+only on these facts, which is why pruning never changes the selected
+configuration.
 
 The only assumption behind the MinHash bound is hash injectivity:
 shingle-disjoint pairs collide only if two distinct shingles hash
@@ -40,7 +35,6 @@ from ..sparse.similarity import vector_similarity_function
 from ..text.tokenizers import shingles
 
 __all__ = [
-    "MODES",
     "CardinalityEstimator",
     "SparseJoinEstimator",
     "BlockingEstimator",
@@ -50,9 +44,6 @@ __all__ = [
     "prune_enabled",
     "snap_down",
 ]
-
-#: The two estimation modes of the PostBOUND interface.
-MODES = ("bound", "estimate")
 
 
 def prune_enabled(explicit: Optional[bool] = None) -> bool:
@@ -67,9 +58,20 @@ def prune_enabled(explicit: Optional[bool] = None) -> bool:
     return value in ("1", "true", "yes", "on")
 
 
-def snap_down(threshold: float, step: float = 0.01) -> float:
-    """Snap a threshold down to the paper's grid (guarantees PC >= τ)."""
-    return max(0.01, math.floor(threshold / step) * step)
+def snap_down(threshold: float) -> float:
+    """The largest 0.01-grid value <= ``threshold`` (but at least 0.01).
+
+    Never rounding up keeps every duplicate at or above ``threshold``
+    selected, which is what guarantees PC >= τ.  ``threshold * 100`` can
+    land a hair off an integer either way, so the floor is corrected by
+    at most one grid step against the rounded grid values themselves.
+    """
+    steps = math.floor(threshold * 100)
+    if round((steps + 1) / 100, 2) <= threshold:
+        steps += 1
+    elif round(steps / 100, 2) > threshold:
+        steps -= 1
+    return max(0.01, round(steps / 100, 2))
 
 
 class CardinalityEstimator(ABC):
@@ -82,15 +84,9 @@ class CardinalityEstimator(ABC):
     """
 
     def __init__(
-        self,
-        code: str,
-        mode: str = "bound",
-        stats: Optional[TokenStatsCache] = None,
+        self, code: str, stats: Optional[TokenStatsCache] = None
     ) -> None:
-        if mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
         self.code = code
-        self.mode = mode
         self.stats_cache = stats if stats is not None else shared_stats_cache()
         self._dataset: Optional[ERDataset] = None
         self._attribute: Optional[str] = None
@@ -136,18 +132,14 @@ class CardinalityEstimator(ABC):
 
     @abstractmethod
     def estimate_candidates(self, params: Mapping[str, object]) -> float:
-        """|C| for one configuration: upper bound or calibrated estimate."""
+        """An upper bound on |C| for one configuration."""
 
     def pc_upper_bound(self, params: Mapping[str, object]) -> float:
         """A sound ceiling on the pair completeness any run can reach."""
         return 1.0
 
     def describe(self) -> Dict[str, object]:
-        return {
-            "code": self.code,
-            "mode": self.mode,
-            "estimator": type(self).__name__,
-        }
+        return {"code": self.code, "estimator": type(self).__name__}
 
     # ------------------------------------------------------------------
     # Shared math.
@@ -156,13 +148,6 @@ class CardinalityEstimator(ABC):
     @property
     def comparison_space(self) -> int:
         return len(self.dataset.left) * len(self.dataset.right)
-
-    @staticmethod
-    def _distinct_sharing_estimate(stats: TokenStats) -> float:
-        """Expected #pairs sharing >= 1 key under independence."""
-        if stats.log_disjoint_mass == float("-inf"):
-            return float(stats.comparison_space)
-        return stats.comparison_space * -math.expm1(stats.log_disjoint_mass)
 
 
 def _min_required_overlap(
@@ -261,34 +246,15 @@ class SparseJoinEstimator(CardinalityEstimator):
         space = stats.comparison_space
         if "threshold" in params:  # ε-Join
             measure = str(params.get("measure", "cosine"))
-            threshold = float(params["threshold"])
-            if self.mode == "bound":
-                minimum = _min_required_overlap(
-                    measure,
-                    threshold,
-                    stats.min_size_left,
-                    stats.min_size_right,
-                )
-                return float(min(space, stats.df_product_sum // minimum))
-            sharing = self._distinct_sharing_estimate(stats)
-            if sharing <= 0.0:
-                return 0.0
-            mean_overlap = max(1.0, stats.df_product_sum / sharing)
-            mean_l = stats.total_keys_left / max(1, stats.num_left)
-            mean_r = stats.total_keys_right / max(1, stats.num_right)
-            minimum = _min_required_overlap(measure, threshold, mean_l, mean_r)
-            if mean_overlap <= 1.0:
-                tail = 1.0 if minimum <= 1 else 0.0
-            else:
-                tail = (1.0 - 1.0 / mean_overlap) ** (minimum - 1)
-            return sharing * tail
+            minimum = _min_required_overlap(
+                measure,
+                float(params["threshold"]),
+                stats.min_size_left,
+                stats.min_size_right,
+            )
+            return float(min(space, stats.df_product_sum // minimum))
         # kNN-Join: candidates are a subset of the key-sharing pairs.
-        k = int(params.get("k", 1))
-        reverse = bool(params.get("reverse", False))
-        if self.mode == "bound":
-            return float(min(space, stats.df_product_sum))
-        sharing = self._distinct_sharing_estimate(stats)
-        return float(min(stats.covered_queries(reverse) * k, sharing))
+        return float(min(space, stats.df_product_sum))
 
     def pc_upper_bound(self, params: Mapping[str, object]) -> float:
         model = str(params["model"])
@@ -342,9 +308,7 @@ class BlockingEstimator(CardinalityEstimator):
 
     def estimate_candidates(self, params: Mapping[str, object]) -> float:
         stats = self.key_stats(params)
-        if self.mode == "bound":
-            return float(min(stats.comparison_space, stats.df_product_sum))
-        return self._distinct_sharing_estimate(stats)
+        return float(min(stats.comparison_space, stats.df_product_sum))
 
     def pc_upper_bound(self, params: Mapping[str, object]) -> float:
         return self.key_stats(params).pc_upper_bound
@@ -364,24 +328,9 @@ class MinHashEstimator(CardinalityEstimator):
 
     def estimate_candidates(self, params: Mapping[str, object]) -> float:
         stats = self.key_stats(params)
-        if self.mode == "bound":
-            # Sound modulo hash injectivity: a banded signature match
-            # between shingle-disjoint sets needs a raw hash collision.
-            return float(min(stats.comparison_space, stats.df_product_sum))
-        sharing = self._distinct_sharing_estimate(stats)
-        if sharing <= 0.0:
-            return 0.0
-        bands = int(params.get("bands", 32))
-        rows = int(params.get("rows", 8))
-        mean_l = stats.total_keys_left / max(1, stats.num_left)
-        mean_r = stats.total_keys_right / max(1, stats.num_right)
-        mean_overlap = min(
-            stats.df_product_sum / sharing, min(mean_l, mean_r)
-        )
-        union = max(1e-9, mean_l + mean_r - mean_overlap)
-        jaccard = max(0.0, min(1.0, mean_overlap / union))
-        collide = 1.0 - (1.0 - jaccard**rows) ** bands
-        return sharing * collide
+        # Sound modulo hash injectivity: a banded signature match
+        # between shingle-disjoint sets needs a raw hash collision.
+        return float(min(stats.comparison_space, stats.df_product_sum))
 
     def pc_upper_bound(self, params: Mapping[str, object]) -> float:
         return self.key_stats(params).pc_upper_bound
@@ -391,9 +340,8 @@ class DenseKNNEstimator(CardinalityEstimator):
     """Exact |C| for the dense cardinality methods (FAISS / SCANN / DB).
 
     A flat or partitioned index returns ``min(k, N)`` neighbours per
-    query unconditionally, so the candidate count is a closed form in
-    both modes; embeddings erase the token structure, hence no non-trivial
-    PC bound.
+    query unconditionally, so the candidate count is a closed form;
+    embeddings erase the token structure, hence no non-trivial PC bound.
     """
 
     def estimate_candidates(self, params: Mapping[str, object]) -> float:
@@ -408,21 +356,8 @@ class DenseLSHEstimator(CardinalityEstimator):
     """|C| figures for the embedding LSH methods (HP-LSH / CP-LSH).
 
     Random-projection buckets carry no combinatorial invariant over
-    tokens, so the bound mode degrades to the Cartesian space; the
-    estimate mode models uniform bucket occupancy per probed bucket.
+    tokens, so the bound degrades to the Cartesian space.
     """
 
     def estimate_candidates(self, params: Mapping[str, object]) -> float:
-        indexed = len(self.dataset.left)
-        queries = len(self.dataset.right)
-        space = indexed * queries
-        if self.mode == "bound":
-            return float(space)
-        hashes = int(params.get("hashes", 1))
-        probes = int(params.get("probes", int(params.get("tables", 1))))
-        if self.code == "CP-LSH":
-            per_hash = 2 * int(params.get("last_cp_dimension", 512))
-        else:
-            per_hash = 2
-        buckets = float(per_hash) ** hashes
-        return float(min(space, queries * probes * indexed / buckets))
+        return float(self.comparison_space)

@@ -38,21 +38,12 @@ from ..sparse.knn_join import KNNJoin, distinct_similarity_ranks
 from ..sparse.scancount import ScanCountIndex
 from ..sparse.similarity import vector_similarity_function
 
-# The memoized tokenizer moved to :mod:`repro.text.memo` so the
-# statistics layer can share it; re-exported here for back-compat.
-from ..text.memo import (  # noqa: F401  (re-exports)
-    _tokenize_cached,
-    clear_tokenize_cache,
-    tokenize_collection,
-)
+from ..text.memo import tokenize_collection
 from . import spaces
 from .estimator import SparseJoinEstimator, prune_enabled, snap_down
 from .result import TunedResult, better
 
 __all__ = ["EpsilonJoinTuner", "KNNJoinTuner", "tokenize_collection"]
-
-#: Back-compat alias — the snapping rule is shared with the estimator.
-_snap_down = snap_down
 
 
 class _OverlapMatrix:
@@ -236,7 +227,7 @@ class EpsilonJoinTuner:
         right_texts = dataset.right.texts(attribute)
         estimator: Optional[SparseJoinEstimator] = None
         if self.prune:
-            estimator = SparseJoinEstimator("EJ", mode="bound")
+            estimator = SparseJoinEstimator("EJ")
             estimator.prepare(dataset, attribute)
         for cleaning in (False, True):
             for model in spaces.representation_models(self.profile):
@@ -263,11 +254,11 @@ class EpsilonJoinTuner:
                         matrix.duplicate_similarities(measure)
                     )[::-1]
                     if needed == 0:
-                        threshold = _snap_down(1.0)
+                        threshold = snap_down(1.0)
                     elif (
                         len(dup_sims) >= needed and dup_sims[needed - 1] > 0.0
                     ):
-                        threshold = _snap_down(float(dup_sims[needed - 1]))
+                        threshold = snap_down(float(dup_sims[needed - 1]))
                     else:
                         continue  # infeasible combo
                     # The shared similarity array serves every threshold;
@@ -383,7 +374,7 @@ class KNNJoinTuner:
         needed = math.ceil(self.target_recall * total_duplicates)
         estimator: Optional[SparseJoinEstimator] = None
         if self.prune:
-            estimator = SparseJoinEstimator("kNNJ", mode="bound")
+            estimator = SparseJoinEstimator("kNNJ")
             estimator.prepare(dataset, attribute)
         for cleaning in (False, True):
             for reverse in (False, True):
@@ -573,9 +564,7 @@ def _register() -> None:
                     _build_incremental(code, params)
                 ),
                 supports_workers=True,
-                estimator_factory=lambda mode="bound", code=code: (
-                    SparseJoinEstimator(code, mode=mode)
-                ),
+                estimator_factory=lambda code=code: SparseJoinEstimator(code),
             )
         )
 

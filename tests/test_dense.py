@@ -356,7 +356,7 @@ class TestDenseKNNFilters:
     def test_deepblocker_phases(self, tiny_dataset):
         db = DeepBlocker(k=1, epochs=2)
         db.candidates(tiny_dataset.left, tiny_dataset.right)
-        assert set(db.timer.as_dict()) == {"preprocess", "index", "query"}
+        assert set(db.trace.as_dict()) == {"preprocess", "index", "query"}
 
     def test_pair_orientation_preserved_under_reverse(self, tiny_dataset):
         knn = FaissKNN(k=1, reverse=True)

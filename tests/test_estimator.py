@@ -1,7 +1,7 @@
 """Property tests for the cardinality-estimation layer.
 
-The contract under test is the one the pruning tuners rely on: in
-``"bound"`` mode ``estimate_candidates`` never undercounts the true
+The contract under test is the one the pruning tuners rely on:
+``estimate_candidates`` never undercounts the true
 candidate set of any configuration, and ``pc_upper_bound`` never
 undercounts the achievable pair completeness.  Violating either could
 change a tuner's selected configuration under ``--prune``.
@@ -9,19 +9,13 @@ change a tuner's selected configuration under ``--prune``.
 
 from __future__ import annotations
 
-import math
-
 import pytest
 
 from repro.core import registry
 from repro.datasets.generator import DatasetSpec, generate
 from repro.datasets.noise import NoiseProfile
 from repro.tuning import tune_method
-from repro.tuning.estimator import (
-    MODES,
-    prune_enabled,
-    snap_down,
-)
+from repro.tuning.estimator import prune_enabled, snap_down
 
 SEEDS = (3, 11)
 
@@ -47,7 +41,7 @@ def actual_candidates(code, params, dataset):
 
 
 def bound_estimator(code, dataset):
-    estimator = registry.build_estimator(code, mode="bound")
+    estimator = registry.build_estimator(code)
     estimator.prepare(dataset, None)
     return estimator
 
@@ -144,41 +138,19 @@ class TestDenseEstimators:
     def test_knn_closed_form_is_exact(self, seeded_dataset):
         queries = len(seeded_dataset.right)
         indexed = len(seeded_dataset.left)
-        for mode in MODES:
-            estimator = registry.build_estimator("FAISS", mode=mode)
-            estimator.prepare(seeded_dataset, None)
-            assert estimator.estimate_candidates({"k": 5}) == (
-                queries * min(5, indexed)
-            )
+        estimator = registry.build_estimator("FAISS")
+        estimator.prepare(seeded_dataset, None)
+        assert estimator.estimate_candidates({"k": 5}) == (
+            queries * min(5, indexed)
+        )
 
     def test_lsh_bound_is_comparison_space(self, seeded_dataset):
-        estimator = registry.build_estimator("HP-LSH", mode="bound")
+        estimator = registry.build_estimator("HP-LSH")
         estimator.prepare(seeded_dataset, None)
         space = len(seeded_dataset.left) * len(seeded_dataset.right)
         assert estimator.estimate_candidates(
             {"tables": 4, "hashes": 8, "probes": 4}
         ) == space
-
-    def test_estimate_mode_stays_finite(self, seeded_dataset):
-        for code in ("EJ", "kNNJ", "MH-LSH", "HP-LSH", "CP-LSH"):
-            estimator = registry.build_estimator(code, mode="estimate")
-            estimator.prepare(seeded_dataset, None)
-            params = {
-                "model": "T1G",
-                "cleaning": False,
-                "measure": "cosine",
-                "threshold": 0.5,
-                "k": 3,
-                "bands": 32,
-                "rows": 8,
-                "shingle_k": 3,
-                "tables": 4,
-                "hashes": 8,
-                "probes": 4,
-                "last_cp_dimension": 512,
-            }
-            value = estimator.estimate_candidates(params)
-            assert math.isfinite(value) and value >= 0.0
 
 
 class TestRegistrySurface:
@@ -186,17 +158,11 @@ class TestRegistrySurface:
         codes = registry.estimator_codes()
         assert "EJ" in codes and "SBW" in codes and "MH-LSH" in codes
         for code in codes:
-            for mode in MODES:
-                estimator = registry.build_estimator(code, mode=mode)
-                assert estimator.describe() == {
-                    "code": code,
-                    "mode": mode,
-                    "estimator": type(estimator).__name__,
-                }
-
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(ValueError):
-            registry.build_estimator("EJ", mode="exact")
+            estimator = registry.build_estimator(code)
+            assert estimator.describe() == {
+                "code": code,
+                "estimator": type(estimator).__name__,
+            }
 
     def test_check_consistency_covers_estimators(self):
         registry.check_consistency()

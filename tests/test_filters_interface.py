@@ -1,54 +1,57 @@
-"""Unit tests for the Filter base class and PhaseTimer."""
+"""Unit tests for the Filter base class and its phase timing."""
 
 import time
 
 import pytest
 
 from repro.core.candidates import CandidateSet
-from repro.core.filters import Filter, PhaseTimer
+from repro.core.filters import Filter
 from repro.core.profile import EntityCollection, EntityProfile
+from repro.core.stages import StageTrace
 
 
 class DummyFilter(Filter):
     name = "dummy"
 
     def _run(self, left, right, attribute):
-        with self.timer.phase("work"):
+        with self.trace.stage("work"):
             time.sleep(0.001)
         return CandidateSet([(0, 0)])
 
 
 class TestPhaseTimer:
+    """Flat per-phase seconds as a filter's ``trace`` records them."""
+
     def test_accumulates(self):
-        timer = PhaseTimer()
-        with timer.phase("a"):
+        trace = StageTrace()
+        with trace.stage("a"):
             pass
-        with timer.phase("a"):
+        with trace.stage("a"):
             pass
-        assert timer.as_dict()["a"] >= 0.0
-        assert timer.total == sum(timer.as_dict().values())
+        assert trace.as_dict()["a"] >= 0.0
+        assert trace.total == sum(trace.as_dict().values())
 
     def test_reset(self):
-        timer = PhaseTimer()
-        with timer.phase("a"):
+        trace = StageTrace()
+        with trace.stage("a"):
             pass
-        timer.reset()
-        assert timer.as_dict() == {}
+        trace.reset()
+        assert trace.as_dict() == {}
 
     def test_records_on_exception(self):
-        timer = PhaseTimer()
+        trace = StageTrace()
         with pytest.raises(RuntimeError):
-            with timer.phase("x"):
+            with trace.stage("x"):
                 raise RuntimeError("boom")
-        assert "x" in timer.as_dict()
+        assert "x" in trace.as_dict()
 
     def test_multiple_phases(self):
-        timer = PhaseTimer()
-        with timer.phase("a"):
+        trace = StageTrace()
+        with trace.stage("a"):
             pass
-        with timer.phase("b"):
+        with trace.stage("b"):
             pass
-        assert set(timer.as_dict()) == {"a", "b"}
+        assert set(trace.as_dict()) == {"a", "b"}
 
 
 class TestFilterBase:
@@ -57,10 +60,10 @@ class TestFilterBase:
         left = EntityCollection([EntityProfile("x", {})])
         right = EntityCollection([EntityProfile("y", {})])
         filter_.candidates(left, right)
-        first = filter_.timer.total
+        first = filter_.trace.total
         filter_.candidates(left, right)
         # The second run re-times from scratch, not cumulatively.
-        assert filter_.timer.total < first * 10
+        assert filter_.trace.total < first * 10
 
     def test_default_not_stochastic(self):
         assert not DummyFilter().is_stochastic

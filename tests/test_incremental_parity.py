@@ -334,7 +334,8 @@ class TestScanCountInternals:
             for slot, tokens in live.items()
             if tokens & query
         }
-        assert postings.overlap_counts(query) == expected
+        slots, overlaps, __ = postings.overlap_arrays(query)
+        assert dict(zip(slots.tolist(), overlaps.tolist())) == expected
 
 
 # ----------------------------------------------------------------------
@@ -561,3 +562,37 @@ class TestQueryManyParity:
             np.testing.assert_array_equal(slots, s_slots)
             np.testing.assert_array_equal(overlaps, s_overlaps)
             np.testing.assert_array_equal(sizes, s_sizes)
+
+    def test_batch_overlap_arrays_masks_tombstones_on_both_sides(self):
+        # Slots removed after the snapshot and slots removed from the
+        # delta must both vanish from the batched rows.
+        postings = DynamicPostings(compaction_ratio=100.0)
+        sets = {
+            slot: frozenset({f"t{slot % 4}", f"u{slot % 3}", f"v{slot}"})
+            for slot in range(16)
+        }
+        for slot in range(10):
+            postings.add(slot, sets[slot])
+        postings.compact()
+        for slot in range(10, 16):
+            postings.add(slot, sets[slot])
+        for slot in (1, 4, 11, 14):  # two snapshot, two delta slots
+            postings.remove(slot)
+        live = {s: t for s, t in sets.items() if s not in (1, 4, 11, 14)}
+        queries = [
+            frozenset({"t0", "u1"}),
+            frozenset({"v4", "v11", "t2"}),
+            frozenset({"zz"}),
+            frozenset({"t1", "u2", "v14", "v15"}),
+        ]
+        batched = postings.batch_overlap_arrays(queries)
+        for query, (slots, overlaps, sizes) in zip(queries, batched):
+            expected = {
+                slot: (len(tokens & query), len(tokens))
+                for slot, tokens in live.items()
+                if tokens & query
+            }
+            got = dict(
+                zip(slots.tolist(), zip(overlaps.tolist(), sizes.tolist()))
+            )
+            assert got == expected

@@ -1,15 +1,12 @@
-"""Perf smoke test: the CSR kernels must not be slower than the legacy path.
+"""Perf smoke test: kernel ratio ceilings and the bench's row contract.
 
-A tiny-budget run of ``benchmarks/bench_sparse_kernel.py`` (2k-entity
-corpus, 1000 per side) asserting every query-phase ``*_csr`` kernel beats
-its ``*_legacy`` twin, ceilings on the kNN / ε-Join kernel ratio and
-the CNP / WNP pruning ratio (the machine's speed cancels out of both),
-plus the aggregation contract of
-the trajectory file.  Run just this guard with ``pytest -m perf_smoke``; it is skipped
-on known-slow CI boxes (``CI=slow-box``) where wall-clock comparisons
-are noise.  The full 5k-scale assertion (every kernel, index build
-included) is gated behind ``PERF_SMOKE_FULL=1`` — CI's dedicated perf
-step sets it; the default test run stays fast.
+A tiny-budget run of ``benchmarks/bench_sparse_kernel.py`` (1000
+entities per side) checking its row schema, ceilings on the kNN / ε-Join
+kernel ratio and the CNP / WNP pruning ratio (the machine's speed
+cancels out of both), an incremental query latency budget, plus the
+aggregation contract of the trajectory file.  Run just this guard with
+``pytest -m perf_smoke``; the wall-clock checks are skipped on
+known-slow CI boxes (``CI=slow-box``) where they are noise.
 """
 
 import importlib.util
@@ -25,9 +22,6 @@ _BENCH_PATH = (
     Path(__file__).resolve().parent.parent / "benchmarks" / "bench_sparse_kernel.py"
 )
 
-#: Query-phase stages whose CSR kernel must win at any scale.
-QUERY_STAGES = ("batch_query", "ejoin", "knn", "ejoin_tuner_sweep")
-
 ROW_SCHEMA = {"kernel", "dataset", "workers", "wall_s", "candidates", "runs"}
 
 
@@ -40,21 +34,10 @@ def _load_bench():
     return module
 
 
-@pytest.mark.skipif(
-    os.environ.get("CI") == "slow-box",
-    reason="wall-clock comparisons are unreliable on the slow CI box",
-)
-def test_kernel_at_least_as_fast_as_legacy():
+def test_bench_rows_follow_schema():
     bench = _load_bench()
     rows = bench.run_benchmarks(1000, model="T1G", seed=7)
-    # The asserts inside run_benchmarks already guarantee identical
-    # candidate counts; here we pin the perf contract: every query-phase
-    # CSR kernel must at least match the legacy loop.  (Index build is
-    # excluded at this tiny scale — sub-millisecond walls are noise — and
-    # asserted by the 5k-scale test below.)
-    for stage in QUERY_STAGES:
-        assert bench.speedup(rows, stage) >= 1.0, stage
-    assert ROW_SCHEMA <= set(rows[0])
+    assert all(ROW_SCHEMA <= set(row) for row in rows)
     # The serving-path row rides along in the same trajectory.
     kernels = {row["kernel"] for row in rows}
     assert "incremental_mixed_ops" in kernels
@@ -201,25 +184,6 @@ def test_write_rows_upgrades_old_schema_rows(tmp_path):
     recorded = json.loads(out.read_text())
     assert len(recorded) == 1
     assert recorded[0]["workers"] == 1 and recorded[0]["runs"] == 1
-
-
-@pytest.mark.skipif(
-    os.environ.get("PERF_SMOKE_FULL") != "1",
-    reason="5k-scale perf assertion runs only with PERF_SMOKE_FULL=1 (CI)",
-)
-def test_every_csr_kernel_beats_legacy_at_5k():
-    bench = _load_bench()
-    rows = bench.run_benchmarks(5000, model="T1G", seed=42, repeats=3)
-    for stage in QUERY_STAGES:
-        ratio = bench.speedup(rows, stage)
-        assert ratio >= 1.0, f"{stage}: csr slower than legacy ({ratio:.2f}x)"
-    # Index build: both paths are bounded by the same per-occurrence
-    # vocabulary-dict insertion (~5ms of ~7ms at this scale; the CSR
-    # side's array work is the rest), so the CSR win is a few percent
-    # and inside wall-clock noise.  Assert no real regression instead
-    # of flaking on a coin-flip margin.
-    build = bench.speedup(rows, "index_build")
-    assert build >= 0.85, f"index_build: csr regressed ({build:.2f}x)"
 
 
 #: Per-call budget for one incremental query against a 1000-entity

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.metrics import pair_completeness
+from repro.sparse.base import SparseNNFilter
 from repro.sparse.epsilon_join import EpsilonJoin
 from repro.sparse.knn_join import DefaultKNNJoin, KNNJoin, default_knn_join
 from repro.sparse.scancount import ScanCountIndex
@@ -77,6 +78,19 @@ class TestScanCountIndex:
         assert len(ScanCountIndex([frozenset(), frozenset({"x"})])) == 2
 
 
+class TestSparseNNFilterBase:
+    def test_join_without_consumer_fails_loudly(
+        self, left_collection, right_collection
+    ):
+        # Every join answers through a kernel consumer; there is no
+        # materialising fallback for a subclass that names none.
+        class NoConsumerJoin(SparseNNFilter):
+            name = "no-consumer"
+
+        with pytest.raises(NotImplementedError):
+            NoConsumerJoin().candidates(left_collection, right_collection)
+
+
 class TestEpsilonJoin:
     def test_high_threshold_exact_matches_only(
         self, left_collection, right_collection
@@ -107,7 +121,7 @@ class TestEpsilonJoin:
     def test_phase_timer(self, left_collection, right_collection):
         join = EpsilonJoin(threshold=0.5)
         join.candidates(left_collection, right_collection)
-        assert set(join.timer.as_dict()) == {"preprocess", "index", "query"}
+        assert set(join.trace.as_dict()) == {"preprocess", "index", "query"}
 
     def test_cleaning_changes_tokens(self, left_collection, right_collection):
         plain = EpsilonJoin(threshold=0.5, cleaning=False)

@@ -123,12 +123,6 @@ class TestStageTrace:
         assert trace.as_dict() == {}
         assert trace.total == 0.0
 
-    def test_phase_alias(self):
-        trace = StageTrace()
-        with trace.phase("build"):
-            pass
-        assert "build" in trace.as_dict()
-
     def test_exception_still_records_time(self):
         trace = StageTrace()
         with pytest.raises(RuntimeError):
@@ -165,10 +159,6 @@ class TestFilterIntegration:
         cards = workflow.trace.cardinalities()
         assert cards["build"][0] == len(left_collection) + len(right_collection)
         assert cards["clean"][1] == len(candidates)
-
-    def test_timer_alias_is_trace(self):
-        workflow = _workflow()
-        assert workflow.timer is workflow.trace
 
     def test_base_reseed_is_noop(self):
         workflow = _workflow()

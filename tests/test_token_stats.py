@@ -123,6 +123,16 @@ class TestComputeTokenStats:
         payload = json.loads(json.dumps(stats.to_payload()))
         assert TokenStats.from_payload(payload) == stats
 
+    def test_from_payload_ignores_unknown_keys(self):
+        # Caches written before a field was retired (e.g.
+        # ``log_disjoint_mass``) must still load.
+        stats = compute_token_stats(
+            ["alpha beta"], ["beta delta"], [(0, 0)], model="T1G"
+        )
+        payload = json.loads(json.dumps(stats.to_payload()))
+        payload["log_disjoint_mass"] = 1.5
+        assert TokenStats.from_payload(payload) == stats
+
     def test_from_payload_rejects_garbage(self):
         assert TokenStats.from_payload(None) is None
         assert TokenStats.from_payload({"dataset": "x"}) is None

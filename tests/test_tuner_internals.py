@@ -13,27 +13,44 @@ from repro.tuning.blocking import BlockingWorkflowTuner
 from repro.tuning.learned import SupervisedMetaBlockingTuner
 from repro.tuning.dense import EmbeddingCache, _first_feasible_k
 from repro.sparse.knn_join import distinct_similarity_ranks
+from repro.tuning.estimator import snap_down
 from repro.tuning.sparse import (
     KNNJoinTuner,
     _OverlapMatrix,
-    _snap_down,
     tokenize_collection,
 )
 
 
 class TestSnapDown:
     def test_snaps_to_grid(self):
-        assert _snap_down(0.537) == pytest.approx(0.53)
+        assert snap_down(0.537) == pytest.approx(0.53)
 
     def test_exact_grid_value_kept(self):
-        assert _snap_down(0.50) == pytest.approx(0.50)
+        assert snap_down(0.50) == pytest.approx(0.50)
 
     def test_never_below_minimum(self):
-        assert _snap_down(0.001) == pytest.approx(0.01)
+        assert snap_down(0.001) == pytest.approx(0.01)
 
     def test_never_exceeds_input(self):
         for value in (0.011, 0.5, 0.999):
-            assert _snap_down(value) <= value + 1e-12
+            assert snap_down(value) <= value + 1e-12
+
+    def test_every_grid_point_snaps_to_itself(self):
+        # floor(0.29 / 0.01) is 28: the division lands just below the
+        # integer for 0.29, 0.47, 0.57, 0.58, 0.59 and 0.94.
+        for step in range(1, 101):
+            assert snap_down(step / 100) == step / 100, step
+
+    def test_largest_grid_value_at_or_below(self):
+        rng = np.random.default_rng(0)
+        for value in rng.uniform(0.01, 1.0, size=5000).tolist():
+            snapped = snap_down(value)
+            assert snapped <= value < snapped + 0.01, value
+            assert snapped == round(snapped, 2), value
+
+    def test_dice_duplicate_on_a_grid_point_keeps_its_threshold(self):
+        # Overlap 29 at sizes 60/40 scores exactly 2 * 29 / 100 = 0.58.
+        assert snap_down(2 * 29 / (60 + 40)) == 0.58
 
 
 def _seeded_overlap_matrix(seed):
@@ -157,12 +174,12 @@ class TestEmbeddingCache:
 class TestBuildWorkflow:
     def test_cp_cleaner(self):
         tuner = BlockingWorkflowTuner("SBW")
-        workflow = tuner.build_workflow({"cleaner": "CP"})
+        workflow = tuner.build_filter({"cleaner": "CP"})
         assert isinstance(workflow.cleaner, ComparisonPropagation)
 
     def test_metablocking_cleaner_parsed(self):
         tuner = BlockingWorkflowTuner("SBW")
-        workflow = tuner.build_workflow(
+        workflow = tuner.build_filter(
             {"cleaner": "ARCS+RCNP", "purging": True, "ratio": 0.4}
         )
         assert isinstance(workflow.cleaner, MetaBlocking)
@@ -173,12 +190,12 @@ class TestBuildWorkflow:
 
     def test_builder_params_forwarded(self):
         tuner = BlockingWorkflowTuner("QBW")
-        workflow = tuner.build_workflow({"q": 4, "cleaner": "CP"})
+        workflow = tuner.build_filter({"q": 4, "cleaner": "CP"})
         assert workflow.builder.q == 4
 
     def test_suffix_params_forwarded(self):
         tuner = BlockingWorkflowTuner("SABW")
-        workflow = tuner.build_workflow(
+        workflow = tuner.build_filter(
             {"l_min": 4, "b_max": 20, "cleaner": "CP"}
         )
         assert workflow.builder.l_min == 4
@@ -199,7 +216,7 @@ class TestTokenizeCollection:
         assert sets[0] == frozenset({"ab", "bc"})
 
     def test_memoized_per_collection_model_cleaning(self):
-        from repro.tuning.sparse import _tokenize_cached, clear_tokenize_cache
+        from repro.text.memo import _tokenize_cached, clear_tokenize_cache
 
         clear_tokenize_cache()
         texts = ["alpha beta", "gamma delta"]

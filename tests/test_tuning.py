@@ -128,7 +128,7 @@ class TestBlockingTuner:
     def test_build_workflow_reproduces_result(self, small_generated):
         tuner = BlockingWorkflowTuner("SBW")
         result = tuner.tune(small_generated)
-        workflow = tuner.build_workflow(result.params)
+        workflow = tuner.build_filter(result.params)
         candidates = workflow.candidates(
             small_generated.left, small_generated.right
         )

@@ -23,7 +23,7 @@ class TestBlockingWorkflow:
             StandardBlocking(), purging=True, filtering_ratio=0.5
         )
         workflow.candidates(left_collection, right_collection)
-        phases = workflow.timer.as_dict()
+        phases = workflow.trace.as_dict()
         assert set(phases) == {"build", "purge", "filter", "clean"}
         assert all(v >= 0 for v in phases.values())
 
@@ -32,7 +32,7 @@ class TestBlockingWorkflow:
     ):
         workflow = BlockingWorkflow(StandardBlocking())
         workflow.candidates(left_collection, right_collection)
-        assert set(workflow.timer.as_dict()) == {"build", "clean"}
+        assert set(workflow.trace.as_dict()) == {"build", "clean"}
 
     def test_filtering_ratio_one_disables_step(self):
         workflow = BlockingWorkflow(StandardBlocking(), filtering_ratio=1.0)
