@@ -14,7 +14,12 @@ synthetic Clean-Clean ER dataset, then times
   threshold) — the pass ``tuning/sparse.py`` runs once per (cleaning,
   model) grid point,
 * a seeded mixed add/remove/query stream over the incremental ScanCount
-  filter (``incremental_mixed_ops`` — the serving path).
+  filter (``incremental_mixed_ops`` — the serving path),
+* the text substrate: cleaning plus tokenizing both sides over the
+  fast-profile (cleaning x model) grid from cold memos
+  (``tokenize_grid``; independent of ``--model``, hence its
+  ``-fast-grid`` dataset label), and encoding the right side onto the
+  index vocabulary (``query_encode``).
 
 Above :data:`MATERIALIZE_LIMIT` entities per side the materializing
 sweep and the serving stream are skipped — the pushdown kernels are the
@@ -50,8 +55,11 @@ from repro.core.incremental import random_operations
 from repro.datasets.generator import DatasetSpec, ERDataset, generate
 from repro.datasets.noise import NoiseProfile
 from repro.sparse.base import batch_similarities
+from repro.sparse.kernels import query_tokens
 from repro.sparse.scancount import IncrementalScanCountFilter, ScanCountIndex
+from repro.text.memo import clear_tokenize_cache, tokenize_collection
 from repro.text.tokenizers import RepresentationModel
+from repro.tuning.spaces import representation_models
 
 MEASURES = ("cosine", "jaccard")
 #: Tuner-style threshold grid (ascending), used for the sweep benches.
@@ -179,6 +187,22 @@ def csr_tuner_sweep(
     return results
 
 
+def tokenize_grid(left_texts: Sequence[str], right_texts: Sequence[str]) -> int:
+    """Total token count over the fast-profile (cleaning x model) grid.
+
+    The memos are cleared first, so every run pays what one tuning pass
+    over a fresh dataset pays.
+    """
+    clear_tokenize_cache()
+    total = 0
+    for cleaning in (False, True):
+        for model in representation_models("fast"):
+            for texts in (left_texts, right_texts):
+                sets = tokenize_collection(texts, model, cleaning)
+                total += sum(map(len, sets))
+    return total
+
+
 # ----------------------------------------------------------------------
 # Harness.
 # ----------------------------------------------------------------------
@@ -215,11 +239,12 @@ def run_benchmarks(
         candidates: int,
         runs: int,
         workers: int = 1,
+        dataset: str = dataset_label,
     ) -> None:
         rows.append(
             {
                 "kernel": kernel,
-                "dataset": dataset_label,
+                "dataset": dataset,
                 "workers": int(workers),
                 "wall_s": round(wall_s, 6),
                 "candidates": int(candidates),
@@ -227,10 +252,26 @@ def run_benchmarks(
             }
         )
 
+    left_texts = dataset.left.texts(None)
+    right_texts = dataset.right.texts(None)
+    grid_s, grid_tokens, runs = timed_median(
+        lambda: tokenize_grid(left_texts, right_texts), repeats
+    )
+    clear_tokenize_cache()  # free the memos before the kernel rows
+    record(
+        "tokenize_grid", grid_s, grid_tokens, runs,
+        dataset=f"{dataset.spec.name}-fast-grid",
+    )
+
     build_csr_s, csr, runs = timed_median(
         lambda: ScanCountIndex(left), repeats
     )
     record("index_build_csr", build_csr_s, 0, runs)
+
+    encode_s, encoded, runs = timed_median(
+        lambda: query_tokens(csr.vocabulary, right), repeats
+    )
+    record("query_encode", encode_s, len(encoded.token_ids), runs)
 
     base_counts: Optional[np.ndarray] = None
     for workers in workers_list:

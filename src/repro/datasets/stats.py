@@ -34,8 +34,7 @@ from typing import (
     Tuple,
 )
 
-from ..text.cleaning import TextCleaner
-from ..text.memo import tokenize_collection
+from ..text.memo import clean_collection, tokenize_collection
 from ..text.tokenizers import (
     RepresentationModel,
     character_qgrams,
@@ -111,11 +110,11 @@ def select_best_attribute(dataset: ERDataset) -> str:
 def _texts(
     dataset: ERDataset, attribute: Optional[str], cleaning: bool
 ) -> List[str]:
-    texts = dataset.left.texts(attribute) + dataset.right.texts(attribute)
+    left = dataset.left.texts(attribute)
+    right = dataset.right.texts(attribute)
     if cleaning:
-        cleaner = TextCleaner()
-        texts = [cleaner.clean(text) for text in texts]
-    return texts
+        return clean_collection(left) + clean_collection(right)
+    return left + right
 
 
 def vocabulary_size(
@@ -339,30 +338,34 @@ def compute_token_stats(
     them), or ``key_function`` maps a (cleaned) text to its blocking
     keys / shingles and ``model`` is its synthetic id.
     """
+    # The texts every key is drawn from, cleaned through the shared
+    # per-collection memo the tokenizer below reads as well.
+    if cleaning:
+        left_source = clean_collection(left_texts)
+        right_source = clean_collection(right_texts)
+    else:
+        left_source, right_source = left_texts, right_texts
     if key_function is None:
         representation = RepresentationModel(model)
         left_sets = tokenize_collection(left_texts, model, cleaning)
         right_sets = tokenize_collection(right_texts, model, cleaning)
     else:
         representation = None
-        if cleaning:
-            cleaner = TextCleaner()
-            left_texts = [cleaner.clean(text) for text in left_texts]
-            right_texts = [cleaner.clean(text) for text in right_texts]
-        left_sets = [frozenset(key_function(text)) for text in left_texts]
-        right_sets = [frozenset(key_function(text)) for text in right_texts]
+        left_sets = [frozenset(key_function(text)) for text in left_source]
+        right_sets = [frozenset(key_function(text)) for text in right_source]
 
     key_occurrences = 0
     key_length_sum = 0
     if representation is not None:
         # Occurrence statistics come from the *raw* token lists (before
-        # the multiset/frozenset transforms), so the mean key length is
+        # the multiset/frozenset transforms) of the same (cleaned) texts
+        # the token sets were built from, so the mean key length is
         # bit-identical to a direct word_tokens/qgrams pass.
-        for text in left_texts:
+        for text in left_source:
             for token in _raw_keys(text, representation):
                 key_occurrences += 1
                 key_length_sum += len(token)
-        for text in right_texts:
+        for text in right_source:
             for token in _raw_keys(text, representation):
                 key_occurrences += 1
                 key_length_sum += len(token)
@@ -490,7 +493,7 @@ class TokenStatsCache:
     when the generated dataset drifts.
     """
 
-    SCHEMA = 1
+    SCHEMA = 2
 
     def __init__(self, path: Optional[Path] = None) -> None:
         default_dir = Path(os.environ.get("REPRO_BENCH_CACHE", ".bench_cache"))

@@ -39,6 +39,7 @@ is what makes the parallel merge byte-exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Callable, Dict, FrozenSet, List, Mapping, Sequence, Tuple
 
 import numpy as np
@@ -96,28 +97,31 @@ def query_tokens(
 ) -> QueryTokens:
     """Map a query batch onto the index vocabulary, once.
 
-    The per-query dict lookups happen here — a single pass — instead of
-    inside every consumer, and the result is a picklable/shareable array
-    triple rather than Python sets.
+    One C-level pass looks every query token up (``-1`` for misses), the
+    misses are dropped, and one in-place sort of the packed
+    ``(query << 32) | id`` key orders the ids within each query — the
+    same construction :class:`ScanCountIndex` builds its postings with.
+    The result is a picklable/shareable array triple rather than Python
+    sets.
     """
-    lengths = np.zeros(len(queries), dtype=np.int64)
-    sizes = np.zeros(len(queries), dtype=np.int64)
-    parts: List[List[int]] = []
-    for position, query in enumerate(queries):
-        sizes[position] = len(query)
-        ids = sorted(
-            vocabulary[token] for token in query if token in vocabulary
-        )
-        lengths[position] = len(ids)
-        if ids:
-            parts.append(ids)
-    flat = (
-        np.asarray([i for part in parts for i in part], dtype=np.int64)
-        if parts
-        else np.zeros(0, dtype=np.int64)
+    lengths = list(map(len, queries))
+    sizes = np.array(lengths, dtype=np.int64)
+    ids = np.fromiter(
+        map(vocabulary.get, chain.from_iterable(queries), repeat(-1)),
+        dtype=np.int64,
+        count=sum(lengths),
     )
-    ptr = np.concatenate((np.zeros(1, dtype=np.int64), np.cumsum(lengths)))
-    return QueryTokens(ptr=ptr, token_ids=flat, sizes=sizes)
+    # Query q's packed keys live in [bases[q], bases[q + 1]).
+    bases = np.arange(
+        0, (len(queries) + 1) << 32, 1 << 32, dtype=np.int64
+    )
+    keys = np.repeat(bases[:-1], sizes)
+    keys |= ids
+    keys = keys[ids >= 0]
+    keys.sort()
+    ptr = np.searchsorted(keys, bases)
+    keys &= 0xFFFFFFFF
+    return QueryTokens(ptr=ptr, token_ids=keys, sizes=sizes)
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Process-wide memoized tokenization shared across benchmark layers.
+"""Process-wide memoized text preprocessing shared across benchmark layers.
 
 Historically the memoized tokenizer lived in :mod:`repro.tuning.sparse`,
 which made it awkward for lower layers (the dataset-statistics module
@@ -6,10 +6,20 @@ behind cost-based tuning) to share token sets with the tuners without an
 upward import.  It now lives here, in the text package both sides already
 depend on; :mod:`repro.tuning.sparse` re-exports it unchanged.
 
-The cache is keyed per (texts, model, cleaning): the ε-Join and kNN-Join
-tuners, the token-statistics layer (:mod:`repro.datasets.stats`) and the
+Two memo layers, each keyed by the collection's texts:
+
+* cleaned texts per collection (:func:`clean_collection`) — stop-word
+  removal and stemming run once per collection, however many
+  representation models read the result;
+* token sets per (texts, model, cleaning) (:func:`tokenize_collection`),
+  built from the cleaned-text layer when ``cleaning`` is set.
+
+The ε-Join and kNN-Join tuners, the token-statistics layer
+(:mod:`repro.datasets.stats`), the Figure-3 text volumes and the
 auto-configurator all walk the same (cleaning x model) grid over the same
-collections, so each corpus is tokenized exactly once per combination.
+collections, so each collection is cleaned once and tokenized once per
+combination.  Filters never read these memos: their own preprocessing
+is part of the run-time they report.
 """
 
 from __future__ import annotations
@@ -20,7 +30,13 @@ from typing import FrozenSet, List, Sequence, Tuple
 from .cleaning import TextCleaner
 from .tokenizers import RepresentationModel
 
-__all__ = ["tokenize_collection", "clear_tokenize_cache"]
+__all__ = ["clean_collection", "tokenize_collection", "clear_tokenize_cache"]
+
+
+@lru_cache(maxsize=64)
+def _clean_cached(texts: Tuple[str, ...]) -> Tuple[str, ...]:
+    cleaner = TextCleaner()
+    return tuple(cleaner.clean(text) for text in texts)
 
 
 @lru_cache(maxsize=128)
@@ -28,10 +44,14 @@ def _tokenize_cached(
     texts: Tuple[str, ...], model: str, cleaning: bool
 ) -> Tuple[FrozenSet[str], ...]:
     if cleaning:
-        cleaner = TextCleaner()
-        texts = tuple(cleaner.clean(text) for text in texts)
+        texts = _clean_cached(texts)
     representation = RepresentationModel(model)
     return tuple(representation.tokens(text) for text in texts)
+
+
+def clean_collection(texts: Sequence[str]) -> List[str]:
+    """The cleaned texts of a collection, memoized per collection."""
+    return list(_clean_cached(tuple(texts)))
 
 
 def tokenize_collection(
@@ -42,11 +62,13 @@ def tokenize_collection(
     Memoized per (texts, model, cleaning): every consumer that walks the
     same (cleaning x model) grid over the same collections — sparse
     tuners, token statistics, the auto-configurator — shares one
-    tokenization pass per corpus and combination.
+    tokenization pass per corpus and combination, and one cleaning pass
+    per corpus.
     """
     return list(_tokenize_cached(tuple(texts), model, cleaning))
 
 
 def clear_tokenize_cache() -> None:
-    """Drop the memoized token sets (mainly for tests / memory pressure)."""
+    """Drop the memoized cleaned texts and token sets (tests / memory)."""
     _tokenize_cached.cache_clear()
+    _clean_cached.cache_clear()

@@ -17,8 +17,7 @@ and :func:`character_qgrams` (Q-Grams Blocking signatures).
 from __future__ import annotations
 
 import re
-from collections import Counter
-from typing import FrozenSet, List, Tuple
+from typing import Dict, FrozenSet, List, Tuple
 
 __all__ = [
     "normalize",
@@ -91,11 +90,12 @@ def multiset_tokens(tokens: List[str]) -> List[str]:
     ``["a", "a", "b"] -> ["a#1", "a#2", "b#1"]`` — the paper's multiset
     trick that keeps duplicate tokens distinguishable inside a plain set.
     """
-    seen: Counter = Counter()
+    seen: Dict[str, int] = {}
     result = []
     for token in tokens:
-        seen[token] += 1
-        result.append(f"{token}#{seen[token]}")
+        count = seen.get(token, 0) + 1
+        seen[token] = count
+        result.append(f"{token}#{count}")
     return result
 
 

@@ -1,8 +1,10 @@
 """Unit tests for the text substrate: tokenizers, stemmer, cleaning."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.text.cleaning import TextCleaner, clean_text
+from repro.text.cleaning import STEM_MEMO_SIZE, TextCleaner, clean_text
 from repro.text.porter import PorterStemmer, stem
 from repro.text.stopwords import ENGLISH_STOPWORDS, is_stopword
 from repro.text.tokenizers import (
@@ -227,3 +229,52 @@ class TestTextCleaner:
 
     def test_empty_input(self):
         assert clean_text("") == ""
+
+
+#: One long-lived cleaner, so its stem memo serves hits across examples.
+_SHARED_CLEANER = TextCleaner()
+
+
+class TestStemMemo:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.text(
+                    alphabet="abcdefghijklmnopqrstuvwxyz",
+                    min_size=1,
+                    max_size=12,
+                ),
+                st.sampled_from(sorted(ENGLISH_STOPWORDS)),
+            ),
+            max_size=20,
+        )
+    )
+    def test_memoized_cleaner_matches_uncached_stemmer(self, words):
+        stemmer = PorterStemmer()
+        expected = [
+            stemmer.stem(word) for word in words if word not in ENGLISH_STOPWORDS
+        ]
+        assert _SHARED_CLEANER.clean_tokens(words) == expected
+        assert TextCleaner().clean_tokens(words) == expected
+
+    def test_each_distinct_word_stemmed_once(self, monkeypatch):
+        calls = []
+        original = PorterStemmer.stem
+
+        def counting_stem(self, word):
+            calls.append(word)
+            return original(self, word)
+
+        monkeypatch.setattr(PorterStemmer, "stem", counting_stem)
+        cleaner = TextCleaner()
+        assert cleaner.clean("Running dogs running DOGS the dogs") == (
+            "run dog run dog dog"
+        )
+        assert sorted(calls) == ["dogs", "running"]
+
+    def test_stem_memo_is_bounded_per_instance(self):
+        first, second = TextCleaner(), TextCleaner()
+        first.clean("running")
+        assert second._stem_word.cache_info().currsize == 0
+        assert first._stem_word.cache_info().maxsize == STEM_MEMO_SIZE

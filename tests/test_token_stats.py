@@ -17,7 +17,8 @@ from repro.datasets.stats import (
     compute_token_stats,
     select_best_attribute,
 )
-from repro.text.tokenizers import word_tokens
+from repro.text.cleaning import clean_text
+from repro.text.tokenizers import character_qgrams, word_tokens
 from repro.tuning.auto import AutoKNNConfigurator
 
 
@@ -111,6 +112,25 @@ class TestComputeTokenStats:
         assert stats.gt_overlapping == 1
         assert stats.pc_upper_bound == 0.5
 
+    @pytest.mark.parametrize("model", ["T1G", "C3GM"])
+    def test_cleaned_key_length_comes_from_cleaned_texts(self, model):
+        left = ["The running dogs of the houses", "connected printers"]
+        right = ["a running dog", "the printer is connecting"]
+        stats = compute_token_stats(
+            left, right, [(0, 0)], model=model, cleaning=True
+        )
+        lengths = []
+        for text in left + right:
+            cleaned = clean_text(text)
+            keys = (
+                word_tokens(cleaned)
+                if model == "T1G"
+                else character_qgrams(cleaned, 3)
+            )
+            lengths.extend(len(key) for key in keys)
+        assert stats.key_occurrences == len(lengths)
+        assert stats.mean_key_length == sum(lengths) / len(lengths)
+
     def test_json_roundtrip_is_lossless(self):
         stats = compute_token_stats(
             ["alpha beta", "beta gamma"],
@@ -191,6 +211,25 @@ class TestTokenStatsCache:
         assert json.loads(path.read_text())["schema"] == (
             TokenStatsCache.SCHEMA
         )
+
+    def test_stale_schema_entries_are_dropped(self, tmp_path, monkeypatch):
+        path = tmp_path / "token_stats.json"
+        cache = TokenStatsCache(path)
+        cache.for_dataset(self._dataset(), "title", model="T1G")
+        cache.save()
+        payload = json.loads(path.read_text())
+        payload["schema"] = TokenStatsCache.SCHEMA - 1
+        path.write_text(json.dumps(payload))
+        recomputed = []
+        original = stats_module.compute_token_stats
+
+        def counting(*args, **kwargs):
+            recomputed.append(kwargs.get("model"))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(stats_module, "compute_token_stats", counting)
+        TokenStatsCache(path).for_dataset(self._dataset(), "title", model="T1G")
+        assert recomputed == ["T1G"]
 
     def test_adhoc_collections_stay_off_disk(self, tmp_path):
         path = tmp_path / "token_stats.json"

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.blocking.blocks import BlockCollection
 from repro.blocking.metablocking import MetaBlocking, NodeRanking, PairGraph
@@ -12,9 +14,15 @@ from repro.tuning import spaces
 from repro.tuning.blocking import BlockingWorkflowTuner
 from repro.tuning.learned import SupervisedMetaBlockingTuner
 from repro.tuning.dense import EmbeddingCache, _first_feasible_k
+from repro.sparse import EpsilonJoin, KNNJoin
+from repro.sparse.kernels import query_tokens
 from repro.sparse.knn_join import distinct_similarity_ranks
+from repro.sparse.scancount import ScanCountIndex
+from repro.text import memo
+from repro.text.tokenizers import RepresentationModel
 from repro.tuning.estimator import snap_down
 from repro.tuning.sparse import (
+    EpsilonJoinTuner,
     KNNJoinTuner,
     _OverlapMatrix,
     tokenize_collection,
@@ -237,6 +245,115 @@ class TestTokenizeCollection:
         first.append(frozenset({"mutated"}))
         second = tokenize_collection(texts, "T1G", False)
         assert frozenset({"mutated"}) not in second
+
+
+class TestCleanOnce:
+    """The cleaned-text memo: one cleaning pass per collection."""
+
+    def test_fast_grid_cleans_each_collection_once(self):
+        dataset = load_dataset("d2")
+        memo.clear_tokenize_cache()
+        try:
+            for tuner in (
+                EpsilonJoinTuner(profile="fast", prune=False),
+                KNNJoinTuner(profile="fast", prune=False),
+                EpsilonJoinTuner(profile="fast", prune=True),
+            ):
+                tuner.tune(dataset)
+            info = memo._clean_cached.cache_info()
+            # Every (side, model) cleaned tokenization read the memo, but
+            # left and right were each cleaned once for the whole grid.
+            models = spaces.representation_models("fast")
+            assert info.hits + info.misses >= 2 * len(models)
+            assert info.misses == 2
+            assert info.currsize == 2
+        finally:
+            memo.clear_tokenize_cache()
+
+    def test_clear_drops_every_memo(self):
+        memo.tokenize_collection(["the running dogs"], "T1G", True)
+        memo.clear_tokenize_cache()
+        assert memo._clean_cached.cache_info().currsize == 0
+        assert memo._tokenize_cached.cache_info().currsize == 0
+
+    def test_filters_clean_on_their_own(self):
+        # A filter's preprocessing is part of its measured run-time, so
+        # it must never be served from the tuners' memo.
+        dataset = load_dataset("d2")
+        memo.clear_tokenize_cache()
+        for join in (
+            EpsilonJoin(threshold=0.5, model="C3GM", cleaning=True),
+            KNNJoin(k=2, model="T1G", cleaning=True),
+        ):
+            join.candidates(dataset.left, dataset.right)
+        assert memo._clean_cached.cache_info().currsize == 0
+        assert memo._tokenize_cached.cache_info().currsize == 0
+
+
+def loop_query_tokens(vocabulary, queries):
+    """The per-query ``sorted`` loop ``query_tokens`` replaced."""
+    lengths = np.zeros(len(queries), dtype=np.int64)
+    sizes = np.zeros(len(queries), dtype=np.int64)
+    parts = []
+    for position, query in enumerate(queries):
+        sizes[position] = len(query)
+        ids = sorted(
+            vocabulary[token] for token in query if token in vocabulary
+        )
+        lengths[position] = len(ids)
+        if ids:
+            parts.append(ids)
+    flat = (
+        np.asarray([i for part in parts for i in part], dtype=np.int64)
+        if parts
+        else np.zeros(0, dtype=np.int64)
+    )
+    ptr = np.concatenate((np.zeros(1, dtype=np.int64), np.cumsum(lengths)))
+    return ptr, flat, sizes
+
+
+def assert_same_encoding(indexed, queries):
+    vocabulary = ScanCountIndex(indexed).vocabulary
+    encoded = query_tokens(vocabulary, queries)
+    got = (encoded.ptr, encoded.token_ids, encoded.sizes)
+    for actual, expected in zip(got, loop_query_tokens(vocabulary, queries)):
+        assert actual.dtype == expected.dtype == np.int64
+        assert np.array_equal(actual, expected)
+
+
+TOKENS = st.sampled_from([f"t{i}" for i in range(12)] + ["oov1", "oov2"])
+
+
+class TestQueryTokens:
+    INDEXED = [frozenset({"a", "b"}), frozenset({"b", "c", "d"})]
+
+    def test_empty_query_list(self):
+        assert_same_encoding(self.INDEXED, [])
+
+    def test_empty_query_sets(self):
+        assert_same_encoding(self.INDEXED, [frozenset(), frozenset({"a"}),
+                                            frozenset()])
+
+    def test_all_oov_queries(self):
+        assert_same_encoding(self.INDEXED, [frozenset({"x", "y"}),
+                                            frozenset({"z"})])
+
+    def test_empty_index(self):
+        assert_same_encoding([], [frozenset({"a"}), frozenset()])
+
+    def test_multiset_tokens(self):
+        model = RepresentationModel("C3GM")
+        indexed = [model.tokens(t) for t in ("aaaa bbb", "abab abab", "")]
+        queries = [model.tokens(t) for t in ("aaaaaa", "abab", "zzz", "")]
+        assert_same_encoding(indexed, queries)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.frozensets(TOKENS, max_size=6), max_size=8),
+        st.lists(st.frozensets(TOKENS, max_size=6), max_size=8),
+    )
+    def test_matches_loop(self, indexed, queries):
+        assert_same_encoding(indexed, queries)
 
 
 class TestSharedGraphWork:
