@@ -19,7 +19,11 @@ synthetic Clean-Clean ER dataset, then times
   fast-profile (cleaning x model) grid from cold memos
   (``tokenize_grid``; independent of ``--model``, hence its
   ``-fast-grid`` dataset label), and encoding the right side onto the
-  index vocabulary (``query_encode``).
+  index vocabulary (``query_encode``),
+* the kNN-Join result as a ``CandidateSet``: built from its fastpairs
+  keys by ``keys_to_candidate_set``, then evaluated for PC/PQ against
+  the groundtruth (``candidate_set``; its ``bytes_per_pair`` is what
+  the set retains per pair under ``tracemalloc``).
 
 Above :data:`MATERIALIZE_LIMIT` entities per side the materializing
 sweep and the serving stream are skipped — the pushdown kernels are the
@@ -46,12 +50,20 @@ import argparse
 import json
 import os
 import time
+import tracemalloc
 from pathlib import Path
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.fastpairs import (
+    encode_pairs,
+    keys_to_candidate_set,
+    unique_keys,
+)
+from repro.core.groundtruth import GroundTruth
 from repro.core.incremental import random_operations
+from repro.core.metrics import evaluate_candidates
 from repro.datasets.generator import DatasetSpec, ERDataset, generate
 from repro.datasets.noise import NoiseProfile
 from repro.sparse.base import batch_similarities
@@ -187,6 +199,41 @@ def csr_tuner_sweep(
     return results
 
 
+def knn_join_keys(
+    index: ScanCountIndex,
+    queries: Sequence[FrozenSet[str]],
+    k: int,
+    measure: str,
+    width: int,
+) -> np.ndarray:
+    """The kNN-Join pairs as sorted unique ``set * width + query`` keys."""
+    shards = index.run_kernel("knn", queries, 1, k=k, measure=measure)
+    query_ids = np.concatenate([shard.value[0] for shard in shards])
+    set_ids = np.concatenate([shard.value[1] for shard in shards])
+    return unique_keys(encode_pairs(set_ids, query_ids, width))
+
+
+def candidate_set_build(
+    keys: np.ndarray, width: int, groundtruth: GroundTruth
+) -> int:
+    """Build the CandidateSet of ``keys`` and evaluate its PC/PQ."""
+    candidates = keys_to_candidate_set(keys, width)
+    evaluate_candidates(candidates, groundtruth, width, width)
+    return len(candidates)
+
+
+def retained_bytes_per_pair(keys: np.ndarray, width: int) -> float:
+    """Bytes the CandidateSet of ``keys`` keeps alive, per pair."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        candidates = keys_to_candidate_set(keys, width)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    return retained / max(1, len(candidates))
+
+
 def tokenize_grid(left_texts: Sequence[str], right_texts: Sequence[str]) -> int:
     """Total token count over the fast-profile (cleaning x model) grid.
 
@@ -240,6 +287,7 @@ def run_benchmarks(
         runs: int,
         workers: int = 1,
         dataset: str = dataset_label,
+        **metrics: float,
     ) -> None:
         rows.append(
             {
@@ -249,6 +297,7 @@ def run_benchmarks(
                 "wall_s": round(wall_s, 6),
                 "candidates": int(candidates),
                 "runs": int(runs),
+                **{name: round(value, 3) for name, value in metrics.items()},
             }
         )
 
@@ -311,6 +360,17 @@ def run_benchmarks(
     )
     record("knn_csr", knn_csr_s, knn_csr_pairs, runs)
 
+    width = len(dataset.right)
+    knn_keys = knn_join_keys(csr, right, 5, "cosine", width)
+    set_s, set_pairs, runs = timed_median(
+        lambda: candidate_set_build(knn_keys, width, dataset.groundtruth),
+        repeats,
+    )
+    record(
+        "candidate_set", set_s, set_pairs, runs,
+        bytes_per_pair=retained_bytes_per_pair(knn_keys, width),
+    )
+
     if full:
         sweep_csr_s, sweep_csr, runs = timed_median(
             lambda: csr_tuner_sweep(csr, right), repeats
@@ -355,9 +415,12 @@ def run_benchmarks(
 #: Optional per-row metric fields (floats) that ride along with the core
 #: schema when present: the estimator bench (``bench_estimator.py``)
 #: records its pruned fraction, the serving bench (``bench_serving.py``)
-#: its throughput and latency quantiles; ``qerror`` keeps the recorded
-#: q-error rows of the retired estimate mode intact on rewrite.
-OPTIONAL_METRICS = ("qerror", "pruned_frac", "ops_per_s", "p50_ms", "p99_ms")
+#: its throughput and latency quantiles, the ``candidate_set`` row its
+#: retained bytes per pair; ``qerror`` keeps the recorded q-error rows
+#: of the retired estimate mode intact on rewrite.
+OPTIONAL_METRICS = (
+    "qerror", "pruned_frac", "ops_per_s", "p50_ms", "p99_ms", "bytes_per_pair"
+)
 
 
 def _normalize_row(row: Dict[str, object]) -> Dict[str, object]:

@@ -95,15 +95,6 @@ class TransientError(Exception):
     """Base class for errors the policy considers retryable."""
 
 
-def classify_failure(exc: BaseException) -> str:
-    """Map an exception to its :class:`CellStatus` bucket."""
-    if isinstance(exc, CellDeadlineExceeded):
-        return CellStatus.TIMEOUT
-    if isinstance(exc, (MemoryError, MemoryBudgetExceeded)):
-        return CellStatus.OOM
-    return CellStatus.ERROR
-
-
 # ----------------------------------------------------------------------
 # Memory accounting.
 # ----------------------------------------------------------------------

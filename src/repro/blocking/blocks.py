@@ -23,7 +23,7 @@ from typing import (
 
 import numpy as np
 
-from ..core.candidates import CandidateSet
+from ..core.candidates import KEY_WIDTH, CandidateSet
 from ..core.incremental import IncrementalIndex
 from ..core.profile import EntityProfile
 
@@ -177,12 +177,7 @@ class BlockCollection:
 
     def distinct_pairs(self) -> CandidateSet:
         """All distinct cross-side pairs (Comparison Propagation semantics)."""
-        candidates = CandidateSet()
-        for block in self.blocks:
-            for left in block.left:
-                for right in block.right:
-                    candidates.add(left, right)
-        return candidates
+        return CandidateSet.from_keys(self.pair_keys(KEY_WIDTH))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -280,10 +275,6 @@ class IncrementalBlockIndex(IncrementalIndex):
                 continue
             matches.update(members)
         return matches
-
-    def block_of(self, key: str) -> Tuple[int, ...]:
-        """Live slots of one blocking key, sorted (empty when absent)."""
-        return tuple(sorted(self._members.get(key, ())))
 
     def index_stats(self) -> Dict[str, object]:
         stats = super().index_stats()

@@ -21,7 +21,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..core.candidates import CandidateSet
+from ..core.candidates import CandidateSet, pack_ids
 from .blocks import BlockCollection
 
 __all__ = [
@@ -289,12 +289,10 @@ class PairGraph:
         return ranking
 
     def candidate_set(self, mask: np.ndarray) -> CandidateSet:
-        """The pairs selected by a boolean ``mask`` as a CandidateSet."""
-        lefts = self.lefts[mask].tolist()
-        rights = self.rights[mask].tolist()
-        result = CandidateSet()
-        result.update(zip(lefts, rights))
-        return result
+        """The pairs selected by a boolean ``mask`` (rows are key-sorted)."""
+        return CandidateSet.from_keys(
+            pack_ids(self.lefts[mask], self.rights[mask])
+        )
 
 
 def prune_mask(graph: PairGraph, weights: np.ndarray, algorithm: str) -> np.ndarray:

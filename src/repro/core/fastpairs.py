@@ -1,19 +1,20 @@
 """Array-encoded candidate pairs for the hot evaluation path.
 
-The configuration optimizer evaluates thousands of candidate sets; building
-a Python ``set`` of tuples for each would dominate its run-time.  This
-module encodes a pair ``(left, right)`` as the single integer
-``left * width + right`` (``width`` > every right id) and evaluates PC/PQ
-directly on sorted key arrays.
+The configuration optimizer evaluates thousands of candidate sets, each
+as a sorted key array.  A pair ``(left, right)`` is the single integer
+``left * width + right`` (``width`` > every right id); PC/PQ are computed
+directly on the keys.  :class:`~repro.core.candidates.CandidateSet` keeps
+its pairs in this encoding at the fixed width ``2**32``, so handing a
+key array over to it is a re-pack, not a decode.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Tuple
-
 import numpy as np
 
-from .candidates import CandidateSet
+from .candidates import (
+    KEY_WIDTH, CandidateSet, count_shared, encode_pairs, pack_ids,
+)
 from .groundtruth import GroundTruth
 from .metrics import FilterEvaluation
 
@@ -26,21 +27,6 @@ __all__ = [
 ]
 
 
-def encode_pairs(
-    lefts: np.ndarray, rights: np.ndarray, width: int
-) -> np.ndarray:
-    """Encode parallel id arrays into single int64 keys.
-
-    Ids must be non-negative: a negative id would collide with the key of
-    another pair and silently corrupt every downstream PC/PQ figure.
-    """
-    lefts = np.asarray(lefts)
-    rights = np.asarray(rights)
-    if len(lefts) and (lefts.min() < 0 or rights.min() < 0):
-        raise ValueError("entity ids must be non-negative to encode as keys")
-    return lefts.astype(np.int64) * width + rights.astype(np.int64)
-
-
 def unique_keys(keys: np.ndarray) -> np.ndarray:
     """Sorted, de-duplicated keys (the canonical candidate-set encoding)."""
     return np.unique(keys)
@@ -48,10 +34,8 @@ def unique_keys(keys: np.ndarray) -> np.ndarray:
 
 def groundtruth_keys(groundtruth: GroundTruth, width: int) -> np.ndarray:
     """The groundtruth as a sorted key array."""
-    if not len(groundtruth):
-        return np.zeros(0, dtype=np.int64)
-    pairs = np.asarray(sorted(groundtruth), dtype=np.int64)
-    return np.unique(pairs[:, 0] * width + pairs[:, 1])
+    lefts, rights = np.divmod(groundtruth.keys, KEY_WIDTH)
+    return np.unique(encode_pairs(lefts, rights, width))
 
 
 def evaluate_keys(
@@ -61,11 +45,7 @@ def evaluate_keys(
     size2: int,
 ) -> FilterEvaluation:
     """PC/PQ/RR of a *sorted unique* candidate key array."""
-    found = 0
-    if len(candidate_keys) and len(gt_keys):
-        positions = np.searchsorted(candidate_keys, gt_keys)
-        positions = np.minimum(positions, len(candidate_keys) - 1)
-        found = int(np.sum(candidate_keys[positions] == gt_keys))
+    found = count_shared(candidate_keys, gt_keys)
     total = size1 * size2
     pc = found / len(gt_keys) if len(gt_keys) else 0.0
     pq = found / len(candidate_keys) if len(candidate_keys) else 0.0
@@ -80,11 +60,11 @@ def evaluate_keys(
 
 
 def keys_to_candidate_set(keys: np.ndarray, width: int) -> CandidateSet:
-    """Decode a key array back into a :class:`CandidateSet`.
+    """Re-pack a sorted, unique key array into a :class:`CandidateSet`.
 
-    One ``np.divmod`` decodes the whole array; the pair set is built by
-    zipping the decoded id lists, with no Python-level ``//``/``%`` per
-    key.
+    One ``np.divmod`` splits the keys and :func:`pack_ids` re-joins them
+    at the set's width 2**32.  Key order is ``(left, right)`` order at
+    every width, so the result stays sorted and unique without a sort.
     """
     lefts, rights = np.divmod(np.asarray(keys, dtype=np.int64), width)
-    return CandidateSet.from_arrays(lefts, rights)
+    return CandidateSet.from_keys(pack_ids(lefts, rights))

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Set, Tuple
+from typing import FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
-from .candidates import CandidateSet
+import numpy as np
+
+from .candidates import KEY_WIDTH, CandidateSet, count_shared
 from .profile import EntityCollection
 
 __all__ = ["GroundTruth"]
@@ -22,11 +24,7 @@ class GroundTruth:
 
     def __init__(self, pairs: Iterable[Pair] = ()) -> None:
         self._pairs: Set[Pair] = {(int(a), int(b)) for a, b in pairs}
-        self._by_left: Dict[int, List[int]] = {}
-        self._by_right: Dict[int, List[int]] = {}
-        for left, right in self._pairs:
-            self._by_left.setdefault(left, []).append(right)
-            self._by_right.setdefault(right, []).append(left)
+        self._keys: Optional[np.ndarray] = None
 
     @classmethod
     def from_uids(
@@ -53,18 +51,25 @@ class GroundTruth:
         return frozenset(self._pairs)
 
     def matches_of_left(self, left: int) -> List[int]:
-        """E2 ids matching E1 entity ``left`` (empty list when none)."""
-        return list(self._by_left.get(left, ()))
+        """E2 ids matching E1 entity ``left``, ascending (empty when none)."""
+        lefts, rights = np.divmod(self.keys, KEY_WIDTH)
+        return rights[lefts == left].tolist()
 
     def matches_of_right(self, right: int) -> List[int]:
-        """E1 ids matching E2 entity ``right``."""
-        return list(self._by_right.get(right, ()))
+        """E1 ids matching E2 entity ``right``, ascending."""
+        lefts, rights = np.divmod(self.keys, KEY_WIDTH)
+        return lefts[rights == right].tolist()
+
+    @property
+    def keys(self) -> np.ndarray:
+        """The pairs as sorted candidate keys (packed on first use)."""
+        if self._keys is None:
+            self._keys = CandidateSet(self._pairs).keys
+        return self._keys
 
     def duplicates_in(self, candidates: CandidateSet) -> int:
         """Number of true matches contained in ``candidates``."""
-        if len(candidates) < len(self._pairs):
-            return sum(1 for pair in candidates if pair in self._pairs)
-        return sum(1 for pair in self._pairs if pair in candidates)
+        return count_shared(candidates.keys, self.keys)
 
     def reversed(self) -> "GroundTruth":
         """Groundtruth with the roles of E1 and E2 swapped."""

@@ -102,10 +102,6 @@ class IncrementalIndex(abc.ABC):
     def __contains__(self, uid: object) -> bool:
         return uid in self._slot_of_uid
 
-    def slot_of(self, uid: str) -> int:
-        """Internal slot of a live uid (``KeyError`` when absent)."""
-        return self._slot_of_uid[uid]
-
     def profiles(self) -> Tuple[EntityProfile, ...]:
         """Live profiles in insertion order (slots are monotonic)."""
         return tuple(
@@ -286,10 +282,11 @@ class IncrementalFilterAdapter(Filter):
             for profile in left:
                 index.add(profile)
         with self.trace.stage(QUERY, input_size=len(right)) as query:
-            candidates = CandidateSet()
+            pairs: List[Tuple[int, int]] = []
             for right_id, profile in enumerate(right):
-                for uid in index.query(profile):
-                    candidates.add(left.index_of(uid), right_id)
+                uids = index.query(profile)
+                pairs.extend((left.index_of(uid), right_id) for uid in uids)
+            candidates = CandidateSet(pairs)
             query.output_size = len(candidates)
         self.last_index = index
         return candidates

@@ -86,14 +86,10 @@ def evaluate_candidates(
     size1: int,
     size2: int,
 ) -> FilterEvaluation:
-    """Compute PC, PQ and RR of a candidate set in one pass."""
-    found = groundtruth.duplicates_in(candidates)
-    pc = found / len(groundtruth) if len(groundtruth) else 0.0
-    pq = found / len(candidates) if len(candidates) else 0.0
-    rr = reduction_ratio(candidates, size1, size2)
-    return FilterEvaluation(
-        pc=pc, pq=pq, rr=rr, candidates=len(candidates), duplicates_found=found
-    )
+    """Compute PC, PQ and RR of a candidate set in one pass over its keys."""
+    from .fastpairs import evaluate_keys  # fastpairs imports this module
+
+    return evaluate_keys(candidates.keys, groundtruth.keys, size1, size2)
 
 
 def timed(func: Callable[[], T]) -> Tuple[T, float]:

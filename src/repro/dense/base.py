@@ -74,13 +74,10 @@ class DenseNNFilter(Filter):
         else:
             indexed, queries = left_vectors, right_vectors
         pairs = self._index_and_query(indexed, queries)
-        candidates = CandidateSet()
-        for indexed_id, query_id in pairs:
-            if self.reverse:
-                candidates.add(query_id, indexed_id)
-            else:
-                candidates.add(indexed_id, query_id)
-        return candidates
+        indexed_ids, query_ids = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+        if self.reverse:
+            return CandidateSet.from_ids(query_ids, indexed_ids)
+        return CandidateSet.from_ids(indexed_ids, query_ids)
 
     def _index_and_query(
         self, indexed: np.ndarray, queries: np.ndarray

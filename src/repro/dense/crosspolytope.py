@@ -18,7 +18,6 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..core.candidates import CandidateSet
 from ..core.stages import INDEX, QUERY
 from .base import DenseNNFilter
 from .embeddings import HashedNGramEmbedder

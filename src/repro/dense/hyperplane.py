@@ -16,7 +16,6 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
-from ..core.candidates import CandidateSet
 from ..core.incremental import IncrementalIndex
 from ..core.profile import EntityProfile
 from ..core.stages import INDEX, QUERY

@@ -156,14 +156,15 @@ class MinHashLSH(Filter):
         with self.trace.stage(
             QUERY, input_size=len(right_signatures)
         ) as query:
-            candidates = CandidateSet()
+            pairs: List[Tuple[int, int]] = []
             for entity, signature in enumerate(right_signatures):
                 if signature is None:
                     continue
                 for band in range(self.bands):
                     chunk = signature[band * self.rows : (band + 1) * self.rows]
-                    for match in buckets.get((band, chunk.tobytes()), ()):
-                        candidates.add(match, entity)
+                    matches = buckets.get((band, chunk.tobytes()), ())
+                    pairs.extend((match, entity) for match in matches)
+            candidates = CandidateSet(pairs)
             query.output_size = len(candidates)
         return candidates
 

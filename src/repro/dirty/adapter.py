@@ -12,7 +12,10 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
-from ..core.candidates import CandidateSet
+import numpy as np
+
+from ..core.candidates import KEY_WIDTH, CandidateSet
+from ..core.fastpairs import evaluate_keys
 from ..core.filters import Filter
 from ..core.groundtruth import GroundTruth
 from ..core.metrics import FilterEvaluation
@@ -36,15 +39,12 @@ def dirty_candidates(
     self-pairs are removed.
     """
     raw = filter_.candidates(collection, collection, attribute)
-    deduplicated = CandidateSet()
-    for left, right in raw:
-        if left == right:
-            continue
-        if left < right:
-            deduplicated.add(left, right)
-        else:
-            deduplicated.add(right, left)
-    return deduplicated
+    lefts, rights = np.divmod(raw.keys, KEY_WIDTH)
+    distinct = lefts != rights
+    lefts, rights = lefts[distinct], rights[distinct]
+    return CandidateSet.from_ids(
+        np.minimum(lefts, rights), np.maximum(lefts, rights)
+    )
 
 
 def clusters_to_groundtruth(clusters: Iterable[Sequence[int]]) -> GroundTruth:
@@ -68,17 +68,7 @@ def evaluate_dirty(
     collection_size: int,
 ) -> FilterEvaluation:
     """PC/PQ/RR for Dirty ER; the search space is n*(n-1)/2 pairs."""
-    found = groundtruth.duplicates_in(candidates)
     total_pairs = collection_size * (collection_size - 1) // 2
-    pc = found / len(groundtruth) if len(groundtruth) else 0.0
-    pq = found / len(candidates) if len(candidates) else 0.0
-    rr = (
-        max(0.0, min(1.0, 1.0 - len(candidates) / total_pairs))
-        if total_pairs
-        else 0.0
-    )
-    return FilterEvaluation(
-        pc=pc, pq=pq, rr=rr,
-        candidates=len(candidates),
-        duplicates_found=found,
+    return evaluate_keys(
+        candidates.keys, groundtruth.keys, size1=total_pairs, size2=1
     )

@@ -32,8 +32,7 @@ import numpy as np
 
 from ..blocking.building import StandardBlocking
 from ..blocking.metablocking import PairGraph
-from ..core.candidates import CandidateSet
-from ..core.fastpairs import encode_pairs, groundtruth_keys
+from ..core.candidates import KEY_WIDTH, CandidateSet, pack_ids
 from ..core.filters import Filter
 from ..core.groundtruth import GroundTruth
 from ..core.profile import EntityCollection
@@ -112,7 +111,6 @@ class SupervisedMetaBlocking(Filter):
         # Batch-run leftovers consumed by progressive emission.
         self._kept_keys: Optional[np.ndarray] = None
         self._kept_scores: Optional[np.ndarray] = None
-        self._width: int = 0
         self.name = f"learned[{self.describe()}]"
 
     # ------------------------------------------------------------------
@@ -127,7 +125,6 @@ class SupervisedMetaBlocking(Filter):
     ) -> CandidateSet:
         self._kept_keys = None
         self._kept_scores = None
-        self._width = len(right)
         entities = len(left) + len(right)
         with self.trace.stage(BUILD, input_size=entities) as build:
             blocks = self.builder.build(left, right, attribute)
@@ -136,13 +133,13 @@ class SupervisedMetaBlocking(Filter):
             graph = PairGraph(blocks)
             matrix = edge_features(graph)
             # Rows of the graph are sorted by (left, right), so these
-            # keys come out sorted-unique for any width > max right id.
-            keys = encode_pairs(graph.lefts, graph.rights, self._width)
+            # keys come out sorted-unique, and so do masked ones.
+            keys = pack_ids(graph.lefts, graph.rights)
             features.output_size = len(graph)
         model = self.model
         if model is None:
             with self.trace.stage(TRAIN, input_size=len(graph)) as train:
-                gt_keys = groundtruth_keys(self.oracle, self._width)
+                gt_keys = self.oracle.keys
                 indices, labels = sample_labeled_edges(
                     keys, gt_keys, self.sample_size, self.seed
                 )
@@ -160,7 +157,7 @@ class SupervisedMetaBlocking(Filter):
                 mask = top_left | top_right
             self._kept_keys = keys[mask]
             self._kept_scores = scores[mask]
-            candidates = graph.candidate_set(mask)
+            candidates = CandidateSet.from_keys(self._kept_keys)
             prune.output_size = len(candidates)
         return candidates
 
@@ -181,11 +178,8 @@ class SupervisedMetaBlocking(Filter):
             )
         order = np.lexsort((self._kept_keys, -self._kept_scores))
         for index in order:
-            key = int(self._kept_keys[index])
-            yield (
-                (key // self._width, key % self._width),
-                float(self._kept_scores[index]),
-            )
+            pair = divmod(int(self._kept_keys[index]), KEY_WIDTH)
+            yield pair, float(self._kept_scores[index])
 
     def describe(self) -> str:
         mode = (

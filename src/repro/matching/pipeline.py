@@ -29,9 +29,7 @@ class ERResult:
     matches: List[ScoredPair]
 
     def match_pairs(self) -> CandidateSet:
-        result = CandidateSet()
-        result.update((left, right) for left, right, __ in self.matches)
-        return result
+        return CandidateSet((left, right) for left, right, __ in self.matches)
 
     def recall(self, groundtruth: GroundTruth) -> float:
         if not len(groundtruth):

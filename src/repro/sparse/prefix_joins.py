@@ -142,7 +142,7 @@ class _PrefixJoinBase(SparseNNFilter):
                 for position, token in enumerate(tokens):
                     postings.setdefault(token, []).append((set_id, position))
         with self.trace.stage(QUERY, input_size=len(right_sorted)) as query:
-            candidates = CandidateSet()
+            pairs: List[Tuple[int, int]] = []
             self.last_candidates_examined = 0
             self.last_pairs_verified = 0
             for query_id, query_tokens in enumerate(right_sorted):
@@ -159,7 +159,8 @@ class _PrefixJoinBase(SparseNNFilter):
                         len(left_sets[indexed_id]), len(query_set), overlap
                     )
                     if similarity >= self.threshold:
-                        candidates.add(indexed_id, query_id)
+                        pairs.append((indexed_id, query_id))
+            candidates = CandidateSet(pairs)
             query.output_size = len(candidates)
         return candidates
 

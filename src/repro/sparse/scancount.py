@@ -144,12 +144,6 @@ class ScanCountIndex:
     # Queries.
     # ------------------------------------------------------------------
 
-    def _query_token_ids(self, query: FrozenSet[str]) -> List[int]:
-        vocabulary = self._vocabulary
-        return [
-            vocabulary[token] for token in query if token in vocabulary
-        ]
-
     def arrays(self) -> Dict[str, np.ndarray]:
         """The index as named immutable arrays (kernel/shared-memory form).
 

@@ -19,7 +19,6 @@ from typing import Optional
 import numpy as np
 
 from ..core.candidates import CandidateSet
-from ..core.fastpairs import encode_pairs, keys_to_candidate_set, unique_keys
 from ..core.profile import EntityCollection
 from ..core.stages import INDEX, PREPROCESS, QUERY
 from .base import SparseNNFilter, batch_similarities
@@ -62,23 +61,16 @@ class TopKJoin(SparseNNFilter):
                 index, right_sets, query_ptr, set_ids, counts,
                 self.measure_name,
             )
-            if len(similarities) == 0:
-                return CandidateSet()
-            if len(similarities) <= self.k:
-                cutoff = similarities.min()
-            else:
+            rows = np.ones(len(similarities), dtype=bool)
+            if len(similarities) > self.k:
                 position = len(similarities) - self.k
                 cutoff = np.partition(similarities, position)[position]
-            rows = similarities >= cutoff
+                rows = similarities >= cutoff
             query_ids = np.repeat(
                 np.arange(len(right_sets), dtype=np.int64),
                 np.diff(query_ptr),
             )
-            width = max(1, len(right))
-            keys = unique_keys(
-                encode_pairs(set_ids[rows], query_ids[rows], width)
-            )
-            candidates = keys_to_candidate_set(keys, width)
+            candidates = CandidateSet.from_ids(set_ids[rows], query_ids[rows])
             query.output_size = len(candidates)
         return candidates
 

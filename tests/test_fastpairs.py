@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.candidates import CandidateSet
+from repro.core.candidates import KEY_WIDTH, CandidateSet, pack_ids
 from repro.core.fastpairs import (
     encode_pairs,
     evaluate_keys,
@@ -85,3 +87,35 @@ class TestKeysToCandidateSet:
         )
         restored = keys_to_candidate_set(keys, width)
         assert restored == original
+
+    @pytest.mark.parametrize("width", [1, 7, KEY_WIDTH])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_roundtrips_every_key_array(self, width, data):
+        """Widths 1, a collection size and 2**32 (the set's own width)."""
+        ids = st.tuples(
+            st.integers(0, 2**31 - 1), st.integers(0, width - 1)
+        )
+        pairs = data.draw(st.lists(ids, max_size=40))
+        lefts = np.array([left for left, __ in pairs], dtype=np.int64)
+        rights = np.array([right for __, right in pairs], dtype=np.int64)
+        keys = unique_keys(encode_pairs(lefts, rights, width))
+        restored = keys_to_candidate_set(keys, width)
+        assert list(restored) == sorted(set(pairs))
+        assert restored == CandidateSet(pairs)
+
+    def test_repack_keeps_key_order(self):
+        lefts, rights = np.array([3, 0, 1]), np.array([1, 6, 0])
+        keys = unique_keys(encode_pairs(lefts, rights, 7))
+        restored = keys_to_candidate_set(keys, 7)
+        np.testing.assert_array_equal(restored.keys, np.sort(restored.keys))
+        np.testing.assert_array_equal(
+            restored.keys, pack_ids(keys // 7, keys % 7)
+        )
+
+    def test_candidate_keys_are_fastpairs_keys_at_width_two_to_the_32(self):
+        lefts = np.array([0, 5, 2**31 - 1])
+        rights = np.array([KEY_WIDTH - 1, 0, 3])
+        np.testing.assert_array_equal(
+            pack_ids(lefts, rights), encode_pairs(lefts, rights, KEY_WIDTH)
+        )

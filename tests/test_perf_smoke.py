@@ -3,10 +3,11 @@
 A tiny-budget run of ``benchmarks/bench_sparse_kernel.py`` (1000
 entities per side) checking its row schema, ceilings on the kNN / ε-Join
 kernel ratio and the CNP / WNP pruning ratio (the machine's speed
-cancels out of both), an incremental query latency budget, plus the
-aggregation contract of the trajectory file.  Run just this guard with
-``pytest -m perf_smoke``; the wall-clock checks are skipped on
-known-slow CI boxes (``CI=slow-box``) where they are noise.
+cancels out of both), an incremental query latency budget, a memory
+ceiling per candidate pair, plus the aggregation contract of the
+trajectory file.  Run just this guard with ``pytest -m perf_smoke``; the
+wall-clock checks are skipped on known-slow CI boxes (``CI=slow-box``)
+where they are noise.  The memory check counts bytes, so it always runs.
 """
 
 import importlib.util
@@ -223,4 +224,42 @@ def test_incremental_query_latency_budget():
         f"incremental query averaged {mean_latency * 1e3:.2f}ms "
         f"against a {len(index)}-entity catalog "
         f"(budget {QUERY_BUDGET_S * 1e3:.0f}ms)"
+    )
+
+
+#: Bytes a CandidateSet may retain per pair: its key is 8.
+RETAINED_BYTES_PER_PAIR = 16
+#: Bytes ``keys_to_candidate_set`` may hold at its peak per pair.  Its
+#: id arrays and re-packed keys measure 32; one Python 2-tuple alone is
+#: 56 or more, and the tuple set this guard replaced measured ~143.
+PEAK_BYTES_PER_PAIR = 48
+
+
+def test_candidate_set_memory_per_pair():
+    import tracemalloc
+
+    import numpy as np
+
+    from repro.core.fastpairs import keys_to_candidate_set
+
+    width = 4000
+    keys = np.arange(0, 100_000 * 160, 160, dtype=np.int64)  # ~100k pairs
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        candidates = keys_to_candidate_set(keys, width)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(candidates) == len(keys)
+    per_pair = (retained - before) / len(keys)
+    peak_per_pair = (peak - before) / len(keys)
+    assert per_pair <= RETAINED_BYTES_PER_PAIR, (
+        f"a CandidateSet retains {per_pair:.1f} B per pair"
+        f" (ceiling {RETAINED_BYTES_PER_PAIR} B)"
+    )
+    assert peak_per_pair <= PEAK_BYTES_PER_PAIR, (
+        f"keys_to_candidate_set peaks at {peak_per_pair:.1f} B per pair"
+        f" (ceiling {PEAK_BYTES_PER_PAIR} B): it builds Python objects"
     )

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.metrics import pair_completeness
+from repro.core.profile import EntityCollection, EntityProfile
 from repro.sparse.base import SparseNNFilter
 from repro.sparse.epsilon_join import EpsilonJoin
 from repro.sparse.knn_join import DefaultKNNJoin, KNNJoin, default_knn_join
@@ -225,3 +226,16 @@ class TestTopKJoin:
     def test_invalid_k(self):
         with pytest.raises(ValueError):
             TopKJoin(k=0)
+
+    def test_token_disjoint_input_reports_empty_query_output(self):
+        left = EntityCollection([EntityProfile("l0", {"t": "alpha beta"})])
+        right = EntityCollection([EntityProfile("r0", {"t": "gamma delta"})])
+        join = TopKJoin(k=1, model="T1G")
+        assert len(join.candidates(left, right)) == 0
+        assert join.trace.cardinalities()["query"] == (1, 0)
+
+    def test_empty_input_reports_empty_query_output(self):
+        join = TopKJoin(k=1, model="T1G")
+        empty = EntityCollection()
+        assert len(join.candidates(empty, empty)) == 0
+        assert join.trace.cardinalities()["query"] == (0, 0)
