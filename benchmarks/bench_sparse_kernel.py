@@ -10,9 +10,12 @@ synthetic Clean-Clean ER dataset, then times
   counts asserted bit-identical across worker settings,
 * complete ε-Join and kNN-Join passes (the threshold-pushdown /
   top-k-distinct cutoff kernels of :mod:`repro.sparse.kernels`),
-* the ε-Join tuner sweep (one vectorized similarity array masked per
-  threshold) — the pass ``tuning/sparse.py`` runs once per (cleaning,
-  model) grid point,
+* the flat-row ε-Join threshold sweep (one vectorized similarity array
+  over every materialized overlap row, masked per threshold),
+* one public fast-profile ``KNNJoinTuner.tune`` (``knn_tuner_sweep``,
+  capped at :data:`TUNER_SWEEP_SIZE` entities per side, memos warmed so
+  the row times the overlap passes and sweeps rather than the text work;
+  its ``peak_mb`` is the tune's ``tracemalloc`` peak),
 * a seeded mixed add/remove/query stream over the incremental ScanCount
   filter (``incremental_mixed_ops`` — the serving path),
 * the text substrate: cleaning plus tokenizing both sides over the
@@ -71,6 +74,7 @@ from repro.sparse.kernels import query_tokens
 from repro.sparse.scancount import IncrementalScanCountFilter, ScanCountIndex
 from repro.text.memo import clear_tokenize_cache, tokenize_collection
 from repro.text.tokenizers import RepresentationModel
+from repro.tuning.sparse import KNNJoinTuner
 from repro.tuning.spaces import representation_models
 
 MEASURES = ("cosine", "jaccard")
@@ -79,6 +83,11 @@ THRESHOLDS = [round(t, 2) for t in np.arange(0.05, 1.0, 0.05)]
 #: Entities per side above which the materializing sweep and the serving
 #: stream are skipped; the pushdown kernels carry on alone.
 MATERIALIZE_LIMIT = 20000
+#: Entities per side the ``knn_tuner_sweep`` row is capped at.  The sweep
+#: keeps one int32 count matrix per model (4 B per pair) alive across the
+#: RVS passes, and the flat-row tuner it replaced held ~48 B per
+#: overlapping pair, too much to record beside it at 5k.
+TUNER_SWEEP_SIZE = 2000
 
 
 def timed(function: Callable[[], object]) -> Tuple[float, object]:
@@ -178,11 +187,12 @@ def csr_tuner_sweep(
     index: ScanCountIndex, queries: Sequence[FrozenSet[str]]
 ) -> Dict[str, List[int]]:
     """Candidate counts per (measure, threshold): one similarity array
-    per measure, masked per grid point.
+    per measure over every overlap row, masked per grid point.
 
-    This is the one consumer that genuinely needs every overlap row
-    (thresholds are decided after the pass), so it rides the
-    materializing ``batch_overlaps`` kernel.
+    The flat-row form of the ε-Join sweep, on the materializing
+    ``batch_overlaps`` kernel.  The tuner itself counts on a dense
+    overlap matrix filled from the same triple (``tuning/sparse.py``);
+    this row keeps the per-row cost comparable across commits.
     """
     query_ptr, set_ids, overlap_counts = index.batch_overlaps(queries)
     results: Dict[str, List[int]] = {}
@@ -232,6 +242,22 @@ def retained_bytes_per_pair(keys: np.ndarray, width: int) -> float:
     finally:
         tracemalloc.stop()
     return retained / max(1, len(candidates))
+
+
+def knn_tuner_sweep(dataset: ERDataset) -> int:
+    """One public fast-profile kNN-Join tune; the winner's |C|."""
+    return KNNJoinTuner(profile="fast").tune(dataset).candidates
+
+
+def peak_traced_mb(function: Callable[[], object]) -> float:
+    """Peak MiB ``tracemalloc`` sees allocated while ``function`` runs."""
+    tracemalloc.start()
+    try:
+        function()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / 2**20
 
 
 def tokenize_grid(left_texts: Sequence[str], right_texts: Sequence[str]) -> int:
@@ -404,6 +430,24 @@ def run_benchmarks(
         )
         record("incremental_mixed_ops", incremental_s, incremental_matches, runs)
 
+    tuner_dataset = (
+        dataset
+        if size <= TUNER_SWEEP_SIZE
+        else make_dataset(TUNER_SWEEP_SIZE, seed)
+    )
+    tokenize_grid(
+        tuner_dataset.left.texts(None), tuner_dataset.right.texts(None)
+    )
+    sweep_s, sweep_candidates, runs = timed_median(
+        lambda: knn_tuner_sweep(tuner_dataset), repeats
+    )
+    record(
+        "knn_tuner_sweep", sweep_s, sweep_candidates, runs,
+        dataset=f"{tuner_dataset.spec.name}-fast-grid",
+        peak_mb=peak_traced_mb(lambda: knn_tuner_sweep(tuner_dataset)),
+    )
+    clear_tokenize_cache()
+
     return rows
 
 
@@ -416,10 +460,12 @@ def run_benchmarks(
 #: schema when present: the estimator bench (``bench_estimator.py``)
 #: records its pruned fraction, the serving bench (``bench_serving.py``)
 #: its throughput and latency quantiles, the ``candidate_set`` row its
-#: retained bytes per pair; ``qerror`` keeps the recorded q-error rows
-#: of the retired estimate mode intact on rewrite.
+#: retained bytes per pair, the ``knn_tuner_sweep`` row its traced peak
+#: MiB; ``qerror`` keeps the recorded q-error rows of the retired
+#: estimate mode intact on rewrite.
 OPTIONAL_METRICS = (
-    "qerror", "pruned_frac", "ops_per_s", "p50_ms", "p99_ms", "bytes_per_pair"
+    "qerror", "pruned_frac", "ops_per_s", "p50_ms", "p99_ms",
+    "bytes_per_pair", "peak_mb",
 )
 
 

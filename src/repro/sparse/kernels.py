@@ -23,8 +23,9 @@ never materialized unless a caller explicitly asks for it:
     the top ``4k`` values) is the cutoff, and every row at or above it
     survives — the paper's tie rule without ranking a single row.
 ``materialize``
-    The historical ``batch_overlaps`` CSR triple, for callers that do
-    need every row (the sweep-once tuners).
+    The historical ``batch_overlaps`` CSR triple, for callers that need
+    every overlap count: the sparse tuners fill their dense
+    ``(queries x sets)`` count matrix from it.
 
 All kernels operate on plain arrays — the index's CSR triple
 ``(token_ptr, postings, sizes)`` plus a query-token CSR

@@ -29,35 +29,21 @@ __all__ = [
 
 
 def distinct_similarity_ranks(
-    query_ids: np.ndarray,
-    set_ids: np.ndarray,
-    similarities: np.ndarray,
+    block: np.ndarray,
 ) -> "tuple[np.ndarray, np.ndarray]":
-    """Per-query distinct-similarity ranks of flat overlap rows.
+    """Row-wise distinct-similarity ranks of a dense similarity block.
 
-    Returns ``(order, ranks)``: ``order`` sorts the rows by (query,
-    similarity descending, set id ascending) and ``ranks[p]`` is the
-    number of *distinct* similarity values at or above row ``order[p]``
-    within its query — the paper's tie rule, under which a kNN join keeps
-    every row of rank <= k.  Both arrays are empty for empty input.
+    ``block`` is a ``(queries, sets)`` float array.  Returns ``(ordered,
+    ranks)`` of the same shape: ``ordered[q]`` is row ``q`` sorted
+    descending and ``ranks[q, j]`` is the number of *distinct* values of
+    row ``q`` at or above ``ordered[q, j]`` — the paper's tie rule, under
+    which a kNN join keeps every entry of rank <= k.  Zero-width and
+    zero-height blocks yield empty arrays of their shape.
     """
-    if len(similarities) == 0:
-        empty = np.zeros(0, dtype=np.int64)
-        return empty, empty
-    order = np.lexsort((set_ids, -similarities, query_ids))
-    ordered_queries = query_ids[order]
-    ordered_sims = similarities[order]
-    new_query = np.empty(len(order), dtype=bool)
-    new_query[0] = True
-    new_query[1:] = ordered_queries[1:] != ordered_queries[:-1]
-    new_value = new_query.copy()
-    new_value[1:] |= ordered_sims[1:] != ordered_sims[:-1]
-    # Global running count of distinct values, rebased per query.
-    value_index = np.cumsum(new_value)
-    query_starts = np.flatnonzero(new_query)
-    rows_per_query = np.diff(np.append(query_starts, len(order)))
-    base = np.repeat(value_index[query_starts] - 1, rows_per_query)
-    return order, value_index - base
+    ordered = np.sort(block, axis=1)[:, ::-1]
+    new_value = np.ones(ordered.shape, dtype=bool)
+    np.not_equal(ordered[:, 1:], ordered[:, :-1], out=new_value[:, 1:])
+    return ordered, np.cumsum(new_value, axis=1, dtype=np.int32)
 
 
 class KNNJoin(SparseNNFilter):

@@ -2,28 +2,30 @@
 
 Both joins share the preprocessing grid (cleaning x representation model);
 the tuners tokenize each combination once (memoized across tuners via
-:func:`tokenize_collection`), run one *batched* ScanCount pass over the
-queries, and derive the whole threshold/cardinality sweep from the
-resulting overlap arrays by pure NumPy masking — mirroring how
-``tuning/blocking.py`` shares ``PairGraph`` weights across pruning
-configurations:
+:func:`tokenize_collection`), run one batched ScanCount pass over the
+queries into a dense ``(queries x sets)`` overlap-count matrix, and
+derive the whole threshold/cardinality sweep from it by pure NumPy —
+mirroring how ``tuning/blocking.py`` shares ``PairGraph`` weights across
+pruning configurations:
 
 * ε-Join — the feasible threshold with maximal PQ is the largest t with
   PC >= τ, i.e. the ceil(τ |D|)-th highest duplicate similarity, snapped
   down to the paper's 0.01 grid; the candidate count at t is a single
-  ``(sims >= t).sum()`` over the shared similarity array, never
+  ``count_nonzero(sims >= t)`` over the similarity matrix, never
   materializing the pairs.
-* kNN-Join — each query's rows are first cut to those at or above its
-  ``k_max``-th distinct similarity
-  (:func:`~repro.sparse.kernels.kth_distinct_cutoff`); only those
-  survivors are converted to distinct-similarity ranks (the vectorized
-  machinery of :func:`~repro.sparse.knn_join.distinct_similarity_ranks`).
-  The sweep over k uses cumulative histograms, and stops at the first
+* kNN-Join — overlap is symmetric, so the reverse (RVS) direction reads
+  the transpose of the forward matrix: one overlap pass per (cleaning,
+  model).  The similarity matrix is row-sorted in blocks of
+  :data:`QUERY_BLOCK` queries, with the distinct rank of every entry
+  (:func:`~repro.sparse.knn_join.distinct_similarity_ranks`); each
+  duplicate's rank is read from its query's sorted row.  The sweep over
+  k uses cumulative histograms of those ranks, and stops at the first
   feasible k (the paper's early termination), which also maximizes PQ.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
@@ -33,7 +35,6 @@ from ..core.optimizer import DEFAULT_RECALL_TARGET, GridSearchOptimizer
 from ..core.stages import fire_stage_hooks
 from ..datasets.generator import ERDataset
 from ..sparse.epsilon_join import EpsilonJoin
-from ..sparse.kernels import kth_distinct_cutoff
 from ..sparse.knn_join import KNNJoin, distinct_similarity_ranks
 from ..sparse.scancount import ScanCountIndex
 from ..sparse.similarity import vector_similarity_function
@@ -45,13 +46,18 @@ from .result import TunedResult, better
 
 __all__ = ["EpsilonJoinTuner", "KNNJoinTuner", "tokenize_collection"]
 
+#: Queries per row-sorted block of the kNN sweep; bounds the sorted copy
+#: and the rank array to ``QUERY_BLOCK x sets`` entries.
+QUERY_BLOCK = 1024
+
 
 class _OverlapMatrix:
-    """The shared per-(cleaning, model, RVS) overlap state of a tuner.
+    """The shared per-(cleaning, model) overlap state of a tuner.
 
-    One :meth:`ScanCountIndex.batch_overlaps` pass over the query
-    collection, plus the derived flat arrays every measure sweep needs:
-    per-row sizes, query ids, sorted row keys and the groundtruth rows.
+    ``counts[q, s]`` (int32) is the number of tokens query ``q`` shares
+    with indexed set ``s``, 0 when they share none, filled from one
+    :meth:`ScanCountIndex.batch_overlaps` pass.  Alongside it: both
+    sides' set sizes and the groundtruth as (set, query) id arrays.
     """
 
     def __init__(
@@ -61,88 +67,50 @@ class _OverlapMatrix:
         gt_pairs: Sequence[Tuple[int, int]],
         workers: Optional[int] = None,
     ) -> None:
-        self.index = ScanCountIndex(indexed_sets)
-        num_sets = len(indexed_sets)
-        # The sweep needs every overlap row (thresholds/k are decided
-        # *after* this pass), so this is the one caller that genuinely
-        # wants the materializing consumer — sharded when workers > 1.
-        query_ptr, self.set_ids, self.counts = self.index.batch_overlaps(
+        index = ScanCountIndex(indexed_sets)
+        query_ptr, set_ids, overlaps = index.batch_overlaps(
             query_sets, workers=workers
         )
-        self.query_ptr = query_ptr
-        rows_per_query = np.diff(query_ptr)
-        self.query_ids = np.repeat(
-            np.arange(len(query_sets), dtype=np.int64), rows_per_query
+        self.counts = np.zeros(
+            (len(query_sets), len(indexed_sets)), dtype=np.int32
         )
-        query_sizes = np.fromiter(
-            (len(query) for query in query_sets),
-            count=len(query_sets),
-            dtype=np.int64,
+        query_ids = np.repeat(
+            np.arange(len(query_sets), dtype=np.int64), np.diff(query_ptr)
         )
-        self.sizes_a = self.index.sizes[self.set_ids]
-        self.sizes_b = query_sizes[self.query_ids]
-        # Row keys are ascending (query-major, set id minor), so duplicate
-        # pairs can be located with one binary search per pair.
-        self.row_keys = self.query_ids * max(1, num_sets) + self.set_ids
+        self.counts[query_ids, set_ids] = overlaps
+        self.set_sizes = index.sizes
+        self.query_sizes = np.fromiter(
+            map(len, query_sets), count=len(query_sets), dtype=np.int64
+        )
         pairs = np.asarray(list(gt_pairs), dtype=np.int64).reshape(-1, 2)
-        self.gt_indexed = pairs[:, 0]
-        self.gt_query = pairs[:, 1]
-        self.gt_keys = self.gt_query * max(1, num_sets) + self.gt_indexed
-        self.gt_sizes_a = self.index.sizes[self.gt_indexed]
-        self.gt_sizes_b = query_sizes[self.gt_query]
-        self.gt_overlaps = self._lookup_counts(self.gt_keys)
+        self.gt_sets = pairs[:, 0]
+        self.gt_queries = pairs[:, 1]
 
-    def _lookup_counts(self, keys: np.ndarray) -> np.ndarray:
-        """Overlap count per key, 0 for pairs sharing no token."""
-        if len(self.row_keys) == 0 or len(keys) == 0:
-            return np.zeros(len(keys), dtype=np.int64)
-        positions = np.searchsorted(self.row_keys, keys)
-        positions = np.minimum(positions, len(self.row_keys) - 1)
-        matched = self.row_keys[positions] == keys
-        return np.where(matched, self.counts[positions], 0)
-
-    def similarities(self, measure: str) -> np.ndarray:
-        """Similarity of every overlap row under ``measure``."""
-        return vector_similarity_function(measure)(
-            self.sizes_a, self.sizes_b, self.counts
+    def transposed(self) -> "_OverlapMatrix":
+        """The reverse direction: the queries indexed, the sets queried."""
+        flipped = copy.copy(self)
+        flipped.counts = np.ascontiguousarray(self.counts.T)
+        flipped.set_sizes, flipped.query_sizes = (
+            self.query_sizes, self.set_sizes
         )
+        flipped.gt_sets, flipped.gt_queries = self.gt_queries, self.gt_sets
+        return flipped
 
-    def top_distinct_rows(
-        self, similarities: np.ndarray, k: int
+    def similarities(
+        self, measure: str, lo: int = 0, hi: Optional[int] = None
     ) -> np.ndarray:
-        """Rows among their query's ``k`` highest distinct similarities.
-
-        Ascending row indices; exactly the rows of distinct-similarity
-        rank <= ``k``, found per query by :func:`kth_distinct_cutoff`
-        instead of ranking every row.
-        """
-        bounds = self.query_ptr.tolist()
-        cutoffs = np.zeros(len(bounds) - 1)
-        for query in range(len(bounds) - 1):
-            a, b = bounds[query], bounds[query + 1]
-            if a < b:
-                cutoffs[query] = kth_distinct_cutoff(similarities[a:b], k)
-        return np.flatnonzero(
-            similarities >= np.repeat(cutoffs, np.diff(self.query_ptr))
+        """Similarities of queries ``[lo, hi)`` with every set (0: disjoint)."""
+        return vector_similarity_function(measure)(
+            self.set_sizes, self.query_sizes[lo:hi, None], self.counts[lo:hi]
         )
 
     def duplicate_similarities(self, measure: str) -> np.ndarray:
         """Similarity of every groundtruth pair (0 when token-disjoint)."""
         return vector_similarity_function(measure)(
-            self.gt_sizes_a, self.gt_sizes_b, self.gt_overlaps
+            self.set_sizes[self.gt_sets],
+            self.query_sizes[self.gt_queries],
+            self.counts[self.gt_queries, self.gt_sets],
         )
-
-    def duplicate_row_mask(self, order: np.ndarray) -> np.ndarray:
-        """Boolean mask: is row ``order[p]`` a groundtruth pair?"""
-        if len(order) == 0:
-            return np.zeros(0, dtype=bool)
-        gt_sorted = np.sort(self.gt_keys)
-        if len(gt_sorted) == 0:
-            return np.zeros(len(order), dtype=bool)
-        keys = self.row_keys[order]
-        positions = np.searchsorted(gt_sorted, keys)
-        positions = np.minimum(positions, len(gt_sorted) - 1)
-        return gt_sorted[positions] == keys
 
 
 class EpsilonJoinTuner:
@@ -261,10 +229,13 @@ class EpsilonJoinTuner:
                         threshold = snap_down(float(dup_sims[needed - 1]))
                     else:
                         continue  # infeasible combo
-                    # The shared similarity array serves every threshold;
-                    # one mask yields both |C| and the duplicates found.
-                    sims = matrix.similarities(measure)
-                    total = int(np.count_nonzero(sims >= threshold))
+                    # The threshold is >= 0.01, so token-disjoint pairs
+                    # (similarity 0) never count toward |C|.
+                    total = int(
+                        np.count_nonzero(
+                            matrix.similarities(measure) >= threshold
+                        )
+                    )
                     found = int(np.count_nonzero(dup_sims >= threshold))
                     pc = found / len(duplicates) if duplicates else 0.0
                     pq = found / total if total else 0.0
@@ -376,16 +347,14 @@ class KNNJoinTuner:
         if self.prune:
             estimator = SparseJoinEstimator("kNNJ")
             estimator.prepare(dataset, attribute)
+        left_texts = dataset.left.texts(attribute)
+        right_texts = dataset.right.texts(attribute)
+        duplicates = list(dataset.groundtruth)
         for cleaning in (False, True):
+            # Forward matrices (left indexed, right queried) per model,
+            # kept until the reverse pass reads their transpose.
+            forward: Dict[str, _OverlapMatrix] = {}
             for reverse in (False, True):
-                if reverse:
-                    indexed_texts = dataset.right.texts(attribute)
-                    query_texts = dataset.left.texts(attribute)
-                    gt_pairs = [(j, i) for i, j in dataset.groundtruth]
-                else:
-                    indexed_texts = dataset.left.texts(attribute)
-                    query_texts = dataset.right.texts(attribute)
-                    gt_pairs = list(dataset.groundtruth)
                 for model in spaces.representation_models(self.profile):
                     enumerated += len(measures)
                     if estimator is not None and self._combo_prunable(
@@ -399,16 +368,17 @@ class KNNJoinTuner:
                     ):
                         pruned += len(measures)
                         continue
-                    indexed_sets = tokenize_collection(
-                        indexed_texts, model, cleaning
-                    )
-                    query_sets = tokenize_collection(
-                        query_texts, model, cleaning
-                    )
-                    matrix = _OverlapMatrix(
-                        indexed_sets, query_sets, gt_pairs,
-                        workers=self.workers,
-                    )
+                    if model not in forward:
+                        forward[model] = _OverlapMatrix(
+                            tokenize_collection(left_texts, model, cleaning),
+                            tokenize_collection(right_texts, model, cleaning),
+                            duplicates,
+                            workers=self.workers,
+                        )
+                    if reverse:
+                        matrix = forward.pop(model).transposed()
+                    else:
+                        matrix = forward[model]
                     for measure in measures:
                         result = self._sweep(
                             matrix,
@@ -480,26 +450,36 @@ class KNNJoinTuner:
     def _rank_histograms(
         matrix: _OverlapMatrix, measure: str, k_max: int
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Rows and duplicate rows per distinct-similarity rank 0..``k_max``.
+        """Pairs and duplicates per distinct-similarity rank 0..``k_max``.
 
-        Uses the join's tie semantics: a candidate's rank is the number of
-        *distinct similarity values* at or above its own.  Rows beyond
-        rank ``k_max`` can never be selected, so they are cut per query
-        before ranking; a survivor's rank depends only on the values at
-        or above it, all of which survive.
+        Uses the join's tie semantics: a pair's rank is the number of
+        *distinct similarity values* of its query at or above its own.
+        Only pairs with similarity > 0 count (0 means no shared token),
+        and ranks beyond ``k_max`` can never be selected.  The similarity
+        matrix is row-sorted in blocks of :data:`QUERY_BLOCK` queries; a
+        duplicate's rank is the rank of the first entry of its query's
+        sorted row that equals its similarity.
         """
-        similarities = matrix.similarities(measure)
-        survivors = matrix.top_distinct_rows(similarities, k_max)
-        order, ranks = distinct_similarity_ranks(
-            matrix.query_ids[survivors],
-            matrix.set_ids[survivors],
-            similarities[survivors],
-        )
-        is_duplicate = matrix.duplicate_row_mask(survivors[order])
-        return (
-            np.bincount(ranks, minlength=k_max + 1),
-            np.bincount(ranks[is_duplicate], minlength=k_max + 1),
-        )
+        count_hist = np.zeros(k_max + 1, dtype=np.int64)
+        dup_hist = np.zeros(k_max + 1, dtype=np.int64)
+        for lo in range(0, len(matrix.query_sizes), QUERY_BLOCK):
+            hi = lo + QUERY_BLOCK
+            sims = matrix.similarities(measure, lo, hi)
+            ordered, ranks = distinct_similarity_ranks(sims)
+            count_hist += np.bincount(
+                ranks[(ordered > 0.0) & (ranks <= k_max)], minlength=k_max + 1
+            )
+            mine = (matrix.gt_queries >= lo) & (matrix.gt_queries < hi)
+            rows = matrix.gt_queries[mine] - lo
+            values = sims[rows, matrix.gt_sets[mine]]
+            shared = values > 0.0
+            rows, values = rows[shared], values[shared]
+            above = np.count_nonzero(ordered[rows] > values[:, None], axis=1)
+            dup_ranks = ranks[rows, above]
+            dup_hist += np.bincount(
+                dup_ranks[dup_ranks <= k_max], minlength=k_max + 1
+            )
+        return count_hist, dup_hist
 
     def build_filter(self, params: Dict[str, object]) -> KNNJoin:
         return KNNJoin(

@@ -3,11 +3,12 @@
 A tiny-budget run of ``benchmarks/bench_sparse_kernel.py`` (1000
 entities per side) checking its row schema, ceilings on the kNN / ε-Join
 kernel ratio and the CNP / WNP pruning ratio (the machine's speed
-cancels out of both), an incremental query latency budget, a memory
-ceiling per candidate pair, plus the aggregation contract of the
-trajectory file.  Run just this guard with ``pytest -m perf_smoke``; the
-wall-clock checks are skipped on known-slow CI boxes (``CI=slow-box``)
-where they are noise.  The memory check counts bytes, so it always runs.
+cancels out of both), an incremental query latency budget, memory
+ceilings per candidate pair and per sparse-tuner overlap cell, plus the
+aggregation contract of the trajectory file.  Run just this guard with
+``pytest -m perf_smoke``; the wall-clock checks are skipped on
+known-slow CI boxes (``CI=slow-box``) where they are noise.  The memory
+checks count bytes, so they always run.
 """
 
 import importlib.util
@@ -262,4 +263,43 @@ def test_candidate_set_memory_per_pair():
     assert peak_per_pair <= PEAK_BYTES_PER_PAIR, (
         f"keys_to_candidate_set peaks at {peak_per_pair:.1f} B per pair"
         f" (ceiling {PEAK_BYTES_PER_PAIR} B): it builds Python objects"
+    )
+
+
+#: Bytes the sparse tuners' overlap state may retain per (query, set)
+#: cell: its int32 count.  The flat overlap rows it replaced held ~48 B
+#: per overlapping pair, over 14 B per cell once 30% of pairs overlap.
+RETAINED_BYTES_PER_CELL = 4
+#: Bytes it may retain per query and per set on top: one int64 size
+#: each, the groundtruth ids and array headers.
+RETAINED_BYTES_PER_ENTITY = 64
+
+
+def test_overlap_matrix_memory_per_cell():
+    import tracemalloc
+
+    import numpy as np
+
+    from repro.tuning.sparse import _OverlapMatrix
+
+    bench = _load_bench()
+    __, left, right = bench.make_token_sets(400, "T1G", seed=7)
+    gt_pairs = [(entity, entity) for entity in range(200)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        matrix = _OverlapMatrix(left, right, gt_pairs)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    cells = len(left) * len(right)
+    assert np.count_nonzero(matrix.counts) >= 0.3 * cells
+    budget = (
+        RETAINED_BYTES_PER_CELL * cells
+        + RETAINED_BYTES_PER_ENTITY * (len(left) + len(right))
+    )
+    assert retained <= budget, (
+        f"the overlap state retains {retained / cells:.1f} B per cell"
+        f" (ceiling {RETAINED_BYTES_PER_CELL} B plus"
+        f" {RETAINED_BYTES_PER_ENTITY} B per entity)"
     )

@@ -551,27 +551,46 @@ class TestKthDistinctCutoff:
         np.testing.assert_array_equal(values, before)
 
 
+def _check_dense_ranks(block, ordered, ranks):
+    """Rows sorted descending; every rank is ``len(unique(row[row >= v]))``."""
+    assert ordered.shape == ranks.shape == block.shape
+    for row, sorted_row, row_ranks in zip(block, ordered, ranks):
+        np.testing.assert_array_equal(sorted_row, np.sort(row)[::-1])
+        for value, rank in zip(sorted_row.tolist(), row_ranks.tolist()):
+            assert rank == len(np.unique(row[row >= value]))
+
+
 class TestDistinctSimilarityRanks:
     def test_against_python_reference(self):
         rng = np.random.default_rng(11)
-        rows = 300
-        query_ids = np.sort(rng.integers(0, 12, size=rows))
-        set_ids_raw = rng.integers(0, 40, size=rows)
-        # Deduplicate (query, set) rows as batch_overlaps guarantees.
-        keys = query_ids * 1000 + set_ids_raw
-        __, first = np.unique(keys, return_index=True)
-        query_ids = query_ids[first]
-        set_ids = set_ids_raw[first]
-        sims = rng.choice([0.1, 0.25, 0.5, 0.75, 1.0], size=len(first))
-        order, ranks = distinct_similarity_ranks(query_ids, set_ids, sims)
-        for row_position, rank in zip(order.tolist(), ranks.tolist()):
-            query = query_ids[row_position]
-            mine = sims[row_position]
-            within = sims[query_ids == query]
-            expected_rank = len(np.unique(within[within >= mine]))
-            assert rank == expected_rank
+        block = rng.choice([0.0, 0.1, 0.25, 0.5, 0.75, 1.0], size=(12, 40))
+        ordered, ranks = distinct_similarity_ranks(block)
+        _check_dense_ranks(block, ordered, ranks)
 
     def test_empty(self):
-        empty = np.zeros(0, dtype=np.int64)
-        order, ranks = distinct_similarity_ranks(empty, empty, empty)
-        assert len(order) == 0 and len(ranks) == 0
+        for shape in ((0, 0), (0, 5), (5, 0)):
+            ordered, ranks = distinct_similarity_ranks(np.zeros(shape))
+            assert ordered.shape == ranks.shape == shape
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.integers(1, 6),
+        columns=st.integers(1, 30),
+        pool=st.integers(1, 4),
+        data=st.data(),
+    )
+    def test_heavily_tied_blocks(self, rows, columns, pool, data):
+        # A pool of at most four values forces long runs of ties, rows of
+        # one repeated value and zeros (the token-disjoint pairs).
+        values = data.draw(
+            st.lists(
+                st.integers(0, pool).map(lambda v: v / 4),
+                min_size=rows * columns,
+                max_size=rows * columns,
+            )
+        )
+        block = np.asarray(values, dtype=np.float64).reshape(rows, columns)
+        before = block.copy()
+        ordered, ranks = distinct_similarity_ranks(block)
+        np.testing.assert_array_equal(block, before)
+        _check_dense_ranks(block, ordered, ranks)

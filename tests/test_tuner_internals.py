@@ -8,8 +8,12 @@ from hypothesis import strategies as st
 from repro.blocking.blocks import BlockCollection
 from repro.blocking.metablocking import MetaBlocking, NodeRanking, PairGraph
 from repro.blocking.workflow import ComparisonPropagation
+from repro.core.groundtruth import GroundTruth
+from repro.core.profile import EntityCollection, EntityProfile
+from repro.datasets.generator import DatasetSpec, ERDataset
 from repro.datasets.registry import load_dataset
 from repro.tuning import blocking as blocking_tuning
+from repro.tuning import sparse as sparse_tuning
 from repro.tuning import spaces
 from repro.tuning.blocking import BlockingWorkflowTuner
 from repro.tuning.learned import SupervisedMetaBlockingTuner
@@ -18,6 +22,7 @@ from repro.sparse import EpsilonJoin, KNNJoin
 from repro.sparse.kernels import query_tokens
 from repro.sparse.knn_join import distinct_similarity_ranks
 from repro.sparse.scancount import ScanCountIndex
+from repro.sparse.similarity import vector_similarity_function
 from repro.text import memo
 from repro.text.tokenizers import RepresentationModel
 from repro.tuning.estimator import snap_down
@@ -61,7 +66,8 @@ class TestSnapDown:
         assert snap_down(2 * 29 / (60 + 40)) == 0.58
 
 
-def _seeded_overlap_matrix(seed):
+def _seeded_cell(seed):
+    """Indexed sets, query sets and (indexed, query) duplicates."""
     rng = np.random.default_rng(seed)
     vocabulary = [f"t{i}" for i in range(60)]
 
@@ -72,29 +78,43 @@ def _seeded_overlap_matrix(seed):
         ]
 
     indexed = token_sets(150)
-    # Query q is a noisy copy of indexed set q (one token swapped), so
-    # the duplicates land at every rank from the top down.
+    # Query q is a noisy copy of indexed set sources[q] (one token
+    # swapped), so the duplicates land at every rank from the top down;
+    # the shuffled sources keep (set, query) ids from lining up.
+    sources = rng.permutation(len(indexed))[:40].tolist()
     queries = [
-        (tokens - {sorted(tokens)[0]}) | {str(rng.choice(vocabulary))}
-        for tokens in indexed[:40]
+        (indexed[source] - {sorted(indexed[source])[0]})
+        | {str(rng.choice(vocabulary))}
+        for source in sources
     ]
-    gt_pairs = [(query, query) for query in range(len(queries))]
-    return _OverlapMatrix(indexed, queries, gt_pairs)
+    gt_pairs = list(zip(sources, range(len(queries))))
+    return indexed, queries, gt_pairs
 
 
-def _ranked_histograms(matrix, measure, k_max):
-    """The reference sweep: rank every overlap row, then cut at k_max."""
-    similarities = matrix.similarities(measure)
-    order, ranks = distinct_similarity_ranks(
-        matrix.query_ids, matrix.set_ids, similarities
-    )
-    within = ranks <= k_max
-    is_duplicate = matrix.duplicate_row_mask(order[within])
-    kept = ranks[within]
-    return (
-        np.bincount(kept, minlength=k_max + 1),
-        np.bincount(kept[is_duplicate], minlength=k_max + 1),
-    )
+def _reference_histograms(indexed, queries, gt_pairs, measure, k_max):
+    """Brute force over ``batch_overlaps`` rows, one query at a time.
+
+    A row's rank is the number of distinct similarities of its query at
+    or above its own: ``len(np.unique(s[s >= v]))``.
+    """
+    index = ScanCountIndex(indexed)
+    query_ptr, set_ids, counts = index.batch_overlaps(queries)
+    similarity = vector_similarity_function(measure)
+    duplicates = set(gt_pairs)
+    count_hist = np.zeros(k_max + 1, dtype=np.int64)
+    dup_hist = np.zeros(k_max + 1, dtype=np.int64)
+    for query, tokens in enumerate(queries):
+        lo, hi = query_ptr[query], query_ptr[query + 1]
+        sets = set_ids[lo:hi]
+        sims = similarity(
+            index.sizes[sets], np.full(hi - lo, len(tokens)), counts[lo:hi]
+        )
+        for set_id, value in zip(sets.tolist(), sims):
+            rank = len(np.unique(sims[sims >= value]))
+            if rank <= k_max:
+                count_hist[rank] += 1
+                dup_hist[rank] += (set_id, query) in duplicates
+    return count_hist, dup_hist
 
 
 class TestKNNRankHistograms:
@@ -104,20 +124,172 @@ class TestKNNRankHistograms:
     def test_preselection_matches_ranking_every_row(
         self, measure, k_max, seed
     ):
-        matrix = _seeded_overlap_matrix(seed)
-        got = KNNJoinTuner._rank_histograms(matrix, measure, k_max)
-        expected = _ranked_histograms(matrix, measure, k_max)
-        np.testing.assert_array_equal(got[0], expected[0])
-        np.testing.assert_array_equal(got[1], expected[1])
-        assert got[1].sum() > 0  # the duplicates reach the histogram
+        indexed, queries, gt_pairs = _seeded_cell(seed)
+        forward = _OverlapMatrix(indexed, queries, gt_pairs)
+        reversed_pairs = [(query, set_id) for set_id, query in gt_pairs]
+        # The reverse (RVS) direction reads the forward transpose.
+        for matrix, expected in (
+            (forward, _reference_histograms(
+                indexed, queries, gt_pairs, measure, k_max
+            )),
+            (forward.transposed(), _reference_histograms(
+                queries, indexed, reversed_pairs, measure, k_max
+            )),
+        ):
+            got = KNNJoinTuner._rank_histograms(matrix, measure, k_max)
+            np.testing.assert_array_equal(got[0], expected[0])
+            np.testing.assert_array_equal(got[1], expected[1])
+            assert got[1].sum() > 0  # the duplicates reach the histogram
 
-    def test_preselection_prunes_rows(self):
-        matrix = _seeded_overlap_matrix(0)
-        similarities = matrix.similarities("cosine")
-        survivors = matrix.top_distinct_rows(similarities, 5)
-        assert 0 < len(survivors) < len(similarities) // 2
-        # Survivors stay in CSR order: query-major, set ids ascending.
-        assert np.all(np.diff(matrix.row_keys[survivors]) > 0)
+    def test_blocks_match_one_block(self, monkeypatch):
+        # The reverse direction has 150 queries: 22 blocks of 7.
+        matrix = _OverlapMatrix(*_seeded_cell(0)).transposed()
+        whole = KNNJoinTuner._rank_histograms(matrix, "cosine", 50)
+        monkeypatch.setattr(sparse_tuning, "QUERY_BLOCK", 7)
+        split = KNNJoinTuner._rank_histograms(matrix, "cosine", 50)
+        np.testing.assert_array_equal(whole[0], split[0])
+        np.testing.assert_array_equal(whole[1], split[1])
+
+
+class TestOverlapMatrix:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_transpose_equals_index_built_the_other_way(self, seed):
+        indexed, queries, gt_pairs = _seeded_cell(seed)
+        flipped = _OverlapMatrix(indexed, queries, gt_pairs).transposed()
+        built = _OverlapMatrix(
+            queries, indexed, [(query, set_id) for set_id, query in gt_pairs]
+        )
+        assert flipped.counts.flags.c_contiguous
+        for name in ("counts", "set_sizes", "query_sizes", "gt_sets",
+                     "gt_queries"):
+            np.testing.assert_array_equal(
+                getattr(flipped, name), getattr(built, name)
+            )
+
+    def test_counts_match_batch_overlaps_rows(self):
+        indexed, queries, gt_pairs = _seeded_cell(1)
+        matrix = _OverlapMatrix(indexed, queries, gt_pairs)
+        query_ptr, set_ids, counts = ScanCountIndex(indexed).batch_overlaps(
+            queries
+        )
+        query_ids = np.repeat(np.arange(len(queries)), np.diff(query_ptr))
+        np.testing.assert_array_equal(matrix.counts[query_ids, set_ids], counts)
+        assert np.count_nonzero(matrix.counts) == len(counts)
+
+    def test_knn_tune_runs_one_overlap_pass_per_cleaning_and_model(
+        self, monkeypatch
+    ):
+        calls = {"batch_overlaps": 0, "ranks": 0}
+        batch_overlaps = ScanCountIndex.batch_overlaps
+
+        def counted_overlaps(self, *args, **kwargs):
+            calls["batch_overlaps"] += 1
+            return batch_overlaps(self, *args, **kwargs)
+
+        def counted_ranks(block):
+            calls["ranks"] += 1
+            return distinct_similarity_ranks(block)
+
+        monkeypatch.setattr(
+            ScanCountIndex, "batch_overlaps", counted_overlaps
+        )
+        monkeypatch.setattr(
+            sparse_tuning, "distinct_similarity_ranks", counted_ranks
+        )
+        KNNJoinTuner(profile="fast", prune=False).tune(load_dataset("d2"))
+        # 2 cleanings x 5 models; the RVS direction reuses the transpose.
+        assert calls["batch_overlaps"] == 10
+        # One sorted block per (cleaning, RVS, model, measure).
+        assert calls["ranks"] == 40
+
+
+def _edge_dataset(left_texts, right_texts, gt_pairs):
+    spec = DatasetSpec(
+        name="edge", domain="product", size1=4, size2=4, duplicates=1, seed=1
+    )
+    return ERDataset(
+        spec=spec,
+        left=EntityCollection(
+            [EntityProfile(f"a{i}", {"title": t})
+             for i, t in enumerate(left_texts)],
+            name="left",
+        ),
+        right=EntityCollection(
+            [EntityProfile(f"b{i}", {"title": t})
+             for i, t in enumerate(right_texts)],
+            name="right",
+        ),
+        groundtruth=GroundTruth(gt_pairs),
+    )
+
+
+_LEFT = [
+    "sonacore ultra laptop X100",
+    "veltron compact mouse M20",
+    "quantix wireless router R7",
+    "sonacore ultra laptop X200",
+]
+_RIGHT = [
+    "sonacore ultra laptop X100 edition",
+    "veltron compact mouse M20",
+    "quantix wireles router R7",
+    "aerolite digital camera C5",
+]
+_EJ_FALLBACK = {
+    "cleaning": False, "model": "T1G", "measure": "cosine", "threshold": 1.0
+}
+_KNN_FALLBACK = {
+    "cleaning": False, "reverse": False, "model": "T1G", "measure": "cosine",
+    "k": 50,
+}
+
+#: (left, right, groundtruth, EJ result, kNNJ result); each result is
+#: (params, pc, pq, candidates, feasible) as the row-list tuners (the
+#: flat overlap rows this matrix replaced) returned them.
+_EDGE_CASES = {
+    "empty-left": (
+        [], _RIGHT, [],
+        (_EJ_FALLBACK, 0.0, 0.0, 0, False),
+        (_KNN_FALLBACK, 0.0, 0.0, 0, False),
+    ),
+    "empty-right": (
+        _LEFT, [], [],
+        (_EJ_FALLBACK, 0.0, 0.0, 0, False),
+        (_KNN_FALLBACK, 0.0, 0.0, 0, False),
+    ),
+    "empty-groundtruth": (
+        _LEFT, _RIGHT, [],
+        (_EJ_FALLBACK, 0.0, 0.0, 1, False),
+        (_KNN_FALLBACK, 0.0, 0.0, 4, False),
+    ),
+    # The blank pair is a duplicate sharing no token: never found.
+    "blank-entity-per-side": (
+        _LEFT + [""], _RIGHT + [""], [(0, 0), (1, 1), (2, 2), (4, 4)],
+        ({}, 0.0, 0.0, 0, False),
+        (_KNN_FALLBACK, 0.75, 0.75, 4, False),
+    ),
+    "blank-entity-per-side-unpaired": (
+        [""] + _LEFT, _RIGHT + [""], [(1, 0), (2, 1), (3, 2)],
+        (dict(_EJ_FALLBACK, threshold=0.75), 1.0, 1.0, 3, True),
+        (dict(_KNN_FALLBACK, k=1), 1.0, 1.0, 3, True),
+    ),
+}
+
+
+class TestSparseTunerEdgeCases:
+    @pytest.mark.parametrize("case", sorted(_EDGE_CASES))
+    @pytest.mark.parametrize("tuner", [EpsilonJoinTuner, KNNJoinTuner])
+    def test_result_is_pinned(self, tuner, case):
+        left, right, gt_pairs, ej, knn = _EDGE_CASES[case]
+        result = tuner(profile="fast", prune=False).tune(
+            _edge_dataset(left, right, gt_pairs)
+        )
+        expected = ej if tuner is EpsilonJoinTuner else knn
+        got = (
+            result.params, result.pc, result.pq, result.candidates,
+            result.feasible,
+        )
+        assert got == expected
 
 
 class TestFirstFeasibleK:
