@@ -13,8 +13,9 @@ synthetic Clean-Clean ER dataset, then times
 * the flat-row ε-Join threshold sweep (one vectorized similarity array
   over every materialized overlap row, masked per threshold),
 * one public fast-profile ``KNNJoinTuner.tune`` (``knn_tuner_sweep``,
-  capped at :data:`TUNER_SWEEP_SIZE` entities per side, memos warmed so
-  the row times the overlap passes and sweeps rather than the text work;
+  capped at :data:`TUNER_SWEEP_SIZE` entities per side, token memos
+  warmed and the overlap memo cleared so the row times the overlap
+  passes and sweeps rather than the text work or memo hits;
   its ``peak_mb`` is the tune's ``tracemalloc`` peak),
 * a seeded mixed add/remove/query stream over the incremental ScanCount
   filter (``incremental_mixed_ops`` — the serving path),
@@ -74,7 +75,7 @@ from repro.sparse.kernels import query_tokens
 from repro.sparse.scancount import IncrementalScanCountFilter, ScanCountIndex
 from repro.text.memo import clear_tokenize_cache, tokenize_collection
 from repro.text.tokenizers import RepresentationModel
-from repro.tuning.sparse import KNNJoinTuner
+from repro.tuning.sparse import KNNJoinTuner, clear_overlap_cache
 from repro.tuning.spaces import representation_models
 
 MEASURES = ("cosine", "jaccard")
@@ -245,7 +246,13 @@ def retained_bytes_per_pair(keys: np.ndarray, width: int) -> float:
 
 
 def knn_tuner_sweep(dataset: ERDataset) -> int:
-    """One public fast-profile kNN-Join tune; the winner's |C|."""
+    """One public fast-profile kNN-Join tune; the winner's |C|.
+
+    The overlap memo is cleared first (the token memos stay warm), so
+    every run pays its own overlap passes instead of reading the
+    previous run's matrices.
+    """
+    clear_overlap_cache()
     return KNNJoinTuner(profile="fast").tune(dataset).candidates
 
 
@@ -446,6 +453,7 @@ def run_benchmarks(
         dataset=f"{tuner_dataset.spec.name}-fast-grid",
         peak_mb=peak_traced_mb(lambda: knn_tuner_sweep(tuner_dataset)),
     )
+    clear_overlap_cache()
     clear_tokenize_cache()
 
     return rows

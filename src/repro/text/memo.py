@@ -20,6 +20,14 @@ auto-configurator all walk the same (cleaning x model) grid over the same
 collections, so each collection is cleaned once and tokenized once per
 combination.  Filters never read these memos: their own preprocessing
 is part of the run-time they report.
+
+One layer sits above the token sets: the sparse tuners' overlap-count
+matrices per (left texts, right texts, model, cleaning)
+(:func:`repro.tuning.sparse.overlap_counts`).  It calls
+:func:`tokenize_collection` only on a miss, so the ε-Join and kNN-Join
+tuners of one collection pair tokenize each combination once between
+them.  :func:`clear_tokenize_cache` leaves it alone; it has its own
+:func:`~repro.tuning.sparse.clear_overlap_cache`.
 """
 
 from __future__ import annotations

@@ -1,12 +1,16 @@
 """Configuration optimization of the sparse NN methods (Table IV).
 
-Both joins share the preprocessing grid (cleaning x representation model);
-the tuners tokenize each combination once (memoized across tuners via
-:func:`tokenize_collection`), run one batched ScanCount pass over the
-queries into a dense ``(queries x sets)`` overlap-count matrix, and
-derive the whole threshold/cardinality sweep from it by pure NumPy —
-mirroring how ``tuning/blocking.py`` shares ``PairGraph`` weights across
-pruning configurations:
+Both joins share the preprocessing grid (cleaning x representation model)
+and read each combination's overlaps from one module-level memo
+(:func:`overlap_counts`), keyed by (left texts, right texts, model,
+cleaning).  On a miss it tokenizes both sides (:func:`tokenize_collection`)
+and runs one batched ScanCount pass into a dense, read-only
+``(queries x sets)`` overlap-count matrix, so the ε-Join and kNN-Join
+tuners of one collection pair pay one pass per combination between them.
+Entries past :data:`OVERLAP_MEMO_BYTES` are evicted least recently used
+first.  Each tuner derives its whole threshold/cardinality sweep from the
+matrix by pure NumPy — mirroring how ``tuning/blocking.py`` shares
+``PairGraph`` weights across pruning configurations:
 
 * ε-Join — the feasible threshold with maximal PQ is the largest t with
   PC >= τ, i.e. the ceil(τ |D|)-th highest duplicate similarity, snapped
@@ -14,8 +18,11 @@ pruning configurations:
   ``count_nonzero(sims >= t)`` over the similarity matrix, never
   materializing the pairs.
 * kNN-Join — overlap is symmetric, so the reverse (RVS) direction reads
-  the transpose of the forward matrix: one overlap pass per (cleaning,
-  model).  The similarity matrix is row-sorted in blocks of
+  the transpose of the forward matrix: at most one overlap pass per
+  (cleaning, model), none when the ε-Join tuner has already filled the
+  memo.  The tuner holds its own references to a cleaning's forward
+  matrices until the reverse pass, so an eviction never costs it a
+  second pass.  The similarity matrix is row-sorted in blocks of
   :data:`QUERY_BLOCK` queries, with the distinct rank of every entry
   (:func:`~repro.sparse.knn_join.distinct_similarity_ranks`); each
   duplicate's rank is read from its query's sorted row.  The sweep over
@@ -27,7 +34,11 @@ from __future__ import annotations
 
 import copy
 import math
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+import threading
+from collections import OrderedDict
+from typing import (
+    Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
@@ -44,44 +55,129 @@ from . import spaces
 from .estimator import SparseJoinEstimator, prune_enabled, snap_down
 from .result import TunedResult, better
 
-__all__ = ["EpsilonJoinTuner", "KNNJoinTuner", "tokenize_collection"]
+__all__ = [
+    "EpsilonJoinTuner",
+    "KNNJoinTuner",
+    "OverlapCounts",
+    "clear_overlap_cache",
+    "overlap_counts",
+    "tokenize_collection",
+]
 
 #: Queries per row-sorted block of the kNN sweep; bounds the sorted copy
 #: and the rank array to ``QUERY_BLOCK x sets`` entries.
 QUERY_BLOCK = 1024
 
 
-class _OverlapMatrix:
-    """The shared per-(cleaning, model) overlap state of a tuner.
+class OverlapCounts(NamedTuple):
+    """The overlap state of one (indexed, queried) collection pair.
 
     ``counts[q, s]`` (int32) is the number of tokens query ``q`` shares
-    with indexed set ``s``, 0 when they share none, filled from one
-    :meth:`ScanCountIndex.batch_overlaps` pass.  Alongside it: both
-    sides' set sizes and the groundtruth as (set, query) id arrays.
+    with indexed set ``s``, 0 when they share none; ``set_sizes`` and
+    ``query_sizes`` are both sides' token-set sizes.  Every array is
+    read-only: the memo (:func:`overlap_counts`) hands the same arrays to
+    every tuner.
+    """
+
+    counts: np.ndarray
+    set_sizes: np.ndarray
+    query_sizes: np.ndarray
+
+    @property
+    def nbytes(self) -> int:
+        return sum(array.nbytes for array in self)
+
+
+def count_overlaps(
+    indexed_sets: Sequence[FrozenSet[str]],
+    query_sets: Sequence[FrozenSet[str]],
+    workers: Optional[int] = None,
+) -> OverlapCounts:
+    """One :meth:`ScanCountIndex.batch_overlaps` pass into dense counts."""
+    index = ScanCountIndex(indexed_sets)
+    query_ptr, set_ids, overlaps = index.batch_overlaps(
+        query_sets, workers=workers
+    )
+    counts = np.zeros((len(query_sets), len(indexed_sets)), dtype=np.int32)
+    query_ids = np.repeat(
+        np.arange(len(query_sets), dtype=np.int64), np.diff(query_ptr)
+    )
+    counts[query_ids, set_ids] = overlaps
+    query_sizes = np.fromiter(
+        map(len, query_sets), count=len(query_sets), dtype=np.int64
+    )
+    result = OverlapCounts(counts, index.sizes, query_sizes)
+    for array in result:
+        array.flags.writeable = False
+    return result
+
+
+#: Byte budget of the overlap memo; past it the least recently used
+#: entries are evicted.  It holds the whole fast-profile grid (10
+#: matrices) of d1-d9 and of the quarter-size d10 benchmark cell; a
+#: full-size d10 matrix (~17 MiB) leaves room for three.
+OVERLAP_MEMO_BYTES = 64 << 20
+
+#: (left texts, right texts, model, cleaning) -> counts, oldest first.
+_overlap_memo: "OrderedDict[tuple, OverlapCounts]" = OrderedDict()
+_overlap_lock = threading.Lock()
+
+
+def overlap_counts(
+    left_texts: Sequence[str],
+    right_texts: Sequence[str],
+    model: str,
+    cleaning: bool,
+    workers: Optional[int] = None,
+) -> OverlapCounts:
+    """The left-indexed, right-queried counts of one preprocessing combo.
+
+    Memoized per (left texts, right texts, model, cleaning), so the
+    ε-Join and kNN-Join tuners, which walk the same grid, share one
+    tokenization and one overlap pass per combination.  ``workers`` is
+    not part of the key: the counts are byte-identical for every worker
+    count.
+    """
+    key = (tuple(left_texts), tuple(right_texts), model, cleaning)
+    with _overlap_lock:
+        cached = _overlap_memo.get(key)
+        if cached is not None:
+            _overlap_memo.move_to_end(key)
+            return cached
+    cached = count_overlaps(
+        tokenize_collection(key[0], model, cleaning),
+        tokenize_collection(key[1], model, cleaning),
+        workers,
+    )
+    with _overlap_lock:
+        _overlap_memo[key] = cached
+        held = sum(entry.nbytes for entry in _overlap_memo.values())
+        while held > OVERLAP_MEMO_BYTES:
+            __, evicted = _overlap_memo.popitem(last=False)
+            held -= evicted.nbytes
+    return cached
+
+
+def clear_overlap_cache() -> None:
+    """Drop every memoized overlap matrix (tests / benchmarks / memory)."""
+    with _overlap_lock:
+        _overlap_memo.clear()
+
+
+class _OverlapMatrix:
+    """One tuner's view of an overlap-count matrix and its groundtruth.
+
+    ``counts``, ``set_sizes`` and ``query_sizes`` are the (read-only)
+    arrays of an :class:`OverlapCounts`; alongside them the groundtruth
+    as (set, query) id arrays.
     """
 
     def __init__(
         self,
-        indexed_sets: List[FrozenSet[str]],
-        query_sets: List[FrozenSet[str]],
+        overlaps: OverlapCounts,
         gt_pairs: Sequence[Tuple[int, int]],
-        workers: Optional[int] = None,
     ) -> None:
-        index = ScanCountIndex(indexed_sets)
-        query_ptr, set_ids, overlaps = index.batch_overlaps(
-            query_sets, workers=workers
-        )
-        self.counts = np.zeros(
-            (len(query_sets), len(indexed_sets)), dtype=np.int32
-        )
-        query_ids = np.repeat(
-            np.arange(len(query_sets), dtype=np.int64), np.diff(query_ptr)
-        )
-        self.counts[query_ids, set_ids] = overlaps
-        self.set_sizes = index.sizes
-        self.query_sizes = np.fromiter(
-            map(len, query_sets), count=len(query_sets), dtype=np.int64
-        )
+        self.counts, self.set_sizes, self.query_sizes = overlaps
         pairs = np.asarray(list(gt_pairs), dtype=np.int64).reshape(-1, 2)
         self.gt_sets = pairs[:, 0]
         self.gt_queries = pairs[:, 1]
@@ -209,10 +305,11 @@ class EpsilonJoinTuner:
                         continue  # skip the overlap pass entirely
                 else:
                     surviving = list(measures)
-                left_sets = tokenize_collection(left_texts, model, cleaning)
-                right_sets = tokenize_collection(right_texts, model, cleaning)
                 matrix = _OverlapMatrix(
-                    left_sets, right_sets, duplicates, workers=self.workers
+                    overlap_counts(
+                        left_texts, right_texts, model, cleaning, self.workers
+                    ),
+                    duplicates,
                 )
                 for measure in surviving:
                     tried += 1
@@ -370,10 +467,14 @@ class KNNJoinTuner:
                         continue
                     if model not in forward:
                         forward[model] = _OverlapMatrix(
-                            tokenize_collection(left_texts, model, cleaning),
-                            tokenize_collection(right_texts, model, cleaning),
+                            overlap_counts(
+                                left_texts,
+                                right_texts,
+                                model,
+                                cleaning,
+                                self.workers,
+                            ),
                             duplicates,
-                            workers=self.workers,
                         )
                     if reverse:
                         matrix = forward.pop(model).transposed()

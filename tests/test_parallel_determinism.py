@@ -28,6 +28,8 @@ from repro.sparse.epsilon_join import EpsilonJoin
 from repro.sparse.kernels import query_tokens
 from repro.sparse.knn_join import KNNJoin
 from repro.sparse.scancount import ScanCountIndex
+from repro.tuning import sparse as sparse_tuning
+from repro.tuning.sparse import KNNJoinTuner, clear_overlap_cache
 
 WORKER_COUNTS = (1, 2, 4)
 
@@ -116,6 +118,35 @@ class TestJoinDeterminism:
             else:
                 assert blob == reference[0], f"workers={workers} diverged"
                 assert single_counts.tobytes() == reference[1]
+
+    def test_knn_tune_on_memo_filled_at_one_worker(self, er_dataset):
+        # The overlap memo's key leaves out the worker count, so a
+        # workers=2 tune reading counts a workers=1 pass filled must
+        # select exactly what a cold workers=2 tune selects.
+        def tune(workers):
+            result = KNNJoinTuner(
+                profile="fast", workers=workers, prune=False
+            ).tune(er_dataset)
+            return (
+                result.params, result.pc, result.pq, result.candidates,
+                result.feasible, result.configurations_tried,
+            )
+
+        clear_overlap_cache()
+        try:
+            cold = tune(2)
+            clear_overlap_cache()
+            filled = tune(1)
+            entries = list(sparse_tuning._overlap_memo.values())
+            assert len(entries) == 10  # 2 cleanings x 5 models
+            warm = tune(2)
+            # Every matrix was read from the memo, none recomputed.
+            assert set(map(id, sparse_tuning._overlap_memo.values())) == set(
+                map(id, entries)
+            )
+        finally:
+            clear_overlap_cache()
+        assert warm == cold == filled
 
     def test_parallel_run_records_shard_traces(self, er_dataset):
         join = EpsilonJoin(threshold=0.4, model="T1G", workers=2)

@@ -280,18 +280,32 @@ def test_overlap_matrix_memory_per_cell():
 
     import numpy as np
 
-    from repro.tuning.sparse import _OverlapMatrix
+    from repro.text.memo import tokenize_collection
+    from repro.tuning.sparse import (
+        _OverlapMatrix,
+        clear_overlap_cache,
+        overlap_counts,
+    )
 
-    bench = _load_bench()
-    __, left, right = bench.make_token_sets(400, "T1G", seed=7)
+    dataset = _load_bench().make_dataset(400, seed=7)
+    left_texts = dataset.left.texts(None)
+    right_texts = dataset.right.texts(None)
+    # Token memos warm, overlap memo cold: what is measured is one
+    # cell's overlap state, memo entry included, and nothing else.
+    left = tokenize_collection(left_texts, "T1G", False)
+    right = tokenize_collection(right_texts, "T1G", False)
     gt_pairs = [(entity, entity) for entity in range(200)]
+    clear_overlap_cache()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        matrix = _OverlapMatrix(left, right, gt_pairs)
+        matrix = _OverlapMatrix(
+            overlap_counts(left_texts, right_texts, "T1G", False), gt_pairs
+        )
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
+        clear_overlap_cache()
     cells = len(left) * len(right)
     assert np.count_nonzero(matrix.counts) >= 0.3 * cells
     budget = (

@@ -30,6 +30,9 @@ from repro.tuning.sparse import (
     EpsilonJoinTuner,
     KNNJoinTuner,
     _OverlapMatrix,
+    clear_overlap_cache,
+    count_overlaps,
+    overlap_counts,
     tokenize_collection,
 )
 
@@ -91,6 +94,10 @@ def _seeded_cell(seed):
     return indexed, queries, gt_pairs
 
 
+def _matrix(indexed, queries, gt_pairs):
+    return _OverlapMatrix(count_overlaps(indexed, queries), gt_pairs)
+
+
 def _reference_histograms(indexed, queries, gt_pairs, measure, k_max):
     """Brute force over ``batch_overlaps`` rows, one query at a time.
 
@@ -125,7 +132,7 @@ class TestKNNRankHistograms:
         self, measure, k_max, seed
     ):
         indexed, queries, gt_pairs = _seeded_cell(seed)
-        forward = _OverlapMatrix(indexed, queries, gt_pairs)
+        forward = _matrix(indexed, queries, gt_pairs)
         reversed_pairs = [(query, set_id) for set_id, query in gt_pairs]
         # The reverse (RVS) direction reads the forward transpose.
         for matrix, expected in (
@@ -143,7 +150,7 @@ class TestKNNRankHistograms:
 
     def test_blocks_match_one_block(self, monkeypatch):
         # The reverse direction has 150 queries: 22 blocks of 7.
-        matrix = _OverlapMatrix(*_seeded_cell(0)).transposed()
+        matrix = _matrix(*_seeded_cell(0)).transposed()
         whole = KNNJoinTuner._rank_histograms(matrix, "cosine", 50)
         monkeypatch.setattr(sparse_tuning, "QUERY_BLOCK", 7)
         split = KNNJoinTuner._rank_histograms(matrix, "cosine", 50)
@@ -155,8 +162,8 @@ class TestOverlapMatrix:
     @pytest.mark.parametrize("seed", range(3))
     def test_transpose_equals_index_built_the_other_way(self, seed):
         indexed, queries, gt_pairs = _seeded_cell(seed)
-        flipped = _OverlapMatrix(indexed, queries, gt_pairs).transposed()
-        built = _OverlapMatrix(
+        flipped = _matrix(indexed, queries, gt_pairs).transposed()
+        built = _matrix(
             queries, indexed, [(query, set_id) for set_id, query in gt_pairs]
         )
         assert flipped.counts.flags.c_contiguous
@@ -168,7 +175,7 @@ class TestOverlapMatrix:
 
     def test_counts_match_batch_overlaps_rows(self):
         indexed, queries, gt_pairs = _seeded_cell(1)
-        matrix = _OverlapMatrix(indexed, queries, gt_pairs)
+        matrix = _matrix(indexed, queries, gt_pairs)
         query_ptr, set_ids, counts = ScanCountIndex(indexed).batch_overlaps(
             queries
         )
@@ -177,30 +184,121 @@ class TestOverlapMatrix:
         assert np.count_nonzero(matrix.counts) == len(counts)
 
     def test_knn_tune_runs_one_overlap_pass_per_cleaning_and_model(
-        self, monkeypatch
+        self, calls
     ):
-        calls = {"batch_overlaps": 0, "ranks": 0}
-        batch_overlaps = ScanCountIndex.batch_overlaps
-
-        def counted_overlaps(self, *args, **kwargs):
-            calls["batch_overlaps"] += 1
-            return batch_overlaps(self, *args, **kwargs)
-
-        def counted_ranks(block):
-            calls["ranks"] += 1
-            return distinct_similarity_ranks(block)
-
-        monkeypatch.setattr(
-            ScanCountIndex, "batch_overlaps", counted_overlaps
-        )
-        monkeypatch.setattr(
-            sparse_tuning, "distinct_similarity_ranks", counted_ranks
-        )
         KNNJoinTuner(profile="fast", prune=False).tune(load_dataset("d2"))
         # 2 cleanings x 5 models; the RVS direction reuses the transpose.
         assert calls["batch_overlaps"] == 10
         # One sorted block per (cleaning, RVS, model, measure).
         assert calls["ranks"] == 40
+
+
+@pytest.fixture()
+def calls(monkeypatch):
+    """Counts of overlap passes and sorted blocks, from a cold memo."""
+    counted = {"batch_overlaps": 0, "ranks": 0}
+    batch_overlaps = ScanCountIndex.batch_overlaps
+
+    def counted_overlaps(self, *args, **kwargs):
+        counted["batch_overlaps"] += 1
+        return batch_overlaps(self, *args, **kwargs)
+
+    def counted_ranks(block):
+        counted["ranks"] += 1
+        return distinct_similarity_ranks(block)
+
+    monkeypatch.setattr(ScanCountIndex, "batch_overlaps", counted_overlaps)
+    monkeypatch.setattr(
+        sparse_tuning, "distinct_similarity_ranks", counted_ranks
+    )
+    clear_overlap_cache()
+    yield counted
+    clear_overlap_cache()
+
+
+def _memo_bytes():
+    memo_entries = sparse_tuning._overlap_memo.values()
+    return sum(entry.nbytes for entry in memo_entries)
+
+
+def _tuned(dataset):
+    """(params, pc, pq, |C|, feasible) of both fast-profile sparse tuners."""
+    return [
+        (result.params, result.pc, result.pq, result.candidates,
+         result.feasible)
+        for result in (
+            tuner(profile="fast", prune=False).tune(dataset)
+            for tuner in (EpsilonJoinTuner, KNNJoinTuner)
+        )
+    ]
+
+
+class TestOverlapMemo:
+    """One overlap matrix per (collection pair, cleaning, model)."""
+
+    def test_both_tuners_share_one_pass_per_cleaning_and_model(self, calls):
+        dataset = load_dataset("d2")
+        EpsilonJoinTuner(profile="fast", prune=False).tune(dataset)
+        assert calls["batch_overlaps"] == 10
+        KNNJoinTuner(profile="fast", prune=False).tune(dataset)
+        # The kNN tuner reads every forward matrix from the memo.
+        assert calls["batch_overlaps"] == 10
+        assert calls["ranks"] == 40
+
+    def test_memo_arrays_are_read_only(self, calls):
+        overlaps = overlap_counts(["a b", "c d"], ["a c", "d"], "T1G", False)
+        assert overlaps.counts.tolist() == [[1, 1], [0, 1]]
+        for array in overlaps:
+            with pytest.raises(ValueError):
+                array[0] = 7
+        # The tuner's view shares the read-only arrays.
+        matrix = _OverlapMatrix(overlaps, [(0, 0)])
+        with pytest.raises(ValueError):
+            matrix.counts[0, 0] = 7
+
+    def test_equal_size_texts_get_different_entries(self, calls):
+        left = ["sonacore laptop", "veltron mouse"]
+        first = overlap_counts(
+            left, ["sonacore laptop", "mouse"], "T1G", False
+        )
+        second = overlap_counts(
+            left, ["quantix router", "camera"], "T1G", False
+        )
+        assert len(sparse_tuning._overlap_memo) == 2
+        assert calls["batch_overlaps"] == 2
+        assert first.counts.tolist() == [[2, 0], [0, 1]]
+        assert second.counts.tolist() == [[0, 0], [0, 0]]
+        # The same texts again, as a fresh list, hit their own entry.
+        assert overlap_counts(
+            list(left), ["quantix router", "camera"], "T1G", False
+        ) is second
+        assert calls["batch_overlaps"] == 2
+
+    @pytest.mark.parametrize("entries", [0, 2.5])
+    def test_budget_bounds_the_memo_and_keeps_results(
+        self, calls, monkeypatch, entries
+    ):
+        dataset = load_dataset("d2")
+        unbounded = _tuned(dataset)
+        entry = next(iter(sparse_tuning._overlap_memo.values())).nbytes
+        clear_overlap_cache()
+        budget = int(entries * entry)
+        monkeypatch.setattr(sparse_tuning, "OVERLAP_MEMO_BYTES", budget)
+        held = []
+        unwrapped = sparse_tuning.overlap_counts
+
+        def watched(*args, **kwargs):
+            result = unwrapped(*args, **kwargs)
+            held.append(_memo_bytes())
+            return result
+
+        monkeypatch.setattr(sparse_tuning, "overlap_counts", watched)
+        passes = calls["batch_overlaps"]
+        assert _tuned(dataset) == unbounded
+        assert held and max(held) <= budget
+        # The grid cycles through more entries than fit, so LRU keeps
+        # none of them for the kNN tuner: 10 passes per tuner.
+        assert calls["batch_overlaps"] - passes == 20
 
 
 def _edge_dataset(left_texts, right_texts, gt_pairs):
@@ -425,6 +523,7 @@ class TestCleanOnce:
     def test_fast_grid_cleans_each_collection_once(self):
         dataset = load_dataset("d2")
         memo.clear_tokenize_cache()
+        clear_overlap_cache()  # a warm overlap memo skips tokenization
         try:
             for tuner in (
                 EpsilonJoinTuner(profile="fast", prune=False),
