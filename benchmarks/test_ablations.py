@@ -23,8 +23,8 @@ from repro.core.metrics import evaluate_candidates
 from repro.datasets.registry import load_dataset
 from repro.sparse.knn_join import KNNJoin
 from repro.sparse.scancount import ScanCountIndex
+from repro.text.memo import tokenize_collection
 from repro.tuning.blocking import BlockingWorkflowTuner
-from repro.tuning.sparse import tokenize_collection
 
 
 @pytest.fixture(scope="module")

@@ -26,7 +26,7 @@ from ..dense.embeddings import HashedNGramEmbedder
 from ..dense.flat_index import FlatIndex
 from ..sparse.base import batch_similarities
 from ..sparse.scancount import ScanCountIndex
-from ..tuning.sparse import tokenize_collection
+from ..text.memo import tokenize_collection
 
 __all__ = [
     "figure03_dataset_stats",

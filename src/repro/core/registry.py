@@ -37,11 +37,9 @@ __all__ = [
     "FilterSpec",
     "all_specs",
     "baseline_codes",
-    "build_estimator",
     "build_filter",
     "build_serving",
     "check_consistency",
-    "estimator_codes",
     "excluded_cells",
     "family_codes",
     "fine_tuned_codes",
@@ -80,10 +78,6 @@ class FilterSpec:
         Builds the Problem-1 tuner; signature
         ``(target_recall, profile, cache, prune)``.  ``None`` for
         baselines.
-    estimator_factory:
-        Builds the method's
-        :class:`~repro.tuning.estimator.CardinalityEstimator`; takes no
-        arguments.  ``None`` for methods without a cardinality model.
     baseline_factory:
         Builds the default-parameter filter.  ``None`` for tuned methods.
     excluded_datasets:
@@ -112,7 +106,6 @@ class FilterSpec:
         Callable[[Mapping[str, object]], object]
     ] = None
     supports_workers: bool = False
-    estimator_factory: Optional[Callable[[], object]] = None
 
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
@@ -218,17 +211,6 @@ class FilterSpec:
 
             target_recall = DEFAULT_RECALL_TARGET
         return self.tuner_factory(target_recall, profile, cache, prune)
-
-    @property
-    def supports_estimation(self) -> bool:
-        """True when the method ships a cardinality estimator."""
-        return self.estimator_factory is not None
-
-    def build_estimator(self):
-        """The method's cardinality estimator."""
-        if self.estimator_factory is None:
-            raise ValueError(f"{self.code} has no cardinality estimator")
-        return self.estimator_factory()
 
 
 _REGISTRY: Dict[str, FilterSpec] = {}
@@ -343,16 +325,6 @@ def make_tuner(
     return get(code).make_tuner(target_recall, profile, cache, prune)
 
 
-def estimator_codes() -> Tuple[str, ...]:
-    """Codes of the methods with a cardinality estimator, in row order."""
-    return tuple(s.code for s in all_specs() if s.supports_estimation)
-
-
-def build_estimator(code: str):
-    """The cardinality estimator for ``code``."""
-    return get(code).build_estimator()
-
-
 def check_consistency() -> None:
     """Assert the registry and the benchmark method universe agree.
 
@@ -434,27 +406,6 @@ def check_consistency() -> None:
                     )
             finally:
                 service.close()
-        if spec.supports_estimation:
-            estimator = spec.build_estimator()
-            for attribute in (
-                "prepare", "estimate_candidates", "pc_upper_bound"
-            ):
-                if not hasattr(estimator, attribute):
-                    raise AssertionError(
-                        f"{spec.code}: estimator "
-                        f"{type(estimator).__name__} lacks {attribute}"
-                    )
-            if estimator.code != spec.code:
-                raise AssertionError(
-                    f"{spec.code}: estimator reports code "
-                    f"{estimator.code!r}"
-                )
-            description = estimator.describe()
-            if description.get("code") != spec.code:
-                raise AssertionError(
-                    f"{spec.code}: describe() does not round-trip "
-                    f"(got {description!r})"
-                )
         if spec.is_baseline:
             continue
         tuner = spec.make_tuner()
@@ -462,9 +413,4 @@ def check_consistency() -> None:
             raise AssertionError(
                 f"{spec.code}: tuner {type(tuner).__name__} lacks the "
                 "uniform tune/build_filter protocol"
-            )
-        if spec.supports_estimation and not hasattr(tuner, "prune"):
-            raise AssertionError(
-                f"{spec.code}: tuner {type(tuner).__name__} has an "
-                "estimator but no prune switch"
             )

@@ -7,17 +7,17 @@ feed the cost-based tuning layer.
 * attribute coverage and groundtruth coverage (Figure 3a);
 * vocabulary size and overall character length per schema setting, with
   and without cleaning (Figures 3b, 3c);
-* :class:`TokenStats` — doc-frequency convolutions, vocabulary mass
-  curves, block-size distributions and groundtruth overlap triples,
-  computed once per (dataset, attribute, representation, cleaning)
-  combination and cached on disk alongside the matrix cache.  The
-  cardinality estimators of :mod:`repro.tuning.estimator` derive every
-  candidate-count bound and pruning decision from these statistics
-  without running a single filter.
+* :class:`TokenStats` — groundtruth overlap triples, covered-query
+  counts, MCV entries and raw key-length totals, computed once per
+  (dataset, attribute, representation, cleaning) combination and cached
+  on disk alongside the matrix cache.  The estimators of
+  :mod:`repro.tuning.estimator` derive every pruning decision from these
+  statistics without running a single filter.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import tempfile
@@ -197,20 +197,6 @@ class TokenStats:
     attribute: str
     model: str
     cleaning: bool
-    num_left: int
-    num_right: int
-    num_duplicates: int
-    vocabulary_left: int
-    vocabulary_right: int
-    shared_vocabulary: int
-    total_keys_left: int
-    total_keys_right: int
-    #: Extremes over *non-empty* key sets (1 when a side is all-empty):
-    #: candidate pairs always involve two non-empty sets.
-    min_size_left: int
-    min_size_right: int
-    max_size_left: int
-    max_size_right: int
     #: Raw (pre-deduplication) key occurrences and their total character
     #: length — the token-length statistics behind the auto-configurator.
     key_occurrences: int
@@ -219,17 +205,6 @@ class TokenStats:
     #: vocabulary; every covered query returns >= 1 candidate at any k.
     left_covered: int
     right_covered: int
-    #: The doc-frequency convolution sum(df_left * df_right) over the
-    #: shared vocabulary = total overlap incidences = an upper bound on
-    #: the number of pairs sharing >= 1 key.
-    df_product_sum: int
-    df_product_max: int
-    #: Vocabulary mass curve: (top-k, cumulative share of
-    #: ``df_product_sum`` held by the k heaviest shared keys).
-    mass_curve: Tuple[Tuple[int, float], ...]
-    #: Block-size distribution: (log2-bucket upper bound, #shared keys
-    #: whose bilateral block holds <= that many entities).
-    block_size_histogram: Tuple[Tuple[int, int], ...]
     #: MCV entries, heaviest convolution first:
     #: (df_left, df_right, max_doc_size_left, max_doc_size_right).
     top_keys: Tuple[Tuple[int, int, int, int], ...]
@@ -250,18 +225,6 @@ class TokenStats:
         block, a posting list or an overlap row.
         """
         return sum(1 for overlap in self.gt_overlaps if overlap > 0)
-
-    @property
-    def pc_upper_bound(self) -> float:
-        """Achievable pair completeness over this key space."""
-        if not self.num_duplicates:
-            return 0.0
-        return self.gt_overlapping / self.num_duplicates
-
-    @property
-    def comparison_space(self) -> int:
-        """The Cartesian candidate space |L| x |R|."""
-        return self.num_left * self.num_right
 
     @property
     def mean_key_length(self) -> float:
@@ -296,12 +259,6 @@ class TokenStats:
                 return None
             known[field.name] = payload[field.name]
         try:
-            known["mass_curve"] = tuple(
-                (int(k), float(share)) for k, share in known["mass_curve"]
-            )
-            known["block_size_histogram"] = tuple(
-                (int(u), int(c)) for u, c in known["block_size_histogram"]
-            )
             known["top_keys"] = tuple(
                 tuple(int(v) for v in entry) for entry in known["top_keys"]
             )
@@ -386,30 +343,6 @@ def compute_token_stats(
 
     shared = df_left.keys() & df_right.keys()
     products = {key: df_left[key] * df_right[key] for key in shared}
-    df_product_sum = sum(products.values())
-    df_product_max = max(products.values(), default=0)
-
-    num_left, num_right = len(left_sets), len(right_sets)
-
-    ranked = sorted(products.values(), reverse=True)
-    mass_curve: List[Tuple[int, float]] = []
-    if df_product_sum:
-        running, position, next_mark = 0, 0, 1
-        for value in ranked:
-            running += value
-            position += 1
-            if position == next_mark:
-                mass_curve.append((position, running / df_product_sum))
-                next_mark *= 2
-        if not mass_curve or mass_curve[-1][0] != position:
-            mass_curve.append((position, 1.0))
-
-    histogram: Counter = Counter()
-    for key in shared:
-        size = df_left[key] + df_right[key]
-        histogram[1 << max(0, (size - 1).bit_length())] += 1
-    block_size_histogram = tuple(sorted(histogram.items()))
-
     heaviest = sorted(products, key=lambda key: (-products[key], key))[:TOP_KEYS]
     top_set = set(heaviest)
     max_doc_left = {key: 0 for key in top_set}
@@ -430,8 +363,6 @@ def compute_token_stats(
         for key in heaviest
     )
 
-    left_nonzero = [len(keys) for keys in left_sets if keys]
-    right_nonzero = [len(keys) for keys in right_sets if keys]
     left_covered = sum(
         1 for keys in left_sets if not keys.isdisjoint(df_right)
     )
@@ -454,26 +385,10 @@ def compute_token_stats(
         attribute=attribute,
         model=model,
         cleaning=bool(cleaning),
-        num_left=num_left,
-        num_right=num_right,
-        num_duplicates=len(gt_overlaps),
-        vocabulary_left=len(df_left),
-        vocabulary_right=len(df_right),
-        shared_vocabulary=len(shared),
-        total_keys_left=sum(len(keys) for keys in left_sets),
-        total_keys_right=sum(len(keys) for keys in right_sets),
-        min_size_left=min(left_nonzero, default=1),
-        min_size_right=min(right_nonzero, default=1),
-        max_size_left=max(left_nonzero, default=0),
-        max_size_right=max(right_nonzero, default=0),
         key_occurrences=key_occurrences,
         key_length_sum=key_length_sum,
         left_covered=left_covered,
         right_covered=right_covered,
-        df_product_sum=df_product_sum,
-        df_product_max=df_product_max,
-        mass_curve=tuple(mass_curve),
-        block_size_histogram=block_size_histogram,
         top_keys=top_keys,
         gt_sizes_left=tuple(gt_sizes_left),
         gt_sizes_right=tuple(gt_sizes_right),
@@ -489,11 +404,11 @@ class TokenStatsCache:
     ``REPRO_BENCH_CACHE``) so repeated benchmark runs skip the counting
     pass entirely; ad-hoc collections (the auto-configurator's inputs)
     are memoized in memory only, keyed by content.  Disk entries carry a
-    (num_left, num_right, num_duplicates) fingerprint and are recomputed
-    when the generated dataset drifts.
+    sha256 fingerprint of both text collections and the groundtruth
+    pairs, and are recomputed when the generated dataset drifts.
     """
 
-    SCHEMA = 2
+    SCHEMA = 3
 
     def __init__(self, path: Optional[Path] = None) -> None:
         default_dir = Path(os.environ.get("REPRO_BENCH_CACHE", ".bench_cache"))
@@ -580,15 +495,18 @@ class TokenStatsCache:
         disk_key = None
         if dataset:
             disk_key = f"{dataset}|{attribute}|{model}|{int(bool(cleaning))}"
+            fingerprint = hashlib.sha256(
+                json.dumps(
+                    [list(left_texts), list(right_texts), gt_list], default=int
+                ).encode("utf-8")
+            ).hexdigest()
             payload = self._load_disk().get(disk_key)
-            if payload is not None:
+            if (
+                isinstance(payload, dict)
+                and payload.get("fingerprint") == fingerprint
+            ):
                 stats = TokenStats.from_payload(payload)
-                if (
-                    stats is not None
-                    and stats.num_left == len(left_texts)
-                    and stats.num_right == len(right_texts)
-                    and stats.num_duplicates == len(gt_list)
-                ):
+                if stats is not None:
                     self._memory[memory_key] = stats
                     return stats
 
@@ -604,7 +522,10 @@ class TokenStatsCache:
         )
         self._memory[memory_key] = stats
         if disk_key is not None:
-            self._load_disk()[disk_key] = stats.to_payload()
+            self._load_disk()[disk_key] = {
+                **stats.to_payload(),
+                "fingerprint": fingerprint,
+            }
             self._dirty = True
             self.save()
         return stats

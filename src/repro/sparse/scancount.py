@@ -123,7 +123,11 @@ class ScanCountIndex:
 
     @property
     def vocabulary(self) -> Dict[str, int]:
-        """Token -> dense token id mapping (treat as read-only)."""
+        """Token -> token id mapping (treat as read-only).
+
+        Ids are sparse: each is the flat position of the token's first
+        occurrence, so they index ``token_ptr`` but skip values.
+        """
         return self._vocabulary
 
     @property

@@ -45,7 +45,7 @@ from .dense import EmbeddingCache, KNNSearchTuner, LSHTuner
 from .estimator import CardinalityEstimator, prune_enabled
 from .learned import SupervisedMetaBlockingTuner
 from .result import TunedResult, better
-from .sparse import EpsilonJoinTuner, KNNJoinTuner, tokenize_collection
+from .sparse import EpsilonJoinTuner, KNNJoinTuner
 
 __all__ = [
     "BASELINES",
@@ -65,7 +65,6 @@ __all__ = [
     "make_baseline",
     "make_builder",
     "prune_enabled",
-    "tokenize_collection",
     "tune_method",
 ]
 

@@ -35,7 +35,7 @@ from ..datasets.stats import shared_stats_cache
 from ..sparse.base import batch_similarities
 from ..sparse.knn_join import KNNJoin
 from ..sparse.scancount import ScanCountIndex
-from .sparse import tokenize_collection
+from ..text.memo import tokenize_collection
 
 __all__ = ["AutoKNNConfigurator"]
 

@@ -40,7 +40,7 @@ from ..core.optimizer import DEFAULT_RECALL_TARGET, GridSearchOptimizer
 from ..core.stages import fire_stage_hooks
 from ..datasets.generator import ERDataset
 from . import spaces
-from .estimator import BlockingEstimator, prune_enabled
+from .estimator import BlockingEstimator, coverage_prunable, prune_enabled
 from .result import TunedResult, better
 
 __all__ = ["BlockingWorkflowTuner", "WORKFLOW_NAMES", "make_builder"]
@@ -120,12 +120,10 @@ class BlockingWorkflowTuner:
             return False
         fire_stage_hooks("enter", "estimate")
         try:
-            stats = estimator.key_stats(builder_params)
-            gt_cov = stats.gt_overlapping
-            if best.feasible:
-                return needed > 0 and gt_cov < needed
-            pc_cap = gt_cov / total_duplicates if total_duplicates else 0.0
-            return pc_cap <= best.pc
+            stats = estimator.key_stats(self.builder_name, builder_params)
+            return coverage_prunable(
+                stats.gt_overlapping, needed, total_duplicates, best
+            )
         finally:
             fire_stage_hooks("exit", "estimate")
 
@@ -148,8 +146,7 @@ class BlockingWorkflowTuner:
         needed = math.ceil(self.target_recall * total_duplicates)
         estimator: Optional[BlockingEstimator] = None
         if self.prune:
-            estimator = BlockingEstimator(self.workflow)
-            estimator.prepare(dataset, attribute)
+            estimator = BlockingEstimator(dataset, attribute)
 
         for builder_params in spaces.builder_grid(self.builder_name, self.profile):
             enumerated += 1
@@ -329,7 +326,6 @@ def _register() -> None:
                 incremental_factory=lambda params, name=WORKFLOW_NAMES[code]: (
                     _build_incremental(name, params)
                 ),
-                estimator_factory=lambda code=code: BlockingEstimator(code),
             )
         )
 

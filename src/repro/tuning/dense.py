@@ -36,12 +36,7 @@ from ..dense.minhash import MinHashLSH
 from ..dense.partitioned import PartitionedIndex
 from ..text.cleaning import TextCleaner
 from . import spaces
-from .estimator import (
-    DenseKNNEstimator,
-    DenseLSHEstimator,
-    MinHashEstimator,
-    prune_enabled,
-)
+from .estimator import MinHashEstimator, coverage_prunable, prune_enabled
 from .result import TunedResult, better
 
 __all__ = [
@@ -115,7 +110,6 @@ class KNNSearchTuner:
         profile: str = "",
         cache: Optional[EmbeddingCache] = None,
         repetitions: int = 3,
-        prune: Optional[bool] = None,
     ) -> None:
         method = method.lower()
         if method not in ("faiss", "scann", "deepblocker"):
@@ -125,11 +119,6 @@ class KNNSearchTuner:
         self.profile = spaces.active_profile(profile)
         self.cache = cache or EmbeddingCache()
         self.repetitions = repetitions
-        # Cardinality methods have a closed-form |C| = Q * min(k, N) and
-        # already share one search pass across the whole k sweep, so the
-        # estimator cannot skip any work; the switch exists for interface
-        # uniformity and the pruning accounting.
-        self.prune = prune_enabled(prune)
 
     # ------------------------------------------------------------------
     # Rank computation per preprocessing combination.
@@ -333,8 +322,7 @@ class LSHTuner:
         Only coverage facts are used — LSH gives no candidate floor, so
         no PQ-domination rule applies.
         """
-        estimator = MinHashEstimator("MH-LSH")
-        estimator.prepare(dataset, attribute)
+        estimator = MinHashEstimator(dataset, attribute)
         total_duplicates = len(dataset.groundtruth)
         needed = math.ceil(self.target_recall * total_duplicates)
 
@@ -342,13 +330,9 @@ class LSHTuner:
             fire_stage_hooks("enter", "estimate")
             try:
                 stats = estimator.key_stats(config)
-                gt_ov = stats.gt_overlapping
-                if best.feasible:
-                    return needed > 0 and gt_ov < needed
-                pc_cap = (
-                    gt_ov / total_duplicates if total_duplicates else 0.0
+                return coverage_prunable(
+                    stats.gt_overlapping, needed, total_duplicates, best
                 )
-                return pc_cap <= best.pc
             finally:
                 fire_stage_hooks("exit", "estimate")
 
@@ -447,11 +431,6 @@ def _register() -> None:
                         prune=prune,
                     )
                 ),
-                estimator_factory=(
-                    (lambda: MinHashEstimator("MH-LSH"))
-                    if code == "MH-LSH"
-                    else lambda code=code: DenseLSHEstimator(code)
-                ),
                 # MinHash signatures over every shingle set exhaust memory
                 # on the largest dataset (the paper's "-" cell).
                 excluded_datasets=(
@@ -484,10 +463,8 @@ def _register() -> None:
                         target_recall=recall,
                         profile=profile,
                         cache=cache,
-                        prune=prune,
                     )
                 ),
-                estimator_factory=lambda code=code: DenseKNNEstimator(code),
                 # DeepBlocker trains an autoencoder per run; excluded from
                 # the largest dataset like the paper's "-" cell.
                 excluded_datasets=(

@@ -51,7 +51,6 @@ class SupervisedMetaBlockingTuner:
         self,
         target_recall: float = DEFAULT_RECALL_TARGET,
         profile: str = "",
-        prune: Optional[bool] = None,
     ) -> None:
         self.target_recall = target_recall
         self.profile = spaces.active_profile(profile)
@@ -185,7 +184,7 @@ def _register() -> None:
             ),
             tuner_factory=lambda recall, profile, cache, prune=None: (
                 SupervisedMetaBlockingTuner(
-                    target_recall=recall, profile=profile, prune=prune
+                    target_recall=recall, profile=profile
                 )
             ),
         )

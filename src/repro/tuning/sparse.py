@@ -52,7 +52,12 @@ from ..sparse.similarity import vector_similarity_function
 
 from ..text.memo import tokenize_collection
 from . import spaces
-from .estimator import SparseJoinEstimator, prune_enabled, snap_down
+from .estimator import (
+    SparseJoinEstimator,
+    coverage_prunable,
+    feasible_threshold,
+    prune_enabled,
+)
 from .result import TunedResult, better
 
 __all__ = [
@@ -61,7 +66,6 @@ __all__ = [
     "OverlapCounts",
     "clear_overlap_cache",
     "overlap_counts",
-    "tokenize_collection",
 ]
 
 #: Queries per row-sorted block of the kNN sweep; bounds the sorted copy
@@ -254,9 +258,10 @@ class EpsilonJoinTuner:
         fire_stage_hooks("enter", "estimate")
         try:
             for measure in measures:
-                threshold = estimator.feasible_threshold(
-                    model, cleaning, measure, needed
+                dup_sims = estimator.duplicate_similarities(
+                    model, cleaning, measure
                 )
+                threshold = feasible_threshold(dup_sims, needed)
                 if threshold is None:
                     pruned += 1
                     continue
@@ -265,9 +270,6 @@ class EpsilonJoinTuner:
                         model, cleaning, measure, threshold
                     )
                     if floor > 0:
-                        dup_sims = estimator.duplicate_similarities(
-                            model, cleaning, measure
-                        )
                         found = int(np.count_nonzero(dup_sims >= threshold))
                         if found / floor <= best.pq:
                             pruned += 1
@@ -291,8 +293,7 @@ class EpsilonJoinTuner:
         right_texts = dataset.right.texts(attribute)
         estimator: Optional[SparseJoinEstimator] = None
         if self.prune:
-            estimator = SparseJoinEstimator("EJ")
-            estimator.prepare(dataset, attribute)
+            estimator = SparseJoinEstimator(dataset, attribute)
         for cleaning in (False, True):
             for model in spaces.representation_models(self.profile):
                 enumerated += len(measures)
@@ -313,18 +314,9 @@ class EpsilonJoinTuner:
                 )
                 for measure in surviving:
                     tried += 1
-                    # Feasible threshold: the needed-th highest duplicate
-                    # similarity, snapped down to the 0.01 grid.
-                    dup_sims = np.sort(
-                        matrix.duplicate_similarities(measure)
-                    )[::-1]
-                    if needed == 0:
-                        threshold = snap_down(1.0)
-                    elif (
-                        len(dup_sims) >= needed and dup_sims[needed - 1] > 0.0
-                    ):
-                        threshold = snap_down(float(dup_sims[needed - 1]))
-                    else:
+                    dup_sims = matrix.duplicate_similarities(measure)
+                    threshold = feasible_threshold(dup_sims, needed)
+                    if threshold is None:
                         continue  # infeasible combo
                     # The threshold is >= 0.01, so token-disjoint pairs
                     # (similarity 0) never count toward |C|.
@@ -416,15 +408,14 @@ class KNNJoinTuner:
         try:
             stats = estimator.stats(model, cleaning)
             gt_ov = stats.gt_overlapping
+            if coverage_prunable(gt_ov, needed, total_duplicates, best):
+                return True
+            if not best.feasible:
+                return False
+            # PQ cap: found <= gt_ov over |C| >= covered queries (zero
+            # candidates at every k when no query is covered).
             covered = stats.covered_queries(reverse)
-            if best.feasible:
-                if needed > 0 and gt_ov < needed:
-                    return True  # provably infeasible, incumbent feasible
-                if covered == 0:
-                    return True  # zero candidates at every k
-                return gt_ov / covered <= best.pq
-            pc_cap = gt_ov / total_duplicates if total_duplicates else 0.0
-            return pc_cap <= best.pc
+            return covered == 0 or gt_ov / covered <= best.pq
         finally:
             fire_stage_hooks("exit", "estimate")
 
@@ -442,8 +433,7 @@ class KNNJoinTuner:
         needed = math.ceil(self.target_recall * total_duplicates)
         estimator: Optional[SparseJoinEstimator] = None
         if self.prune:
-            estimator = SparseJoinEstimator("kNNJ")
-            estimator.prepare(dataset, attribute)
+            estimator = SparseJoinEstimator(dataset, attribute)
         left_texts = dataset.left.texts(attribute)
         right_texts = dataset.right.texts(attribute)
         duplicates = list(dataset.groundtruth)
@@ -645,7 +635,6 @@ def _register() -> None:
                     _build_incremental(code, params)
                 ),
                 supports_workers=True,
-                estimator_factory=lambda code=code: SparseJoinEstimator(code),
             )
         )
 

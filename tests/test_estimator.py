@@ -1,23 +1,41 @@
-"""Property tests for the cardinality-estimation layer.
+"""Soundness tests for the facts the pruning tuners rely on.
 
-The contract under test is the one the pruning tuners rely on:
-``estimate_candidates`` never undercounts the true
-candidate set of any configuration, and ``pc_upper_bound`` never
-undercounts the achievable pair completeness.  Violating either could
-change a tuner's selected configuration under ``--prune``.
+Each fact is checked against the filter it bounds, on seeded synthetic
+datasets: the MCV candidate floor never exceeds the ε-Join's |C|, the
+covered-query count never exceeds the kNN-Join's |C| at k = 1, and the
+groundtruth key coverage never undercounts the duplicates a tuned
+blocking or MinHash winner finds.  Violating any of them could change a
+tuner's selected configuration under ``--prune``.
 """
 
 from __future__ import annotations
 
+import math
+
+import numpy as np
 import pytest
 
 from repro.core import registry
+from repro.core.optimizer import DEFAULT_RECALL_TARGET
 from repro.datasets.generator import DatasetSpec, generate
 from repro.datasets.noise import NoiseProfile
 from repro.tuning import tune_method
-from repro.tuning.estimator import prune_enabled, snap_down
+from repro.tuning.blocking import WORKFLOW_NAMES
+from repro.tuning.estimator import (
+    BlockingEstimator,
+    MinHashEstimator,
+    SparseJoinEstimator,
+    coverage_prunable,
+    feasible_threshold,
+    prune_enabled,
+    snap_down,
+)
+from repro.tuning.result import TunedResult
 
 SEEDS = (3, 11)
+
+#: Builder parameters of a blocking workflow's tuned ``params``.
+BUILDER_PARAMS = ("q", "t", "l_min", "b_max")
 
 
 @pytest.fixture(scope="module", params=SEEDS)
@@ -35,144 +53,147 @@ def seeded_dataset(request):
     return generate(spec)
 
 
-def actual_candidates(code, params, dataset):
+def candidates(code, params, dataset):
     filter_ = registry.build_filter(code, params)
-    return len(filter_.candidates(dataset.left, dataset.right, None))
+    return filter_.candidates(dataset.left, dataset.right, None)
 
 
-def bound_estimator(code, dataset):
-    estimator = registry.build_estimator(code)
-    estimator.prepare(dataset, None)
-    return estimator
+def duplicates_found(candidate_set, dataset):
+    return sum(1 for pair in dataset.groundtruth if pair in candidate_set)
 
 
-class TestSparseBounds:
-    def test_epsilon_join_bound_never_undercounts(self, seeded_dataset):
-        estimator = bound_estimator("EJ", seeded_dataset)
+class TestSparseJoinFacts:
+    def test_candidate_floor_never_exceeds_epsilon_join(self, seeded_dataset):
+        estimator = SparseJoinEstimator(seeded_dataset)
+        floors = []
         for model in ("T1G", "C3GM"):
             for cleaning in (False, True):
                 for measure in ("cosine", "jaccard"):
-                    for threshold in (0.3, 0.7):
+                    for threshold in (0.05, 0.3, 0.7):
+                        floor = estimator.candidate_floor(
+                            model, cleaning, measure, threshold
+                        )
                         params = {
                             "model": model,
                             "cleaning": cleaning,
                             "measure": measure,
                             "threshold": threshold,
                         }
-                        actual = actual_candidates(
-                            "EJ", params, seeded_dataset
-                        )
-                        assert estimator.estimate_candidates(params) >= actual
+                        actual = len(candidates("EJ", params, seeded_dataset))
+                        assert floor <= actual
+                        floors.append(floor)
+        assert max(floors) > 0  # the rule fires somewhere
 
-    def test_knn_join_bound_never_undercounts(self, seeded_dataset):
-        estimator = bound_estimator("kNNJ", seeded_dataset)
-        for k in (1, 3):
-            for reverse in (False, True):
-                params = {
-                    "model": "T1G",
-                    "cleaning": True,
-                    "measure": "cosine",
-                    "k": k,
-                    "reverse": reverse,
-                }
-                actual = actual_candidates("kNNJ", params, seeded_dataset)
-                assert estimator.estimate_candidates(params) >= actual
-
-    def test_ej_pc_bound_never_undercounts(self, seeded_dataset):
-        estimator = bound_estimator("EJ", seeded_dataset)
-        duplicates = len(seeded_dataset.groundtruth)
-        for threshold in (0.3, 0.7):
-            params = {
-                "model": "T1G",
-                "cleaning": False,
-                "measure": "cosine",
-                "threshold": threshold,
-            }
-            filter_ = registry.build_filter("EJ", params)
-            candidates = filter_.candidates(
-                seeded_dataset.left, seeded_dataset.right, None
-            )
-            found = sum(
-                1 for pair in seeded_dataset.groundtruth if pair in candidates
-            )
-            actual_pc = found / duplicates
-            assert estimator.pc_upper_bound(params) >= actual_pc - 1e-12
+    def test_covered_queries_never_exceed_knn_join(self, seeded_dataset):
+        estimator = SparseJoinEstimator(seeded_dataset)
+        for model in ("T1G", "C3GM"):
+            for cleaning in (False, True):
+                stats = estimator.stats(model, cleaning)
+                for reverse in (False, True):
+                    params = {
+                        "model": model,
+                        "cleaning": cleaning,
+                        "measure": "cosine",
+                        "k": 1,
+                        "reverse": reverse,
+                    }
+                    covered = stats.covered_queries(reverse)
+                    assert covered > 0
+                    actual = len(candidates("kNNJ", params, seeded_dataset))
+                    assert covered <= actual
 
 
-class TestBlockingBounds:
+class TestCoverageFacts:
     @pytest.mark.parametrize("code", ["SBW", "QBW"])
-    def test_workflow_bound_covers_winner(self, code, seeded_dataset):
-        winner = tune_method(
-            code, seeded_dataset, profile="fast", prune=False
-        )
+    def test_coverage_bounds_blocking_winner(self, code, seeded_dataset):
+        winner = tune_method(code, seeded_dataset, profile="fast", prune=False)
         if not winner.params:
             pytest.skip("all configurations infeasible on this seed")
-        estimator = bound_estimator(code, seeded_dataset)
-        actual = actual_candidates(code, winner.params, seeded_dataset)
-        assert estimator.estimate_candidates(winner.params) >= actual
-        assert estimator.pc_upper_bound(winner.params) >= winner.pc - 1e-12
-
-
-class TestMinHashBounds:
-    def test_bound_covers_repeated_runs(self, seeded_dataset):
-        estimator = bound_estimator("MH-LSH", seeded_dataset)
-        params = {
-            "bands": 64,
-            "rows": 4,
-            "shingle_k": 3,
-            "cleaning": False,
+        builder_params = {
+            name: winner.params[name]
+            for name in BUILDER_PARAMS
+            if name in winner.params
         }
-        bound = estimator.estimate_candidates(params)
-        filter_ = registry.build_filter("MH-LSH", params)
+        stats = BlockingEstimator(seeded_dataset).key_stats(
+            WORKFLOW_NAMES[code], builder_params
+        )
+        found = duplicates_found(
+            candidates(code, winner.params, seeded_dataset), seeded_dataset
+        )
+        assert found > 0
+        assert stats.gt_overlapping >= found
+
+    def test_coverage_bounds_minhash_winner(self, seeded_dataset):
+        winner = tune_method(
+            "MH-LSH", seeded_dataset, profile="fast", prune=False
+        )
+        stats = MinHashEstimator(seeded_dataset).key_stats(winner.params)
+        filter_ = registry.build_filter("MH-LSH", winner.params)
         for repetition in range(3):
             filter_.reseed(repetition)
-            actual = len(
+            found = duplicates_found(
                 filter_.candidates(
                     seeded_dataset.left, seeded_dataset.right, None
-                )
+                ),
+                seeded_dataset,
             )
-            assert bound >= actual
+            assert found > 0
+            assert stats.gt_overlapping >= found
 
 
-class TestDenseEstimators:
-    def test_knn_closed_form_is_exact(self, seeded_dataset):
-        queries = len(seeded_dataset.right)
-        indexed = len(seeded_dataset.left)
-        estimator = registry.build_estimator("FAISS")
-        estimator.prepare(seeded_dataset, None)
-        assert estimator.estimate_candidates({"k": 5}) == (
-            queries * min(5, indexed)
+class TestSharedRules:
+    @pytest.mark.parametrize(
+        "gt_overlapping, needed, expected",
+        [(4, 5, True), (5, 5, False), (9, 5, False), (0, 0, False)],
+    )
+    def test_coverage_cap_against_feasible_incumbent(
+        self, gt_overlapping, needed, expected
+    ):
+        best = TunedResult(method="EJ", pc=0.95, feasible=True)
+        assert coverage_prunable(gt_overlapping, needed, 10, best) is expected
+
+    @pytest.mark.parametrize(
+        "gt_overlapping, total, best_pc, expected",
+        [(3, 10, 0.3, True), (3, 10, 0.5, True), (4, 10, 0.3, False),
+         (0, 0, 0.0, True)],
+    )
+    def test_coverage_cap_against_infeasible_incumbent(
+        self, gt_overlapping, total, best_pc, expected
+    ):
+        best = TunedResult(method="EJ", pc=best_pc, feasible=False)
+        needed = math.ceil(0.9 * total)
+        assert (
+            coverage_prunable(gt_overlapping, needed, total, best) is expected
         )
 
-    def test_lsh_bound_is_comparison_space(self, seeded_dataset):
-        estimator = registry.build_estimator("HP-LSH")
-        estimator.prepare(seeded_dataset, None)
-        space = len(seeded_dataset.left) * len(seeded_dataset.right)
-        assert estimator.estimate_candidates(
-            {"tables": 4, "hashes": 8, "probes": 4}
-        ) == space
+    @pytest.mark.parametrize(
+        "similarities, needed, expected",
+        [
+            ([0.2, 0.955, 0.5], 0, 1.0),
+            ([0.2, 0.955, 0.5], 2, 0.5),
+            ([0.2, 0.955, 0.5], 4, None),
+            ([0.0, 0.7, 0.0], 2, None),
+        ],
+    )
+    def test_feasible_threshold(self, similarities, needed, expected):
+        threshold = feasible_threshold(np.asarray(similarities), needed)
+        if expected is None:
+            assert threshold is None
+        else:
+            assert threshold == pytest.approx(expected)
 
-
-class TestRegistrySurface:
-    def test_every_spec_with_estimator_roundtrips(self):
-        codes = registry.estimator_codes()
-        assert "EJ" in codes and "SBW" in codes and "MH-LSH" in codes
-        for code in codes:
-            estimator = registry.build_estimator(code)
-            assert estimator.describe() == {
-                "code": code,
-                "estimator": type(estimator).__name__,
-            }
-
-    def test_check_consistency_covers_estimators(self):
-        registry.check_consistency()
-
-    def test_unprepared_estimator_raises(self):
-        estimator = registry.build_estimator("EJ")
-        with pytest.raises(RuntimeError):
-            estimator.estimate_candidates(
-                {"model": "T1G", "cleaning": False, "threshold": 0.5}
-            )
+    def test_feasible_threshold_is_epsilon_join_choice(self, seeded_dataset):
+        winner = tune_method("EJ", seeded_dataset, profile="fast", prune=False)
+        assert winner.feasible
+        params = winner.params
+        needed = math.ceil(
+            DEFAULT_RECALL_TARGET * len(seeded_dataset.groundtruth)
+        )
+        estimator = SparseJoinEstimator(seeded_dataset)
+        similarities = estimator.duplicate_similarities(
+            params["model"], params["cleaning"], params["measure"]
+        )
+        assert feasible_threshold(similarities, needed) == params["threshold"]
 
 
 class TestKnobs:

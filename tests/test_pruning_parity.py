@@ -2,10 +2,12 @@
 
 Every method whose tuner consults the cardinality estimators is run
 twice per cell — with and without ``prune`` — and the selected
-configuration plus its metrics must be byte-identical.  Across the two
-reference cells (a clean dataset and one with a misplaced key
-attribute) the pruned share of the enumerated grid must clear 30%,
-the acceptance floor of the cost-based-tuning layer.
+configuration plus its metrics must be byte-identical.  Each cell's
+pruned and enumerated grid counts are pinned, so a change to a pruning
+rule that prunes differently fails even when it keeps the winner.
+Across the two reference cells (a clean dataset and one with a
+misplaced key attribute) the pruned share of the enumerated grid must
+clear 30%, the acceptance floor of the cost-based-tuning layer.
 """
 
 from __future__ import annotations
@@ -16,8 +18,9 @@ from repro.datasets.registry import load_dataset
 from repro.datasets.stats import reset_shared_stats_cache
 from repro.tuning import tune_method
 
-#: The methods with estimator-driven pruning rules (the dense kNN /
-#: embedding-LSH tuners expose the knob but have no sound rule).
+#: The methods with estimator-driven pruning rules (the embedding-LSH
+#: tuners accept the knob but have no sound rule; the dense kNN and SMB
+#: tuners do not take it).
 PRUNING_METHODS = (
     "EJ", "kNNJ", "SBW", "QBW", "EQBW", "SABW", "ESABW", "MH-LSH",
 )
@@ -26,6 +29,27 @@ PRUNING_METHODS = (
 #: feasible and pruning is mild; d5's schema-based setting points at a
 #: low-coverage attribute, so infeasibility pruning dominates.
 CELLS = (("d1", False), ("d5", True))
+
+#: (configurations_enumerated, configurations_pruned) of the pruned
+#: pass, per (method, dataset).
+PINNED_COUNTS = {
+    ("EJ", "d1"): (20, 0),
+    ("EJ", "d5"): (20, 20),
+    ("kNNJ", "d1"): (40, 10),
+    ("kNNJ", "d5"): (40, 36),
+    ("SBW", "d1"): (1, 0),
+    ("SBW", "d5"): (1, 0),
+    ("QBW", "d1"): (2, 0),
+    ("QBW", "d5"): (2, 1),
+    ("EQBW", "d1"): (2, 0),
+    ("EQBW", "d5"): (2, 1),
+    ("SABW", "d1"): (6, 0),
+    ("SABW", "d5"): (6, 3),
+    ("ESABW", "d1"): (6, 0),
+    ("ESABW", "d5"): (6, 3),
+    ("MH-LSH", "d1"): (12, 0),
+    ("MH-LSH", "d5"): (12, 11),
+}
 
 #: Aggregated (enumerated, pruned) counters across the parametrized
 #: cells, consumed by the module's final aggregate assertion.
@@ -75,9 +99,10 @@ def test_pruning_preserves_selection(method, dataset_name, use_key, datasets):
     assert pruned.configurations_enumerated == (
         plain.configurations_enumerated
     )
-    assert 0 <= pruned.configurations_pruned <= (
-        pruned.configurations_enumerated
-    )
+    assert (
+        pruned.configurations_enumerated,
+        pruned.configurations_pruned,
+    ) == PINNED_COUNTS[(method, dataset_name)]
 
     _TOTALS["enumerated"] += pruned.configurations_enumerated
     _TOTALS["pruned"] += pruned.configurations_pruned

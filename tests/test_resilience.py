@@ -830,6 +830,14 @@ class TestEndToEnd:
 
     @pytest.mark.skipif(not HAVE_SIGALRM, reason="needs POSIX signals")
     def test_real_tuning_pass_times_out(self, tmp_path):
+        from repro.text.memo import clear_tokenize_cache
+        from repro.tuning.sparse import clear_overlap_cache
+
+        # Earlier tests warm the process-wide token and overlap memos;
+        # warm, a d1 kNN-Join tune can finish inside the deadline, so
+        # start cold for the pass to be a real one.
+        clear_tokenize_cache()
+        clear_overlap_cache()
         matrix = make_matrix(
             tmp_path,
             policy=ExecutionPolicy(timeout=0.05),

@@ -83,21 +83,16 @@ class TestAttributeSelection:
 class TestComputeTokenStats:
     def test_empty_collections(self):
         stats = compute_token_stats([], [], [], model="T1G")
-        assert stats.num_left == 0 and stats.num_right == 0
-        assert stats.comparison_space == 0
-        assert stats.df_product_sum == 0
+        assert stats.left_covered == 0 and stats.right_covered == 0
         assert stats.mean_key_length == 0.0
-        assert stats.pc_upper_bound == 0.0
         assert stats.gt_overlapping == 0
-        assert stats.mass_curve == ()
+        assert stats.top_keys == ()
 
     def test_all_empty_texts(self):
         stats = compute_token_stats(["", ""], [""], [(0, 0)], model="T1G")
-        assert stats.shared_vocabulary == 0
+        assert stats.top_keys == ()
         assert stats.key_occurrences == 0
-        # Non-empty-set extremes default to the (1, 0) sentinels.
-        assert stats.min_size_left == 1
-        assert stats.max_size_left == 0
+        assert stats.covered_queries(reverse=False) == 0
         assert stats.gt_overlapping == 0
 
     def test_groundtruth_triples_match_token_sets(self):
@@ -110,7 +105,6 @@ class TestComputeTokenStats:
         assert stats.gt_sizes_right == (3, 2)
         assert stats.gt_overlaps == (2, 0)
         assert stats.gt_overlapping == 1
-        assert stats.pc_upper_bound == 0.5
 
     @pytest.mark.parametrize("model", ["T1G", "C3GM"])
     def test_cleaned_key_length_comes_from_cleaned_texts(self, model):
@@ -193,20 +187,35 @@ class TestTokenStatsCache:
         cache = TokenStatsCache(path)
         full = cache.for_dataset(self._dataset(), "title", model="T1G")
         # Same name/attribute/model but a drifted groundtruth: the
-        # (num_left, num_right, num_duplicates) fingerprint must force a
-        # recomputation instead of serving the stale entry.
+        # content fingerprint must force a recomputation instead of
+        # serving the stale entry.
         drifted = TokenStatsCache(path).for_dataset(
             self._dataset(duplicates=1), "title", model="T1G"
         )
-        assert full.num_duplicates == 2
-        assert drifted.num_duplicates == 1
+        assert len(full.gt_overlaps) == 2
+        assert len(drifted.gt_overlaps) == 1
+
+    def test_same_sizes_different_texts_recompute(self, tmp_path):
+        # Same name and same collection/groundtruth sizes, different
+        # texts: a size-only fingerprint would serve the stale overlaps.
+        path = tmp_path / "token_stats.json"
+        TokenStatsCache(path).for_texts(
+            ["apple pie", "banana"], ["apple", "cherry"], [(0, 0)],
+            model="T1G", dataset="x",
+        )
+        fresh = TokenStatsCache(path).for_texts(
+            ["kiwi", "banana"], ["apple", "cherry"], [(0, 0)],
+            model="T1G", dataset="x",
+        )
+        assert fresh.gt_overlaps == (0,)
+        assert fresh.left_covered == 0
 
     def test_corrupt_file_is_ignored(self, tmp_path):
         path = tmp_path / "token_stats.json"
         path.write_text("{ not json")
         cache = TokenStatsCache(path)
         stats = cache.for_dataset(self._dataset(), "title", model="T1G")
-        assert stats.num_left == 2
+        assert stats.gt_overlaps == (3, 3)
         cache.save()
         assert json.loads(path.read_text())["schema"] == (
             TokenStatsCache.SCHEMA
