@@ -15,11 +15,30 @@ import numpy as np
 from ..core.candidates import CandidateSet
 from ..core.filters import Filter
 from ..core.profile import EntityCollection
-from ..core.stages import NN_STAGES, PREPROCESS
+from ..core.stages import NN_STAGES, PREPROCESS, QUERY
 from ..text.cleaning import TextCleaner
 from .embeddings import HashedNGramEmbedder
 
-__all__ = ["DenseNNFilter"]
+__all__ = ["DenseNNFilter", "bucket_join"]
+
+
+def bucket_join(
+    index_keys: np.ndarray, query_keys: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Every ``(i, q)`` with ``index_keys[i] == query_keys[q]``.
+
+    The equi-join as two int64 position arrays, grouped by query: the
+    index keys are sorted once, ``searchsorted`` finds each query key's
+    run of equal keys, and ``np.repeat`` expands the runs.
+    """
+    order = np.argsort(index_keys, kind="stable")
+    sorted_keys = index_keys[order]
+    starts = np.searchsorted(sorted_keys, query_keys, side="left")
+    counts = np.searchsorted(sorted_keys, query_keys, side="right") - starts
+    query_pos = np.repeat(np.arange(len(query_keys)), counts)
+    # Each run's output slots map onto its sorted positions by one shift.
+    shift = starts - (np.cumsum(counts) - counts)
+    return order[np.arange(len(query_pos)) + shift[query_pos]], query_pos
 
 
 class DenseNNFilter(Filter):
@@ -73,16 +92,21 @@ class DenseNNFilter(Filter):
             indexed, queries = right_vectors, left_vectors
         else:
             indexed, queries = left_vectors, right_vectors
-        pairs = self._index_and_query(indexed, queries)
-        indexed_ids, query_ids = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+        indexed_ids, query_ids = self._index_and_query(indexed, queries)
         if self.reverse:
-            return CandidateSet.from_ids(query_ids, indexed_ids)
-        return CandidateSet.from_ids(indexed_ids, query_ids)
+            candidates = CandidateSet.from_ids(query_ids, indexed_ids)
+        else:
+            candidates = CandidateSet.from_ids(indexed_ids, query_ids)
+        self.trace.record(QUERY).output_size = len(candidates)
+        return candidates
 
     def _index_and_query(
         self, indexed: np.ndarray, queries: np.ndarray
-    ) -> Tuple[Tuple[int, int], ...]:
-        """Yield (indexed id, query id) pairs; must time its own phases."""
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Matched ``(indexed ids, query ids)`` as parallel int64 arrays.
+
+        Any order, repeats allowed; times its own INDEX and QUERY stages.
+        """
         raise NotImplementedError
 
     def describe(self) -> str:

@@ -14,12 +14,12 @@ runner-up vertices.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from ..core.stages import INDEX, QUERY
-from .base import DenseNNFilter
+from .base import DenseNNFilter, bucket_join
 from .embeddings import HashedNGramEmbedder
 
 __all__ = ["CrossPolytopeLSH", "fwht"]
@@ -160,35 +160,25 @@ class CrossPolytopeLSH(DenseNNFilter):
 
     def _index_and_query(
         self, indexed: np.ndarray, queries: np.ndarray
-    ) -> Tuple[Tuple[int, int], ...]:
+    ) -> Tuple[np.ndarray, np.ndarray]:
         padded_dim = _next_power_of_two(indexed.shape[1])
-        pairs = set()
         with self.trace.stage(INDEX, input_size=indexed.shape[0]):
             rotations = self._rotations(padded_dim)
-            tables: List[Dict[int, List[int]]] = []
-            for table in range(self.tables):
-                keys, __ = self._bucket_keys(indexed, rotations, table)
-                buckets: Dict[int, List[int]] = {}
-                for entity, key in enumerate(keys):
-                    buckets.setdefault(int(key), []).append(entity)
-                tables.append(buckets)
-        with self.trace.stage(QUERY, input_size=queries.shape[0]) as query:
-            probe_runner_up = self.probes > self.tables
-            for table in range(self.tables):
-                keys, alternatives = self._bucket_keys(
+            index_keys = [
+                self._bucket_keys(indexed, rotations, table)[0]
+                for table in range(self.tables)
+            ]
+        joins = []
+        with self.trace.stage(QUERY, input_size=queries.shape[0]):
+            for table, keys in enumerate(index_keys):
+                probe_keys, alternatives = self._bucket_keys(
                     queries, rotations, table
                 )
-                buckets = tables[table]
-                for query_id in range(queries.shape[0]):
-                    for entity in buckets.get(int(keys[query_id]), ()):
-                        pairs.add((entity, query_id))
-                    if probe_runner_up:
-                        for entity in buckets.get(
-                            int(alternatives[query_id]), ()
-                        ):
-                            pairs.add((entity, query_id))
-            query.output_size = len(pairs)
-        return tuple(pairs)
+                if self.probes > self.tables:
+                    probe_keys = np.concatenate([probe_keys, alternatives])
+                index_pos, probe_pos = bucket_join(keys, probe_keys)
+                joins.append((index_pos, probe_pos % queries.shape[0]))
+        return tuple(np.concatenate(ids) for ids in zip(*joins))
 
     def describe(self) -> str:
         return (

@@ -71,7 +71,7 @@ class DeepBlocker(DenseNNFilter):
 
     def _index_and_query(
         self, indexed: np.ndarray, queries: np.ndarray
-    ) -> Tuple[Tuple[int, int], ...]:
+    ) -> Tuple[np.ndarray, np.ndarray]:
         # Training belongs to preprocessing in the paper's run-time
         # decomposition: it is part of building the tuple embeddings.
         with self.trace.stage(PREPROCESS):
@@ -86,15 +86,9 @@ class DeepBlocker(DenseNNFilter):
             query_codes = self._normalize(model.encode(queries))
         with self.trace.stage(INDEX, input_size=indexed_codes.shape[0]):
             index = FlatIndex(indexed_codes, metric="l2")
-        with self.trace.stage(QUERY, input_size=query_codes.shape[0]) as query:
+        with self.trace.stage(QUERY, input_size=query_codes.shape[0]):
             ids, __ = index.search(query_codes, self.k)
-            pairs = tuple(
-                (int(indexed_id), query_id)
-                for query_id, row in enumerate(ids)
-                for indexed_id in row
-            )
-            query.output_size = len(pairs)
-        return pairs
+        return ids.ravel(), np.repeat(np.arange(len(ids)), ids.shape[1])
 
     @staticmethod
     def _normalize(vectors: np.ndarray) -> np.ndarray:

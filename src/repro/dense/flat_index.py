@@ -69,15 +69,13 @@ class FlatIndex:
         if k < 1:
             raise ValueError(f"k must be positive, got {k}")
         n = len(self)
-        if n == 0:
-            empty = np.zeros((queries.shape[0], 0))
-            return empty.astype(np.int64), empty.astype(np.float32)
         k = min(k, n)
-        all_ids: List[np.ndarray] = []
-        all_scores: List[np.ndarray] = []
         queries = np.ascontiguousarray(queries, dtype=np.float32)
+        ids = np.empty((queries.shape[0], k), dtype=np.int64)
+        best_scores = np.empty((queries.shape[0], k), dtype=np.float32)
         for start in range(0, queries.shape[0], self.block_size):
             block = queries[start : start + self.block_size]
+            rows = slice(start, start + block.shape[0])
             scores = self._scores(block)
             if k < n:
                 part = np.argpartition(scores, -k, axis=1)[:, -k:]
@@ -87,9 +85,9 @@ class FlatIndex:
                 ).copy()
             part_scores = np.take_along_axis(scores, part, axis=1)
             order = np.argsort(-part_scores, axis=1, kind="stable")
-            all_ids.append(np.take_along_axis(part, order, axis=1))
-            all_scores.append(np.take_along_axis(part_scores, order, axis=1))
-        return np.vstack(all_ids), np.vstack(all_scores)
+            ids[rows] = np.take_along_axis(part, order, axis=1)
+            best_scores[rows] = np.take_along_axis(part_scores, order, axis=1)
+        return ids, best_scores
 
     def range_search(self, queries: np.ndarray, radius: float) -> List[np.ndarray]:
         """Per query, the ids whose (metric-specific) score is within radius.

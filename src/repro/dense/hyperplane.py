@@ -20,7 +20,7 @@ from ..core.incremental import IncrementalIndex
 from ..core.profile import EntityProfile
 from ..core.stages import INDEX, QUERY
 from ..text.cleaning import TextCleaner
-from .base import DenseNNFilter
+from .base import DenseNNFilter, bucket_join
 from .embeddings import HashedNGramEmbedder
 
 __all__ = ["HyperplaneLSH", "IncrementalHyperplaneLSH", "probe_sequence"]
@@ -109,44 +109,38 @@ class HyperplaneLSH(DenseNNFilter):
     @staticmethod
     def _keys(signs: np.ndarray) -> np.ndarray:
         """Pack sign bits (n, hashes) into integer bucket keys (n,)."""
-        bits = (signs > 0).astype(np.int64)
-        keys = np.zeros(bits.shape[0], dtype=np.int64)
-        for column in range(bits.shape[1]):
-            keys = (keys << 1) | bits[:, column]
-        return keys
+        weights = np.int64(1) << np.arange(signs.shape[1] - 1, -1, -1)
+        return (signs > 0).astype(np.int64) @ weights
 
     def _index_and_query(
         self, indexed: np.ndarray, queries: np.ndarray
-    ) -> Tuple[Tuple[int, int], ...]:
-        dim = indexed.shape[1]
-        pairs = set()
+    ) -> Tuple[np.ndarray, np.ndarray]:
         with self.trace.stage(INDEX, input_size=indexed.shape[0]):
-            projections = self._projections(dim)
-            tables: List[Dict[int, List[int]]] = []
-            for projection in projections:
-                buckets: Dict[int, List[int]] = {}
-                keys = self._keys(indexed @ projection)
-                for entity, key in enumerate(keys):
-                    buckets.setdefault(int(key), []).append(entity)
-                tables.append(buckets)
-        with self.trace.stage(QUERY, input_size=queries.shape[0]) as query:
-            per_table_probes = max(1, self.probes // self.tables)
-            for projection, buckets in zip(projections, tables):
-                scores = queries @ projection
-                keys = self._keys(scores)
-                margins = np.abs(scores)
-                for query_id in range(queries.shape[0]):
-                    base_key = int(keys[query_id])
-                    for flips in probe_sequence(
-                        margins[query_id], per_table_probes
-                    ):
-                        key = base_key
-                        for bit in flips:
-                            key ^= 1 << (self.hashes - 1 - bit)
-                        for entity in buckets.get(key, ()):
-                            pairs.add((entity, query_id))
-            query.output_size = len(pairs)
-        return tuple(pairs)
+            projections = self._projections(indexed.shape[1])
+            index_keys = [self._keys(indexed @ p) for p in projections]
+        joins = []
+        with self.trace.stage(QUERY, input_size=queries.shape[0]):
+            for projection, keys in zip(projections, index_keys):
+                probe_keys, probe_ids = self._probe_keys(queries @ projection)
+                index_pos, probe_pos = bucket_join(keys, probe_keys)
+                joins.append((index_pos, probe_ids[probe_pos]))
+        return tuple(np.concatenate(ids) for ids in zip(*joins))
+
+    def _probe_keys(self, scores: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Every query's multi-probe bucket keys, with the query id of each.
+
+        Each table probes ``max(1, probes // tables)`` buckets per query.
+        """
+        per_table_probes = max(1, self.probes // self.tables)
+        keys: List[int] = []
+        query_ids: List[int] = []
+        base_keys = self._keys(scores).tolist()
+        for query_id, margins in enumerate(np.abs(scores)):
+            for flips in probe_sequence(margins, per_table_probes):
+                flipped = sum(1 << (self.hashes - 1 - bit) for bit in flips)
+                keys.append(base_keys[query_id] ^ flipped)
+                query_ids.append(query_id)
+        return np.array(keys, dtype=np.int64), np.array(query_ids, np.int64)
 
     def describe(self) -> str:
         return (
@@ -227,18 +221,10 @@ class IncrementalHyperplaneLSH(IncrementalIndex):
 
     def _query(self, profile: EntityProfile) -> Iterable[int]:
         vector = self._vector(profile)
-        per_table_probes = max(1, self._lsh.probes // self._lsh.tables)
-        hashes = self._lsh.hashes
         matches: Set[int] = set()
-        for table, projection in enumerate(self._projections):
-            scores = vector @ projection
-            base_key = int(self._lsh._keys(scores[None, :])[0])
-            margins = np.abs(scores)
-            buckets = self._buckets[table]
-            for flips in probe_sequence(margins, per_table_probes):
-                key = base_key
-                for bit in flips:
-                    key ^= 1 << (hashes - 1 - bit)
+        for buckets, projection in zip(self._buckets, self._projections):
+            keys, __ = self._lsh._probe_keys((vector @ projection)[None, :])
+            for key in keys.tolist():
                 matches.update(buckets.get(key, ()))
         return matches
 

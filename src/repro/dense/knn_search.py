@@ -11,7 +11,7 @@
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -45,18 +45,12 @@ class FaissKNN(DenseNNFilter):
 
     def _index_and_query(
         self, indexed: np.ndarray, queries: np.ndarray
-    ) -> Tuple[Tuple[int, int], ...]:
+    ) -> Tuple[np.ndarray, np.ndarray]:
         with self.trace.stage(INDEX, input_size=indexed.shape[0]):
             index = FlatIndex(indexed, metric=self.metric)
-        with self.trace.stage(QUERY, input_size=queries.shape[0]) as query:
+        with self.trace.stage(QUERY, input_size=queries.shape[0]):
             ids, __ = index.search(queries, self.k)
-            pairs = tuple(
-                (int(indexed_id), query_id)
-                for query_id, row in enumerate(ids)
-                for indexed_id in row
-            )
-            query.output_size = len(pairs)
-        return pairs
+        return ids.ravel(), np.repeat(np.arange(len(ids)), ids.shape[1])
 
     def describe(self) -> str:
         return f"{super().describe()} k={self.k}"
@@ -108,7 +102,7 @@ class ScannKNN(DenseNNFilter):
 
     def _index_and_query(
         self, indexed: np.ndarray, queries: np.ndarray
-    ) -> Tuple[Tuple[int, int], ...]:
+    ) -> Tuple[np.ndarray, np.ndarray]:
         with self.trace.stage(INDEX, input_size=indexed.shape[0]):
             index = PartitionedIndex(
                 indexed,
@@ -117,17 +111,12 @@ class ScannKNN(DenseNNFilter):
                 quantize=(self.index_type == "AH"),
                 seed=self.seed,
             )
-        with self.trace.stage(QUERY, input_size=queries.shape[0]) as query:
+        with self.trace.stage(QUERY, input_size=queries.shape[0]):
             ids = index.search(
                 queries, self.k, leaves_to_search=self.leaves_to_search
             )
-            pairs = tuple(
-                (int(indexed_id), query_id)
-                for query_id, row in enumerate(ids)
-                for indexed_id in row
-            )
-            query.output_size = len(pairs)
-        return pairs
+        query_ids = np.repeat(np.arange(len(ids)), [len(row) for row in ids])
+        return np.concatenate([np.zeros(0, np.int64), *ids]), query_ids
 
     def describe(self) -> str:
         return (

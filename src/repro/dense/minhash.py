@@ -26,6 +26,7 @@ from ..core.profile import EntityCollection, EntityProfile
 from ..core.stages import INDEX, NN_STAGES, PREPROCESS, QUERY
 from ..text.cleaning import TextCleaner
 from ..text.tokenizers import shingles
+from .base import bucket_join
 
 __all__ = ["MinHashLSH", "IncrementalMinHashLSH"]
 
@@ -146,27 +147,38 @@ class MinHashLSH(Filter):
             left_signatures = [self._signature(s, a, b) for s in left_sets]
             right_signatures = [self._signature(s, a, b) for s in right_sets]
         with self.trace.stage(INDEX, input_size=len(left_signatures)):
-            buckets: Dict[Tuple[int, bytes], List[int]] = {}
-            for entity, signature in enumerate(left_signatures):
-                if signature is None:
-                    continue
-                for band in range(self.bands):
-                    chunk = signature[band * self.rows : (band + 1) * self.rows]
-                    buckets.setdefault((band, chunk.tobytes()), []).append(entity)
+            left_ids, left_matrix = self._stack(left_signatures)
         with self.trace.stage(
             QUERY, input_size=len(right_signatures)
         ) as query:
-            pairs: List[Tuple[int, int]] = []
-            for entity, signature in enumerate(right_signatures):
-                if signature is None:
-                    continue
-                for band in range(self.bands):
-                    chunk = signature[band * self.rows : (band + 1) * self.rows]
-                    matches = buckets.get((band, chunk.tobytes()), ())
-                    pairs.extend((match, entity) for match in matches)
-            candidates = CandidateSet(pairs)
+            right_ids, right_matrix = self._stack(right_signatures)
+            matrix = np.vstack([left_matrix, right_matrix])
+            joins = []
+            for band in range(self.bands):
+                # Exact codes of the band's chunks on both sides, so equal
+                # codes mean equal chunks (no hash, hence no collisions).
+                codes = np.unique(
+                    matrix[:, band * self.rows : (band + 1) * self.rows],
+                    axis=0,
+                    return_inverse=True,
+                )[1].reshape(-1)
+                left_pos, right_pos = bucket_join(
+                    codes[: len(left_ids)], codes[len(left_ids) :]
+                )
+                joins.append((left_ids[left_pos], right_ids[right_pos]))
+            candidates = CandidateSet.from_ids(
+                *(np.concatenate(ids) for ids in zip(*joins))
+            )
             query.output_size = len(candidates)
         return candidates
+
+    def _stack(
+        self, signatures: List[Optional[np.ndarray]]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Ids and stacked signatures of the entities that have one."""
+        ids = np.flatnonzero([s is not None for s in signatures])
+        matrix = np.array([signatures[i] for i in ids], dtype=np.uint64)
+        return ids, matrix.reshape(len(ids), self.num_permutations)
 
     def describe(self) -> str:
         flags = " [clean]" if self.cleaning else ""

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.metrics import pair_completeness
+from repro.core.profile import EntityCollection, EntityProfile
 from repro.dense.autoencoder import Autoencoder
 from repro.dense.crosspolytope import CrossPolytopeLSH, fwht
 from repro.dense.deepblocker import DeepBlocker
@@ -108,6 +109,13 @@ class TestFlatIndex:
         index = FlatIndex(np.zeros((0, 4), dtype=np.float32))
         ids, scores = index.search(np.zeros((2, 4), dtype=np.float32), k=3)
         assert ids.shape == (2, 0)
+
+    @pytest.mark.parametrize("n", [0, 3])
+    def test_zero_queries(self, n):
+        index = FlatIndex(np.ones((n, 4), dtype=np.float32))
+        ids, scores = index.search(np.zeros((0, 4), dtype=np.float32), k=2)
+        assert ids.shape == scores.shape == (0, min(2, n))
+        assert ids.dtype == np.int64 and scores.dtype == np.float32
 
     def test_invalid_metric(self):
         with pytest.raises(ValueError):
@@ -364,3 +372,40 @@ class TestDenseKNNFilters:
         for left, right in candidates:
             assert 0 <= left < len(tiny_dataset.left)
             assert 0 <= right < len(tiny_dataset.right)
+
+
+def _collection(size):
+    return EntityCollection(
+        EntityProfile(f"e{i}", {"title": f"wireless keyboard model k{i}"})
+        for i in range(size)
+    )
+
+
+DENSE_FILTERS = {
+    "mh-lsh": lambda reverse: MinHashLSH(bands=8, rows=2),
+    "hp-lsh": lambda reverse: HyperplaneLSH(tables=2, hashes=4),
+    "cp-lsh": lambda reverse: CrossPolytopeLSH(tables=2),
+    "faiss": lambda reverse: FaissKNN(k=3, reverse=reverse),
+    "scann-bf": lambda reverse: ScannKNN(k=3, reverse=reverse),
+    "scann-ah": lambda reverse: ScannKNN(
+        k=3, index_type="AH", reverse=reverse
+    ),
+    "deepblocker": lambda reverse: DeepBlocker(
+        k=3, epochs=2, reverse=reverse
+    ),
+}
+REVERSIBLE = ("faiss", "scann-bf", "scann-ah", "deepblocker")
+
+
+@pytest.mark.parametrize(
+    "name, reverse",
+    [(name, False) for name in DENSE_FILTERS]
+    + [(name, True) for name in REVERSIBLE],
+)
+@pytest.mark.parametrize("sizes", [(0, 4), (4, 0), (0, 0)])
+def test_empty_side_gives_empty_candidates(name, reverse, sizes):
+    """No dense filter fails when one or both collections are empty."""
+    flt = DENSE_FILTERS[name](reverse)
+    candidates = flt.candidates(_collection(sizes[0]), _collection(sizes[1]))
+    assert len(candidates) == 0
+    assert flt.trace.cardinalities()["query"][1] == 0
