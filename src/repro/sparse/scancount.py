@@ -27,6 +27,10 @@ run_kernel` (the reduction consumers of :mod:`repro.sparse.kernels`);
 :meth:`ScanCountIndex.batch_overlaps` materializes every overlap row for
 the callers that need all of them, such as the tuners' threshold sweeps.
 
+A single query can skip the batch machinery: :meth:`ScanCountIndex.probe`
+counts one query's posting slices in process, so its cost is the
+postings it touches.
+
 The incremental (serving) form of the same structure is
 :class:`DynamicPostings` — a token -> postings delta dict layered over a
 lazily compacted CSR snapshot with tombstoned removals — wrapped by
@@ -243,13 +247,38 @@ class ScanCountIndex:
             out[shard.lo : shard.hi] = shard.value
         return out
 
+    def probe(self, query: Iterable[str]) -> Tuple[np.ndarray, np.ndarray]:
+        """One query's exact overlaps ``(set_ids, counts)``, in process.
+
+        Byte-identical to ``batch_overlaps([query])[1:]`` (int64, set ids
+        ascending) without the batch path's vocabulary packing and
+        sharding: a one-token query is its posting slice, a longer one
+        counts its concatenated slices with one ``np.bincount``.  The
+        cost is the postings the query touches.
+        """
+        vocabulary = self._vocabulary
+        ptr = self._token_ptr
+        slices = [
+            self._postings_arr[ptr[token_id] : ptr[token_id + 1]]
+            for token_id in map(vocabulary.get, query)
+            if token_id is not None
+        ]
+        if not slices:
+            return _EMPTY, _EMPTY
+        if len(slices) == 1:
+            set_ids = slices[0].astype(np.int64)
+            return set_ids, np.ones(len(set_ids), dtype=np.int64)
+        dense = np.bincount(np.concatenate(slices))
+        set_ids = np.flatnonzero(dense)
+        return set_ids, dense[set_ids]
+
     def overlaps(self, query: FrozenSet[str]) -> Dict[int, int]:
         """Exact overlap of ``query`` with every indexed set sharing a token.
 
         Sets sharing no token are absent from the result (overlap 0).
-        Thin compatibility wrapper over :meth:`batch_overlaps`.
+        Thin dict wrapper over :meth:`probe`.
         """
-        __, set_ids, counts = self.batch_overlaps([query])
+        set_ids, counts = self.probe(query)
         return dict(zip(set_ids.tolist(), counts.tolist()))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -269,13 +298,16 @@ class DynamicPostings:
     map, its postings stay physically present).  When the dead plus delta
     postings outgrow ``compaction_ratio`` times the live postings, the
     structure lazily compacts: the live sets are rebuilt into one
-    :class:`ScanCountIndex` (so queries run the exact batch CSR kernel)
-    and the delta and tombstones are purged.
+    :class:`ScanCountIndex` snapshot and the delta and tombstones are
+    purged.
 
-    A query merges the CSR ``batch_overlaps`` counts with a dict-merge
-    over the delta postings, masking tombstoned slots from both; the two
-    parts are disjoint by construction (a slot lives in the snapshot
-    *or* the delta, never both).
+    A query merges the snapshot's :meth:`ScanCountIndex.probe` counts
+    with the delta postings counted by offset from the watermark, and
+    masks tombstoned slots from both against the sorted live slots; the
+    two parts are disjoint by construction (a slot lives in the snapshot
+    *or* the delta, never both).  ``add``/``remove`` keep the live slots
+    and their sizes current, so a query never walks the live set in
+    Python: its cost is the postings it touches.
     """
 
     def __init__(self, compaction_ratio: float = 0.5) -> None:
@@ -294,9 +326,11 @@ class DynamicPostings:
         self._dead_postings = 0
         self._live: Dict[int, FrozenSet[str]] = {}
         self._live_postings = 0
-        # Sorted live slots + parallel sizes, rebuilt lazily after any
-        # mutation — the vectorized liveness mask of `overlap_arrays`.
-        self._live_cache: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        # Live slots (ascending) and their sizes in the first len(_live)
+        # entries of two capacity-doubling buffers, updated on every
+        # add/remove: the vectorized liveness mask of the query path.
+        self._slot_buffer = np.zeros(0, dtype=np.int64)
+        self._size_buffer = np.zeros(0, dtype=np.int64)
 
     def __len__(self) -> int:
         return len(self._live)
@@ -315,9 +349,17 @@ class DynamicPostings:
         if slot < self._high_water:
             raise ValueError(f"slot {slot} was already used")
         self._high_water = slot + 1
+        count = len(self._live)
+        if count == len(self._slot_buffer):
+            # Double the capacity, so a bulk load stays linear.
+            spare = np.empty(max(16, count), dtype=np.int64)
+            self._slot_buffer = np.concatenate((self._slot_buffer, spare))
+            self._size_buffer = np.concatenate((self._size_buffer, spare))
+        # Slots ascend, so appending keeps the live slots sorted.
+        self._slot_buffer[count] = slot
+        self._size_buffer[count] = len(tokens)
         self._live[slot] = tokens
         self._live_postings += len(tokens)
-        self._live_cache = None
         for token in tokens:
             self._delta.setdefault(token, []).append(slot)
         self._delta_postings += len(tokens)
@@ -326,24 +368,18 @@ class DynamicPostings:
     def remove(self, slot: int) -> None:
         """Tombstone ``slot`` (``KeyError`` when not live)."""
         tokens = self._live.pop(slot)
+        count = len(self._live)
+        position = int(np.searchsorted(self._slot_buffer[: count + 1], slot))
+        for buffer in (self._slot_buffer, self._size_buffer):
+            buffer[position:count] = buffer[position + 1 : count + 1]
         self._live_postings -= len(tokens)
         self._dead_postings += len(tokens)
-        self._live_cache = None
         self._maybe_compact()
 
     def _live_index(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Sorted live slots and their set sizes (cached between mutations)."""
-        if self._live_cache is None:
-            slots = np.fromiter(
-                sorted(self._live), dtype=np.int64, count=len(self._live)
-            )
-            sizes = np.fromiter(
-                (len(self._live[slot]) for slot in slots.tolist()),
-                dtype=np.int64,
-                count=len(slots),
-            )
-            self._live_cache = (slots, sizes)
-        return self._live_cache
+        """Sorted live slots and their set sizes (views, current on write)."""
+        count = len(self._live)
+        return self._slot_buffer[:count], self._size_buffer[:count]
 
     def overlap_arrays(
         self, query: FrozenSet[str]
@@ -354,18 +390,18 @@ class DynamicPostings:
         unspecified but deterministic order), their token overlap with the
         query, and their set cardinalities.  This is the vectorized
         serving-path kernel: the CSR snapshot contributes through
-        :meth:`ScanCountIndex.batch_overlaps`, the delta dict through one
-        ``np.unique(return_counts=True)`` merge, and tombstones are
-        masked with a single ``searchsorted`` against the sorted live
-        slots.  The two contributions are disjoint by construction (a
-        slot lives in the snapshot *or* the delta, never both).
+        :meth:`ScanCountIndex.probe`, the delta dict through one
+        ``np.bincount`` of its slots' offsets from the watermark, and
+        tombstones are masked with a single ``searchsorted`` against the
+        sorted live slots.  The two contributions are disjoint by
+        construction (a slot lives in the snapshot *or* the delta, never
+        both).
         """
-        live_slots, __ = self._live_index()
-        if len(live_slots) == 0:
+        if not self._live:
             return _EMPTY, _EMPTY, _EMPTY
         set_ids = csr_counts = _EMPTY
-        if self._csr is not None and len(self._csr):
-            __, set_ids, csr_counts = self._csr.batch_overlaps([query])
+        if self._csr is not None:
+            set_ids, csr_counts = self._csr.probe(query)
         return self._merge_live(query, set_ids, csr_counts)
 
     def batch_overlap_arrays(
@@ -380,8 +416,7 @@ class DynamicPostings:
         liveness mask.  Row-for-row equal to calling
         :meth:`overlap_arrays` per query.
         """
-        live_slots, __ = self._live_index()
-        if len(live_slots) == 0:
+        if not self._live:
             return [(_EMPTY, _EMPTY, _EMPTY) for __ in queries]
         if self._csr is not None and len(self._csr):
             query_ptr, set_ids, csr_counts = self._csr.batch_overlaps(
@@ -409,8 +444,9 @@ class DynamicPostings:
         """One query's live ``(slots, overlaps, sizes)``: the merge step.
 
         ``(set_ids, csr_counts)`` are the query's CSR snapshot overlaps;
-        the delta postings are merged in with one ``np.unique`` and
-        tombstoned slots are masked out of both parts.
+        the delta postings are counted with one ``np.bincount`` of their
+        offsets from the watermark (every delta slot is at or above it)
+        and tombstoned slots are masked out of both parts.
         """
         live_slots, live_sizes = self._live_index()
         slot_parts: List[np.ndarray] = []
@@ -424,9 +460,11 @@ class DynamicPostings:
             merged = np.fromiter(
                 chain.from_iterable(delta_lists), dtype=np.int64
             )
-            delta_slots, delta_counts = np.unique(merged, return_counts=True)
-            slot_parts.append(delta_slots)
-            count_parts.append(delta_counts.astype(np.int64))
+            merged -= self._watermark
+            dense = np.bincount(merged)
+            offsets = np.flatnonzero(dense)
+            slot_parts.append(offsets + self._watermark)
+            count_parts.append(dense[offsets])
         if not slot_parts:
             return _EMPTY, _EMPTY, _EMPTY
         slots = np.concatenate(slot_parts)
@@ -466,7 +504,6 @@ class DynamicPostings:
         self._delta = {}
         self._delta_postings = 0
         self._dead_postings = 0
-        self._live_cache = None
         self.compactions += 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

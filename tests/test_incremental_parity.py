@@ -47,6 +47,7 @@ from repro.sparse import (
     EpsilonJoin,
     IncrementalScanCountFilter,
     KNNJoin,
+    ScanCountIndex,
 )
 
 # ----------------------------------------------------------------------
@@ -336,6 +337,107 @@ class TestScanCountInternals:
         }
         slots, overlaps, __ = postings.overlap_arrays(query)
         assert dict(zip(slots.tolist(), overlaps.tolist())) == expected
+
+
+# ----------------------------------------------------------------------
+# DynamicPostings under seeded churn, checked after every operation
+# against a brute force over its live sets.
+# ----------------------------------------------------------------------
+
+CHURN_VOCABULARY = [f"t{i}" for i in range(12)]
+
+#: Probes asked after every operation, besides one random query: empty,
+#: all out-of-vocabulary, single-token (also after dropping an unknown
+#: token) and multi-token.
+CHURN_PROBES = (
+    frozenset(),
+    frozenset({"zz1", "zz2"}),
+    frozenset({"t0"}),
+    frozenset({"t1", "zz1"}),
+    frozenset({"t2", "t3", "t4"}),
+    frozenset(CHURN_VOCABULARY),
+)
+
+
+def assert_probe_matches_batch(index, query):
+    """``probe`` rows are byte-identical to ``batch_overlaps([q])[1:]``."""
+    __, batch_ids, batch_counts = index.batch_overlaps([query])
+    for mine, batch in zip(index.probe(query), (batch_ids, batch_counts)):
+        assert mine.dtype == batch.dtype
+        assert mine.tobytes() == batch.tobytes()
+
+
+def assert_postings_match_live(postings, queries):
+    """Check ``postings`` against its live sets; returns (snapshot, delta)
+    row counts of the answers."""
+    live = postings._live
+    live_slots, live_sizes = postings._live_index()
+    assert live_slots.tolist() == sorted(live)
+    assert live_sizes.tolist() == [len(live[slot]) for slot in sorted(live)]
+    snapshot_rows = delta_rows = 0
+    for query in queries:
+        slots, overlaps, sizes = postings.overlap_arrays(query)
+        got = dict(zip(slots.tolist(), zip(overlaps.tolist(), sizes.tolist())))
+        assert len(got) == len(slots)  # no slot answered twice
+        assert got == {
+            slot: (len(tokens & query), len(tokens))
+            for slot, tokens in live.items()
+            if tokens & query
+        }
+        in_snapshot = int(np.count_nonzero(slots < postings._watermark))
+        snapshot_rows += in_snapshot
+        delta_rows += len(slots) - in_snapshot
+        if postings._csr is not None:
+            assert_probe_matches_batch(postings._csr, query)
+    return snapshot_rows, delta_rows
+
+
+class TestDynamicPostingsChurn:
+    @pytest.mark.parametrize("ratio", [0.05, 100.0])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_churn_matches_brute_force(self, ratio, seed):
+        rng = np.random.default_rng(seed)
+
+        def random_set(low, high):
+            size = int(rng.integers(low, high))
+            chosen = rng.choice(CHURN_VOCABULARY, size=size, replace=False)
+            return frozenset(chosen.tolist())
+
+        postings = DynamicPostings(compaction_ratio=ratio)
+        next_slot = 0
+        drained = 0
+        rows = np.zeros(2, dtype=np.int64)
+        for __ in range(250):
+            live = sorted(postings._live)
+            roll = rng.random()
+            if roll < 0.5 or not live:
+                postings.add(next_slot, random_set(0, 6))
+                next_slot += 1
+            elif roll < 0.75:
+                postings.remove(int(rng.choice(live)))
+            elif roll < 0.88:
+                postings.remove(live[-1])  # the newest slot
+            elif roll < 0.96:
+                postings.compact()
+            else:  # compaction down to zero live sets
+                for slot in live:
+                    postings.remove(slot)
+                postings.compact()
+                assert postings.stats()["csr_sets"] == 0
+                drained += 1
+            query = random_set(1, 5) | {"zz1"}
+            rows += assert_postings_match_live(
+                postings, CHURN_PROBES + (query,)
+            )
+        assert postings.compactions > 0 and drained > 0
+        assert rows.min() > 0, "both snapshot and delta rows must occur"
+
+    def test_probe_on_degenerate_indexes(self):
+        for token_sets in ([], [frozenset()], [frozenset({"t1"}), frozenset()]):
+            index = ScanCountIndex(token_sets)
+            for query in CHURN_PROBES:
+                assert_probe_matches_batch(index, query)
+        assert index.overlaps(frozenset({"t1", "zz1"})) == {0: 1}
 
 
 # ----------------------------------------------------------------------

@@ -3,7 +3,8 @@
 A tiny-budget run of ``benchmarks/bench_sparse_kernel.py`` (1000
 entities per side) checking its row schema, ceilings on the kNN / ε-Join
 kernel ratio and the CNP / WNP pruning ratio (the machine's speed
-cancels out of both), an incremental query latency budget, memory
+cancels out of both), an incremental query latency budget, a ceiling on
+how much a serving query slows when the live set grows 20x, memory
 ceilings per candidate pair and per sparse-tuner overlap cell, plus the
 aggregation contract of the trajectory file.  Run just this guard with
 ``pytest -m perf_smoke``; the wall-clock checks are skipped on
@@ -225,6 +226,77 @@ def test_incremental_query_latency_budget():
         f"incremental query averaged {mean_latency * 1e3:.2f}ms "
         f"against a {len(index)}-entity catalog "
         f"(budget {QUERY_BUDGET_S * 1e3:.0f}ms)"
+    )
+
+
+#: Ceiling on the median query time of a 20k-set ``DynamicPostings``
+#: over that of a 1k-set one when both probes touch the same postings.
+#: Measured on a 2-core VM: 1.0-1.1x with the live arrays kept current
+#: on write, 10-11x when every write forced a rebuild of the live set.
+LIVE_SET_SCALING_MAX = 4.0
+
+
+@pytest.mark.skipif(
+    os.environ.get("CI") == "slow-box",
+    reason="wall-clock comparisons are unreliable on the slow CI box",
+)
+def test_serving_query_cost_does_not_grow_with_live_set():
+    import statistics
+    import time
+
+    import numpy as np
+
+    from repro.sparse.scancount import DynamicPostings
+
+    rng = np.random.default_rng(5)
+    vocabulary = [f"s{i}" for i in range(200)]
+
+    def shared_set():
+        return frozenset(rng.choice(vocabulary, size=5, replace=False).tolist())
+
+    # 1k sets over the shared vocabulary in both; the large index adds
+    # 19k sets on tokens of their own, which no query touches.
+    shared = [shared_set() for __ in range(1000)]
+    small, large = DynamicPostings(100.0), DynamicPostings(100.0)
+    for slot, tokens in enumerate(shared):
+        small.add(slot, tokens)
+        large.add(slot, tokens)
+    for slot in range(1000, 20000):
+        large.add(slot, frozenset({f"x{slot}", f"y{slot}"}))
+    small.compact()
+    large.compact()
+    # New sets take the next slot of each index, so both count their
+    # delta over the same offsets from the watermark.
+    live = list(range(1000))
+    next_slot = 1000
+
+    def large_slot(slot):
+        return slot if slot < 1000 else slot + 19000
+
+    times = {small: [], large: []}
+    # One identical write to both before each query, and the two
+    # indexes' queries interleaved, taking turns at going first, so
+    # host noise and warm caches favour neither.
+    for step in range(300):
+        if step % 2:
+            tokens = shared_set()
+            small.add(next_slot, tokens)
+            large.add(large_slot(next_slot), tokens)
+            live.append(next_slot)
+            next_slot += 1
+        else:
+            slot = live.pop(int(rng.integers(len(live))))
+            small.remove(slot)
+            large.remove(large_slot(slot))
+        query = shared_set()
+        for postings in (small, large)[:: 1 if step % 4 < 2 else -1]:
+            start = time.perf_counter()
+            postings.overlap_arrays(query)
+            times[postings].append(time.perf_counter() - start)
+    ratio = statistics.median(times[large]) / statistics.median(times[small])
+    assert ratio <= LIVE_SET_SCALING_MAX, (
+        f"a query against 20k live sets took {ratio:.1f}x one against 1k"
+        f" (ceiling {LIVE_SET_SCALING_MAX}x): it walks the live set"
     )
 
 
