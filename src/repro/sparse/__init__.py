@@ -2,7 +2,7 @@
 
 from .base import SparseNNFilter, batch_similarities
 from .epsilon_join import EpsilonJoin
-from .kernels import QueryTokens, min_overlap_bounds, query_tokens
+from .kernels import QueryTokens, query_tokens
 from .knn_join import (
     DefaultKNNJoin,
     KNNJoin,
@@ -52,7 +52,6 @@ __all__ = [
     "distinct_similarity_ranks",
     "jaccard",
     "jaccard_array",
-    "min_overlap_bounds",
     "query_tokens",
     "set_similarity",
     "similarity_function",

@@ -13,15 +13,17 @@ never materialized unless a caller explicitly asks for it:
 ``count``
     Overlapping-set cardinality per query (the full-scan benchmark row).
 ``epsilon``
-    The range join: a per-query candidate mask ``counts >= min_overlap``
-    (a loose integer bound derived from the similarity threshold — the
-    prefix-filter trick transplanted to ScanCount) cuts the rows that
-    reach the exact similarity check by orders of magnitude.
+    The range join: per distinct query size, the similarities of the
+    ``(set size, overlap)`` classes give every set size its *exact*
+    minimum overlap (each measure is non-decreasing in the overlap), so
+    a query's answer is the mask ``counts >= required`` — no similarity
+    is computed per set.
 ``knn``
-    The cardinality join: per query, the k-th largest *distinct*
-    similarity (:func:`kth_distinct_cutoff`, an ``np.partition`` onto
-    the top ``4k`` values) is the cutoff, and every row at or above it
-    survives — the paper's tie rule without ranking a single row.
+    The cardinality join: per distinct query size, the classes get
+    dense ranks by distinct similarity; a query maps its counts onto
+    class ranks, one ``np.bincount`` of those finds its k-th best rank
+    present, and every set at or above it survives — the paper's tie
+    rule without scoring or ranking a single set.
 ``materialize``
     The historical ``batch_overlaps`` CSR triple, for callers that need
     every overlap count: the sparse tuners fill their dense
@@ -55,17 +57,9 @@ __all__ = [
     "epsilon_kernel",
     "knn_kernel",
     "kth_distinct_cutoff",
-    "min_overlap_bounds",
     "run_consumer",
     "CONSUMERS",
 ]
-
-#: Safety factor applied to the integer overlap bounds: the bound is
-#: only a *pre-filter* (an exact similarity check follows), so it is
-#: loosened by one part in 1e9 to make float rounding incapable of
-#: excluding a row the exact check would keep.
-_BOUND_SLACK = 1.0 - 1e-9
-
 
 @dataclass(frozen=True)
 class QueryTokens:
@@ -247,34 +241,65 @@ def materialize_kernel(
 
 
 # ----------------------------------------------------------------------
-# Join consumers.
+# Join consumers: scoring (set size, overlap) classes.
 # ----------------------------------------------------------------------
+#
+# A similarity depends on three integers only: the indexed set's size
+# ``a``, the query's size ``b`` and their overlap ``c``.  An index holds
+# few distinct set sizes, so per distinct query size the join consumers
+# score each reachable class ``(a, c)``, ``1 <= c <= min(a, b)``, once
+# with the same array measure (the float every set of that class would
+# get), and read each query's answer off its count vector through that
+# class table.  Every query of a range is walked grouped by size, so one
+# table is alive at a time; the parts are emitted in query order.
 
 
-def min_overlap_bounds(
-    measure: str, threshold: float, sizes: np.ndarray, query_size: int
-) -> np.ndarray:
-    """Loose integer lower bound on the overlap a candidate pair needs.
+def _size_groups(
+    qt_sizes: np.ndarray, lo: int, hi: int
+) -> List[Tuple[int, List[int]]]:
+    """``(query size, positions)`` of queries ``[lo, hi)``, sizes ascending.
 
-    For every indexed-set size ``a`` in ``sizes`` and a query of size
-    ``query_size``, any pair with similarity >= ``threshold`` must have
-    overlap >= the returned bound — the ScanCount analogue of the prefix
-    filter.  The bound is *necessary, not sufficient*: survivors still
-    go through the exact vectorized similarity check, so float rounding
-    in the bound can only cost work, never correctness (and the
-    ``_BOUND_SLACK`` factor makes even that one-sided).
+    Positions are local to the range and ascend within a group.
     """
-    a = sizes.astype(np.float64)
-    b = float(query_size)
-    if measure == "cosine":
-        exact = threshold * np.sqrt(a * b)
-    elif measure == "dice":
-        exact = threshold * (a + b) / 2.0
-    elif measure == "jaccard":
-        exact = threshold * (a + b) / (1.0 + threshold)
-    else:  # pragma: no cover - similarity module validates measures
-        raise ValueError(f"unknown measure {measure!r}")
-    return np.maximum(1, np.floor(exact * _BOUND_SLACK).astype(np.int64))
+    local = qt_sizes[lo:hi]
+    order = np.argsort(local, kind="stable")
+    bounds = np.flatnonzero(np.diff(local[order])) + 1
+    return [
+        (int(local[group[0]]), group.tolist())
+        for group in np.split(order, bounds)
+    ]
+
+
+def _scored_classes(
+    distinct: np.ndarray, query_size: int, vector_measure: Callable
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The reachable classes of one query size, and their similarities.
+
+    Returns ``(rank, overlap, similarity)``: class ``i`` is the sets of
+    size ``distinct[rank[i]]`` overlapping the query on ``overlap[i]``
+    tokens.  Classes ascend by size rank, then overlap.
+    """
+    reach = np.minimum(distinct, query_size)
+    rank = np.repeat(np.arange(len(distinct), dtype=np.int64), reach)
+    first = np.cumsum(reach) - reach
+    overlap = np.arange(1, len(rank) + 1, dtype=np.int64) - first[rank]
+    similarity = vector_measure(
+        distinct[rank],
+        np.full(len(rank), query_size, dtype=np.int64),
+        overlap,
+    )
+    return rank, overlap, similarity
+
+
+def _emit(
+    parts: List[np.ndarray], lo: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-query set-id parts (query order) as global ``(query, set)``."""
+    lengths = np.fromiter(map(len, parts), dtype=np.int64, count=len(parts))
+    query_ids = np.repeat(
+        np.arange(lo, lo + len(parts), dtype=np.int64), lengths
+    )
+    return query_ids, np.concatenate(parts)
 
 
 def epsilon_kernel(
@@ -291,61 +316,46 @@ def epsilon_kernel(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Range-join pairs ``(query_id, set_id)`` for queries ``[lo, hi)``.
 
-    Each query's dense count vector is masked with the per-size overlap
-    bound before the exact similarity check, so only genuine candidates
-    ever leave the counting loop.  Query ids are global (``lo`` offset
-    applied).  The selected pair *set* is identical to filtering the
-    materialized rows with ``similarity >= threshold``.
+    Every measure is non-decreasing in the overlap for fixed sizes, so
+    per query size the classes give each set size its exact minimum
+    overlap (``min(a, b) + 1`` when none qualifies), and a query keeps
+    the sets whose count reaches it — no similarity is computed per
+    set.  Query ids are global (``lo`` offset applied); set ids ascend
+    within a query.  The selected pair set is identical to filtering
+    the materialized rows with ``similarity >= threshold``.
     """
     num_sets = len(sizes)
     empty = np.zeros(0, dtype=np.int64)
     if num_sets == 0 or hi <= lo:
         return empty, empty
     vector_measure = vector_similarity_function(measure)
+    distinct, size_rank = np.unique(sizes, return_inverse=True)
     starts, ends, qptr, _t = _slice_bounds(token_ptr, qt_ptr, qt_ids, lo, hi)
-    query_sizes = qt_sizes[lo:hi].tolist()
-    bounds_by_size: Dict[int, np.ndarray] = {}
-    query_parts: List[np.ndarray] = []
-    set_parts: List[np.ndarray] = []
+    parts: List[np.ndarray] = [empty] * (hi - lo)
     bincount = np.bincount
-    flatnonzero = np.flatnonzero
     concatenate = np.concatenate
-    for position in range(hi - lo):
-        a, b = qptr[position], qptr[position + 1]
-        if a == b:
-            continue
-        size = query_sizes[position]
-        required = bounds_by_size.get(size)
-        if required is None:
-            required = min_overlap_bounds(measure, threshold, sizes, size)
-            bounds_by_size[size] = required
-        if b - a == 1:
-            candidates = postings[starts[a] : ends[a]].astype(np.int64)
-            candidates = candidates[required[candidates] <= 1]
-            overlaps = np.ones(len(candidates), dtype=np.int64)
-        else:
-            merged = concatenate(
-                [postings[starts[t] : ends[t]] for t in range(a, b)]
-            )
-            dense = bincount(merged, minlength=num_sets)
-            candidates = flatnonzero(dense >= required)
-            overlaps = dense[candidates]
-        if len(candidates) == 0:
-            continue
-        similarities = vector_measure(
-            sizes[candidates],
-            np.full(len(candidates), size, dtype=np.int64),
-            overlaps,
+    for query_size, positions in _size_groups(qt_sizes, lo, hi):
+        rank, _overlap, similarity = _scored_classes(
+            distinct, query_size, vector_measure
         )
-        keep = candidates[similarities >= threshold]
-        if len(keep):
-            set_parts.append(keep)
-            query_parts.append(
-                np.full(len(keep), lo + position, dtype=np.int64)
-            )
-    if not query_parts:
-        return empty, empty
-    return np.concatenate(query_parts), np.concatenate(set_parts)
+        # Classes below the threshold form a prefix of each size's
+        # overlaps, so their number is the minimum overlap minus one.
+        below = bincount(rank[similarity < threshold], minlength=len(distinct))
+        required = (below + 1)[size_rank]
+        for position in positions:
+            a, b = qptr[position], qptr[position + 1]
+            if a == b:
+                continue
+            if b - a == 1:
+                candidates = postings[starts[a] : ends[a]].astype(np.int64)
+                parts[position] = candidates[required[candidates] <= 1]
+            else:
+                merged = concatenate(
+                    [postings[starts[t] : ends[t]] for t in range(a, b)]
+                )
+                dense = bincount(merged, minlength=num_sets)
+                parts[position] = (dense >= required).nonzero()[0]
+    return _emit(parts, lo)
 
 
 def kth_distinct_cutoff(similarities: np.ndarray, k: int) -> float:
@@ -384,51 +394,59 @@ def knn_kernel(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """kNN-join pairs ``(query_id, set_id)`` for queries ``[lo, hi)``.
 
-    One fused pass per query, shaped like :func:`epsilon_kernel`: count,
-    score the overlapping sets, and keep those at or above the query's
-    :func:`kth_distinct_cutoff`.  No row is ranked, and no rows outlive
-    their query.  Query ids are global (``lo`` offset applied); set ids
-    ascend within a query.
+    Per query size, the reachable classes get dense ranks by distinct
+    similarity (rank 0 the highest; every overlap-0 class shares the
+    sentinel rank past the last).  A query maps its count vector onto
+    class ranks, finds the k-th smallest rank present among its
+    overlapping sets, and keeps every set at or below it — the paper's
+    tie rule exactly, with no similarity computed per set.  Query ids
+    are global (``lo`` offset applied); set ids ascend within a query.
     """
     num_sets = len(sizes)
     empty = np.zeros(0, dtype=np.int64)
     if num_sets == 0 or hi <= lo:
         return empty, empty
     vector_measure = vector_similarity_function(measure)
+    distinct, size_rank = np.unique(sizes, return_inverse=True)
+    # Class (a, c) lives at offsets[rank of a] + c, overlaps 0..a.
+    offsets = np.cumsum(distinct + 1) - (distinct + 1)
+    set_offset = offsets[size_rank]
+    class_rank = np.empty(int(distinct.sum()) + len(distinct), dtype=np.int64)
     starts, ends, qptr, _t = _slice_bounds(token_ptr, qt_ptr, qt_ids, lo, hi)
-    query_sizes = qt_sizes[lo:hi].tolist()
-    query_parts: List[np.ndarray] = []
-    set_parts: List[np.ndarray] = []
+    parts: List[np.ndarray] = [empty] * (hi - lo)
     bincount = np.bincount
-    flatnonzero = np.flatnonzero
     concatenate = np.concatenate
-    for position in range(hi - lo):
-        a, b = qptr[position], qptr[position + 1]
-        if a == b:
-            continue
-        if b - a == 1:
-            candidates = postings[starts[a] : ends[a]].astype(np.int64)
-            overlaps = np.ones(len(candidates), dtype=np.int64)
-        else:
-            merged = concatenate(
-                [postings[starts[t] : ends[t]] for t in range(a, b)]
-            )
-            dense = bincount(merged, minlength=num_sets)
-            candidates = flatnonzero(dense)
-            overlaps = dense[candidates]
-        if len(candidates) == 0:
-            continue
-        similarities = vector_measure(
-            sizes[candidates],
-            np.full(len(candidates), query_sizes[position], dtype=np.int64),
-            overlaps,
+    for query_size, positions in _size_groups(qt_sizes, lo, hi):
+        rank, overlap, similarity = _scored_classes(
+            distinct, query_size, vector_measure
         )
-        keep = candidates[similarities >= kth_distinct_cutoff(similarities, k)]
-        set_parts.append(keep)
-        query_parts.append(np.full(len(keep), lo + position, dtype=np.int64))
-    if not query_parts:
-        return empty, empty
-    return np.concatenate(query_parts), np.concatenate(set_parts)
+        values, inverse = np.unique(similarity, return_inverse=True)
+        sentinel = len(values)
+        class_rank[offsets] = sentinel
+        class_rank[offsets[rank] + overlap] = sentinel - 1 - inverse
+        for position in positions:
+            a, b = qptr[position], qptr[position + 1]
+            if a == b:
+                continue
+            if b - a == 1:
+                candidates = postings[starts[a] : ends[a]].astype(np.int64)
+                ranks = class_rank[set_offset[candidates] + 1]
+            else:
+                merged = concatenate(
+                    [postings[starts[t] : ends[t]] for t in range(a, b)]
+                )
+                dense = bincount(merged, minlength=num_sets)
+                dense += set_offset
+                ranks = class_rank.take(dense)
+                candidates = None
+            present = bincount(ranks, minlength=sentinel + 1)[:-1].nonzero()[0]
+            if len(present) == 0:
+                continue
+            keep = ranks <= present[min(k, len(present)) - 1]
+            parts[position] = (
+                keep.nonzero()[0] if candidates is None else candidates[keep]
+            )
+    return _emit(parts, lo)
 
 
 # ----------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 A tiny-budget run of ``benchmarks/bench_sparse_kernel.py`` (1000
 entities per side) checking its row schema, ceilings on the kNN / ε-Join
-kernel ratio and the CNP / WNP pruning ratio (the machine's speed
-cancels out of both), an incremental query latency budget, a ceiling on
+and kNN / count-only kernel ratios and the CNP / WNP pruning ratio (the
+machine's speed cancels out of all three), an incremental query latency budget, a ceiling on
 how much a serving query slows when the live set grows 20x, memory
 ceilings per candidate pair and per sparse-tuner overlap cell, plus the
 aggregation contract of the trajectory file.  Run just this guard with
@@ -48,9 +48,10 @@ def test_bench_rows_follow_schema():
 
 #: Ceiling on the knn_csr / ejoin_csr wall ratio at the 1k scale.  Both
 #: kernels share the counting loop, so the ratio cancels the machine's
-#: speed: on a 2-core Xeon VM the per-query cutoff kernel measures
-#: 2.2-2.6x, while ranking every overlap row (a lexsort per query block)
-#: measured 3.4-4.4x.
+#: speed: on a 2-core Xeon VM the class-scored kernel measures
+#: 1.5-1.7x and the per-query cutoff kernel before it 2.2-2.6x, while
+#: ranking every overlap row (a lexsort per query block) measured
+#: 3.4-4.4x.
 KNN_OVER_EJOIN_MAX = 3.2
 
 
@@ -82,6 +83,40 @@ def test_knn_stays_within_bound_of_ejoin():
     assert ratio < KNN_OVER_EJOIN_MAX, (
         f"knn_csr is {ratio:.2f}x ejoin_csr at 1k"
         f" (bound {KNN_OVER_EJOIN_MAX}x)"
+    )
+
+
+#: Ceiling on the knn_csr / batch_query_csr wall ratio at the 1k scale:
+#: the kNN kernel over the count-only kernel it shares its counting
+#: loop with.  On a 2-core Xeon VM scoring (set size, overlap) classes
+#: measures 1.8-2.0x, while scoring every overlapping set measured
+#: 4.6-6.6x.
+KNN_OVER_COUNT_MAX = 3.5
+
+
+@pytest.mark.skipif(
+    os.environ.get("CI") == "slow-box",
+    reason="wall-clock comparisons are unreliable on the slow CI box",
+)
+def test_knn_stays_within_bound_of_count():
+    from repro.sparse.scancount import ScanCountIndex
+
+    bench = _load_bench()
+    __, left, right = bench.make_token_sets(1000, "T1G", seed=7)
+    index = ScanCountIndex(left)
+    knn, count = [], []
+    # Interleaved runs and per-kernel minima, as for ε-Join above.
+    for __ in range(5):
+        knn.append(
+            bench.timed(
+                lambda: bench.csr_knn_join(index, right, 5, "cosine")
+            )[0]
+        )
+        count.append(bench.timed(lambda: bench.csr_full_scan(index, right))[0])
+    ratio = min(knn) / min(count)
+    assert ratio < KNN_OVER_COUNT_MAX, (
+        f"knn_csr is {ratio:.2f}x batch_query_csr at 1k"
+        f" (bound {KNN_OVER_COUNT_MAX}x)"
     )
 
 

@@ -477,32 +477,259 @@ class TestConsumerParity:
             run_consumer(arrays, 0, 1, {"consumer": "nope"})
 
 
-class TestMinOverlapBounds:
+# ----------------------------------------------------------------------
+# Class-scored join kernels: exactness against the scalar measures.
+# ----------------------------------------------------------------------
+
+
+def _kernel_args(indexed, queries):
+    from repro.sparse.kernels import query_tokens
+
+    index = ScanCountIndex(indexed)
+    tokens = query_tokens(index.vocabulary, queries)
+    return (
+        index.token_ptr, index.postings, index.sizes,
+        tokens.ptr, tokens.token_ids, tokens.sizes,
+    )
+
+
+def _expected_pairs(queries, lo, hi, select):
+    """``(query_ids, set_ids)`` of ``select(query)`` over ``[lo, hi)``."""
+    query_ids, set_ids = [], []
+    for position in range(lo, hi):
+        chosen = sorted(select(queries[position]))
+        query_ids += [position] * len(chosen)
+        set_ids += chosen
+    return (
+        np.asarray(query_ids, dtype=np.int64),
+        np.asarray(set_ids, dtype=np.int64),
+    )
+
+
+def _epsilon_select(indexed, threshold, measure):
+    func = similarity_function(measure)
+    return lambda query: [
+        set_id
+        for set_id, overlap in overlaps_reference(indexed, query).items()
+        if func(len(indexed[set_id]), len(query), overlap) >= threshold
+    ]
+
+
+def _knn_select(indexed, k, measure):
+    func = similarity_function(measure)
+    return lambda query: reference_knn_select(indexed, query, k, func)
+
+
+def _assert_pairs_equal(got, expected):
+    for got_part, expected_part in zip(got, expected):
+        assert got_part.dtype == np.int64
+        assert got_part.tobytes() == expected_part.tobytes()
+
+
+def _exactness_cell(model, seed):
+    """Word-soup token sets plus every degenerate query and set shape."""
+    rng = np.random.default_rng(seed)
+    left, right = make_collections(rng, 40, 45)
+    indexed = token_sets_of(left, model) + [frozenset()]  # a zero-size set
+    queries = token_sets_of(right, model)
+    some_token = sorted(indexed[0])[0]
+    queries += [
+        frozenset(),  # empty
+        frozenset(OOV),  # all out of vocabulary
+        frozenset({some_token}),  # single token
+        frozenset({some_token, *OOV}),  # one in-vocabulary token of four
+    ]
+    return indexed, queries
+
+
+THRESHOLDS = (0.0, 0.1, 0.5, 0.9, 1.0)
+
+
+class TestClassScoredKernels:
+    @pytest.mark.parametrize("model", ["T1G", "C3GM"])
     @pytest.mark.parametrize("measure", ["cosine", "dice", "jaccard"])
-    def test_bound_never_excludes_a_qualifying_pair(self, measure):
-        from repro.sparse.kernels import min_overlap_bounds
+    def test_knn_matches_scalar_reference(self, model, measure):
+        from repro.sparse.kernels import knn_kernel
 
-        func = similarity_function(measure)
-        sizes = np.arange(0, 25, dtype=np.int64)
-        for threshold in (0.05, 0.1, 0.33, 0.5, 0.75, 0.9, 1.0):
-            for query_size in range(0, 25):
-                bounds = min_overlap_bounds(
-                    measure, threshold, sizes, query_size
+        indexed, queries = _exactness_cell(model, 31)
+        args = _kernel_args(indexed, queries)
+        for k in (1, 5, 20):
+            for lo, hi in [(0, len(queries)), (7, 19)]:
+                _assert_pairs_equal(
+                    knn_kernel(*args, lo, hi, k=k, measure=measure),
+                    _expected_pairs(
+                        queries, lo, hi, _knn_select(indexed, k, measure)
+                    ),
                 )
-                for a in sizes.tolist():
-                    for overlap in range(0, min(a, query_size) + 1):
-                        if func(a, query_size, overlap) >= threshold:
-                            assert overlap >= bounds[a], (
-                                measure, threshold, a, query_size, overlap
-                            )
 
-    def test_bound_is_at_least_one(self):
-        from repro.sparse.kernels import min_overlap_bounds
+    @pytest.mark.parametrize("model", ["T1G", "C3GM"])
+    @pytest.mark.parametrize("measure", ["cosine", "dice", "jaccard"])
+    def test_epsilon_matches_scalar_reference(self, model, measure):
+        from repro.sparse.kernels import epsilon_kernel
 
-        bounds = min_overlap_bounds(
-            "cosine", 0.01, np.arange(10, dtype=np.int64), 3
+        indexed, queries = _exactness_cell(model, 32)
+        args = _kernel_args(indexed, queries)
+        for threshold in THRESHOLDS:
+            for lo, hi in [(0, len(queries)), (7, 19)]:
+                _assert_pairs_equal(
+                    epsilon_kernel(
+                        *args, lo, hi, threshold=threshold, measure=measure
+                    ),
+                    _expected_pairs(
+                        queries,
+                        lo,
+                        hi,
+                        _epsilon_select(indexed, threshold, measure),
+                    ),
+                )
+
+    def test_empty_index(self):
+        from repro.sparse.kernels import epsilon_kernel, knn_kernel
+
+        queries = [frozenset({"a", "b"}), frozenset(), frozenset({"c"})]
+        args = _kernel_args([], queries)
+        for got in (
+            knn_kernel(*args, 0, len(queries), k=3, measure="cosine"),
+            epsilon_kernel(
+                *args, 0, len(queries), threshold=0.0, measure="cosine"
+            ),
+        ):
+            assert [part.tolist() for part in got] == [[], []]
+            assert all(part.dtype == np.int64 for part in got)
+
+    def test_index_of_zero_size_sets_only(self):
+        from repro.sparse.kernels import epsilon_kernel, knn_kernel
+
+        queries = [frozenset({"a"}), frozenset()]
+        args = _kernel_args([frozenset(), frozenset()], queries)
+        assert len(knn_kernel(*args, 0, 2, k=1, measure="dice")[0]) == 0
+        assert len(
+            epsilon_kernel(*args, 0, 2, threshold=0.0, measure="dice")[0]
+        ) == 0
+
+    @pytest.mark.parametrize("measure", ["cosine", "dice", "jaccard"])
+    def test_k_above_distinct_similarities_keeps_every_overlap(self, measure):
+        from repro.sparse.kernels import knn_kernel
+
+        # Three set shapes give the query at most three similarities.
+        indexed = [
+            frozenset({"a"}),
+            frozenset({"a", "b"}),
+            frozenset({"a", "b", "c"}),
+            frozenset({"z"}),
+        ] * 3
+        queries = [frozenset({"a", "b"})]
+        query_ids, set_ids = knn_kernel(
+            *_kernel_args(indexed, queries), 0, 1, k=50, measure=measure
         )
-        assert bounds.min() >= 1
+        expected = [i for i, tokens in enumerate(indexed) if "a" in tokens]
+        assert set_ids.tolist() == expected
+        assert query_ids.tolist() == [0] * len(expected)
+
+    @pytest.mark.parametrize("measure", ["cosine", "dice", "jaccard"])
+    def test_heavy_ties(self, measure):
+        from repro.sparse.kernels import epsilon_kernel, knn_kernel
+
+        # Ten copies each of three shapes: every similarity is tied ten
+        # ways, and the query's best class is the exact copy.
+        shapes = [
+            frozenset({"a", "b"}),
+            frozenset({"a", "c"}),
+            frozenset({"c", "d", "e", "f"}),
+        ]
+        indexed = [shape for shape in shapes for __ in range(10)]
+        queries = [frozenset({"a", "b"}), frozenset({"a"}), frozenset({"c"})]
+        args = _kernel_args(indexed, queries)
+        for k in (1, 2, 3):
+            _assert_pairs_equal(
+                knn_kernel(*args, 0, 3, k=k, measure=measure),
+                _expected_pairs(
+                    queries, 0, 3, _knn_select(indexed, k, measure)
+                ),
+            )
+        assert knn_kernel(*args, 0, 1, k=1, measure=measure)[1].tolist() == (
+            list(range(10))
+        )
+        for threshold in THRESHOLDS:
+            _assert_pairs_equal(
+                epsilon_kernel(
+                    *args, 0, 3, threshold=threshold, measure=measure
+                ),
+                _expected_pairs(
+                    queries,
+                    0,
+                    3,
+                    _epsilon_select(indexed, threshold, measure),
+                ),
+            )
+
+    def test_epsilon_range_split_invariance(self):
+        from repro.sparse.kernels import epsilon_kernel
+
+        indexed, queries = _exactness_cell("C3GM", 33)
+        args = _kernel_args(indexed, queries)
+        params = {"threshold": 0.3, "measure": "cosine"}
+        lo, hi = 2, len(queries) - 1
+        whole = epsilon_kernel(*args, lo, hi, **params)
+        for mid in range(lo, hi + 1):
+            head = epsilon_kernel(*args, lo, mid, **params)
+            tail = epsilon_kernel(*args, mid, hi, **params)
+            for part in (0, 1):
+                np.testing.assert_array_equal(
+                    whole[part], np.concatenate((head[part], tail[part]))
+                )
+
+    @pytest.mark.parametrize("measure", ["cosine", "dice", "jaccard"])
+    def test_measures_non_decreasing_in_overlap(self, measure):
+        # The ε-Join cutoff reads each set size's minimum overlap off the
+        # class similarities, which is exact only if every measure is
+        # non-decreasing in the overlap for fixed sizes, rounding
+        # included.  Exhaustive for sizes up to 200.
+        vector = vector_similarity_function(measure)
+        limit = 200
+        overlaps = np.arange(limit + 1, dtype=np.int64)
+        query_sizes = np.arange(limit + 1, dtype=np.int64)
+        grid_b, grid_c = np.meshgrid(query_sizes, overlaps, indexing="ij")
+        for size in range(limit + 1):
+            values = vector(np.full_like(grid_b, size), grid_b, grid_c)
+            reachable = grid_c <= np.minimum(size, grid_b)
+            values = np.where(reachable, values, np.inf)
+            assert np.all(values[:, 1:] >= values[:, :-1]), (measure, size)
+
+
+def test_epsilon_memory_does_not_grow_with_distinct_query_sizes():
+    """One size's minimum-overlap array is alive at a time, not one per
+    distinct query size for the whole range."""
+    import tracemalloc
+
+    from repro.sparse.kernels import epsilon_kernel, knn_kernel
+
+    num_sets, num_sizes = 20_000, 300
+    indexed = [frozenset({f"u{i}", f"v{i % 7}"}) for i in range(num_sets)]
+    # One in-vocabulary token each, padded out of vocabulary to 300
+    # distinct query sizes.
+    queries = [
+        frozenset({f"u{q}", *(f"oov{q}-{j}" for j in range(q))})
+        for q in range(num_sizes)
+    ]
+    args = _kernel_args(indexed, queries)
+    for kernel, params in (
+        (epsilon_kernel, {"threshold": 0.01, "measure": "cosine"}),
+        (knn_kernel, {"k": 5, "measure": "cosine"}),
+    ):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            query_ids, __ = kernel(*args, 0, num_sizes, **params)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert query_ids.tolist() == list(range(num_sizes))
+        # A handful of n-length int64 arrays; one per distinct query
+        # size would be 300 of them (48 MB).
+        budget = 16 * 8 * num_sets
+        assert peak <= budget, (kernel.__name__, peak, budget)
 
 
 def _cutoff_reference(values, k):
