@@ -7,8 +7,8 @@ configuration is identical (the layer's hard invariant) and recording
 both wall times plus the pruned fraction of the enumerated grid.
 
 Rows share BENCH_sparse.json with the kernel bench and ride its
-aggregation helpers (keyed merge, run-count-weighted medians, atomic
-rewrite).  Row kinds (``dataset`` is ``<name>[@<attribute>]:<method>``):
+row helpers (keyed merge where a fresh row replaces the recorded one,
+atomic rewrite).  Row kinds (``dataset`` is ``<name>[@<attribute>]:<method>``):
 
 * ``{kernel: "tune_noprune", wall_s, candidates: |C| of the winner}``
 * ``{kernel: "tune_prune", wall_s, candidates, pruned_frac}``

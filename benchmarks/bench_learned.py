@@ -154,7 +154,7 @@ def main(argv: Sequence[str] = None) -> int:
     parser.add_argument("--threshold", type=float, default=0.5,
                         help="WEP probability cutoff")
     parser.add_argument("--out", default="BENCH_sparse.json",
-                        help="output JSON path (rows are aggregated by"
+                        help="output JSON path (rows are keyed by"
                         " kernel/dataset/workers and rewritten atomically)")
     args = parser.parse_args(argv)
 

@@ -16,8 +16,8 @@ over the incremental ScanCount filter wrapped in a
   seconds; ``p50_ms``/``p99_ms`` carry the quantiles in milliseconds.
 
 Rows share BENCH_sparse.json with the kernel bench and ride its
-aggregation helpers (keyed merge, run-count-weighted medians, atomic
-rewrite).
+row helpers (keyed merge where a fresh row replaces the recorded one,
+atomic rewrite).
 
 Usage::
 

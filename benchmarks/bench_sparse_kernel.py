@@ -36,10 +36,10 @@ large row exists to document.
 
 Each row is ``{kernel, dataset, workers, wall_s, candidates, runs}``:
 ``wall_s`` the median over ``--repeats`` runs, ``runs`` how many runs
-back it.  ``write_rows`` *aggregates* by (kernel, dataset, workers) —
-re-running the bench folds new timings into the existing row via a
-run-count-weighted median and rewrites ``BENCH_sparse.json`` atomically,
-instead of appending duplicate rows.
+back it.  ``write_rows`` keys rows by (kernel, dataset, workers) — a
+re-run replaces the recorded row for its key with the fresh measurement
+and rewrites ``BENCH_sparse.json`` atomically, instead of appending
+duplicate rows.
 
 Usage::
 
@@ -460,7 +460,7 @@ def run_benchmarks(
 
 
 # ----------------------------------------------------------------------
-# Trajectory file: aggregate repeats, rewrite atomically.
+# Trajectory file: one row per key, rewrite atomically.
 # ----------------------------------------------------------------------
 
 
@@ -497,47 +497,14 @@ def _row_key(row: Dict[str, object]) -> Tuple[str, str, int]:
     return (str(row["kernel"]), str(row["dataset"]), int(row["workers"]))
 
 
-def _combine_rows(
-    old: Dict[str, object], new: Dict[str, object]
-) -> Dict[str, object]:
-    """Fold a fresh measurement into an existing aggregated row.
-
-    ``wall_s`` becomes the run-count-weighted median of the two recorded
-    medians and ``runs`` accumulates.  A candidate-count mismatch means
-    the workload itself changed (different seed/data semantics), so the
-    fresh row replaces the stale aggregate outright.  Optional metric
-    fields (q-error, pruned fraction) are deterministic recomputations,
-    so the fresh row's values win.
-    """
-    if int(old["candidates"]) != int(new["candidates"]):
-        return dict(new)
-    points = sorted(
-        [
-            (float(old["wall_s"]), int(old["runs"])),
-            (float(new["wall_s"]), int(new["runs"])),
-        ]
-    )
-    total = sum(weight for __, weight in points)
-    accumulated = 0
-    combined = points[-1][0]
-    for wall, weight in points:
-        accumulated += weight
-        if 2 * accumulated >= total:
-            combined = wall
-            break
-    merged = dict(new)
-    merged["wall_s"] = round(combined, 6)
-    merged["runs"] = int(old["runs"]) + int(new["runs"])
-    return merged
-
-
 def write_rows(rows: Sequence[Dict[str, object]], path: Path) -> None:
     """Merge ``rows`` into the trajectory file and rewrite it atomically.
 
-    Rows are keyed by (kernel, dataset, workers): repeated benchmark runs
-    aggregate into one row per key (see :func:`_combine_rows`) instead of
-    appending duplicates.  The file is replaced via an adjacent temp file
-    + ``os.replace`` so a crash mid-write can never truncate it.
+    Rows are keyed by (kernel, dataset, workers): a fresh row replaces
+    the recorded row for its key (so a re-measure after a speed-up
+    records the new figure), and keys not measured this run keep their
+    rows.  The file is replaced via an adjacent temp file +
+    ``os.replace`` so a crash mid-write can never truncate it.
     """
     path = Path(path)
     existing: List[Dict[str, object]] = []
@@ -552,10 +519,7 @@ def write_rows(rows: Sequence[Dict[str, object]], path: Path) -> None:
             row = _normalize_row(raw)
         except (KeyError, TypeError, ValueError):
             continue  # drop malformed rows rather than poison the file
-        key = _row_key(row)
-        merged[key] = (
-            _combine_rows(merged[key], row) if key in merged else row
-        )
+        merged[_row_key(row)] = row
     payload = json.dumps(list(merged.values()), indent=2) + "\n"
     temp_path = path.with_name(path.name + ".tmp")
     temp_path.write_text(payload)
@@ -575,7 +539,7 @@ def main(argv: Sequence[str] = None) -> int:
                         help="comma-separated worker counts for the"
                         " scaling rows (e.g. 1,2,4,8)")
     parser.add_argument("--out", default="BENCH_sparse.json",
-                        help="output JSON path (rows are aggregated by"
+                        help="output JSON path (rows are keyed by"
                         " kernel/dataset/workers and rewritten atomically)")
     args = parser.parse_args(argv)
     workers_list = [int(w) for w in str(args.workers).split(",") if w.strip()]

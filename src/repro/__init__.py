@@ -16,7 +16,7 @@ Quickstart::
     print(metrics.pair_completeness(candidates, ds.groundtruth))
 """
 
-from . import blocking, core, datasets, dense, dirty, matching, sparse, text, tuning
+from . import blocking, core, datasets, dense, sparse, text, tuning
 from .core import (
     CandidateSet,
     EntityCollection,
@@ -43,9 +43,7 @@ __all__ = [
     "core",
     "datasets",
     "dense",
-    "dirty",
     "evaluate_candidates",
-    "matching",
     "metrics",
     "pair_completeness",
     "pairs_quality",

@@ -1,7 +1,7 @@
 """The fault-tolerant serving layer over the incremental indexes.
 
-PR 6's :class:`~repro.core.incremental.IncrementalIndex` gave every
-filter family an add/remove/query form, but a *single-threaded* one: a
+:class:`~repro.core.incremental.IncrementalIndex` gives every filter
+family an add/remove/query form, but a *single-threaded* one: a
 query racing a mutation (or a ``DynamicPostings`` compaction), a crash
 mid-mutation, or an overload burst all had undefined behavior.  This
 module wraps any incremental index in a :class:`ServingIndex` with four
@@ -41,7 +41,8 @@ depth, durable/applied lag and writer liveness plus the index's own
 structural gauges; :meth:`ServingIndex.stats` reports per-op latency
 quantiles (p50/p90/p99) and the stage-trace totals.
 
-Correctness is pinned the same way PR 6 pinned streaming:
+Correctness is pinned the way
+:func:`~repro.core.incremental.replay_check` pins streaming:
 :func:`chaos_replay_check` drives concurrent readers against the writer
 (optionally under injected faults) and compares every answer
 byte-identically — fastpairs keys — with a from-scratch rebuild of the
@@ -139,6 +140,9 @@ _END_SENTINEL = "~end"
 
 _WAL_NAME = "wal.jsonl"
 _CHECKPOINT_NAME = "checkpoint.json"
+
+#: Samples kept per op kind for :meth:`ServingIndex.stats` quantiles.
+_LATENCY_WINDOW = 2048
 
 
 def _profile_payload(profile: EntityProfile) -> Dict[str, object]:
@@ -335,18 +339,22 @@ class SnapshotInfo:
 
 
 class MutationTicket:
-    """Async handle for one admitted mutation.
+    """Async handle for one admitted mutation — also the queued op itself.
 
     The ticket completes when the op is durable (WAL fsync) *and*
     visible (published in a snapshot); :meth:`wait` re-raises any
-    permanent failure the writer hit applying it.
+    permanent failure the writer hit applying it.  ``profile`` is the
+    entity an ``add`` carries (``None`` for ``remove`` / ``compact``).
     """
 
-    __slots__ = ("kind", "uid", "seq", "epoch", "error", "_event")
+    __slots__ = ("kind", "uid", "profile", "seq", "epoch", "error", "_event")
 
-    def __init__(self, kind: str, uid: str) -> None:
+    def __init__(
+        self, kind: str, uid: str, profile: Optional[EntityProfile] = None
+    ) -> None:
         self.kind = kind
         self.uid = uid
+        self.profile = profile
         self.seq: Optional[int] = None
         self.epoch: Optional[int] = None
         self.error: Optional[BaseException] = None
@@ -375,22 +383,6 @@ class MutationTicket:
         if self.error is not None:
             raise self.error
         return self
-
-
-class _QueuedOp:
-    __slots__ = ("kind", "profile", "uid", "ticket")
-
-    def __init__(
-        self,
-        kind: str,
-        ticket: MutationTicket,
-        profile: Optional[EntityProfile] = None,
-        uid: Optional[str] = None,
-    ) -> None:
-        self.kind = kind
-        self.profile = profile
-        self.uid = uid
-        self.ticket = ticket
 
 
 class _WriterWedged(Exception):
@@ -447,7 +439,6 @@ class ServingIndex:
         max_retries: int = 2,
         backoff: float = 0.01,
         transient_errors: Tuple[type, ...] = (TransientError,),
-        latency_window: int = 2048,
     ) -> None:
         if queue_limit < 1:
             raise ValueError("queue_limit must be positive")
@@ -472,7 +463,7 @@ class ServingIndex:
 
         # Admission state, guarded by _work (a condition's lock).
         self._work = threading.Condition()
-        self._queue: Deque[_QueuedOp] = collections.deque()
+        self._queue: Deque[MutationTicket] = collections.deque()
         self._admitted: Dict[str, EntityProfile] = {}
         self._stop = False
         self._failure: Optional[str] = None
@@ -483,8 +474,8 @@ class ServingIndex:
         # Latency accounting, guarded by _stats_lock.
         self._stats_lock = threading.Lock()
         self._latencies: Dict[str, Deque[float]] = {
-            kind: collections.deque(maxlen=int(latency_window))
-            for kind in ("add", "remove", "query", "apply_batch")
+            kind: collections.deque(maxlen=_LATENCY_WINDOW)
+            for kind in ("add", "remove", "compact", "query", "apply_batch")
         }
 
         front = factory()
@@ -597,29 +588,40 @@ class ServingIndex:
         depth = len(self._queue)
         return max(0.005, batch_seconds * (1 + depth / self.batch_limit))
 
-    def _admit(self, op: _QueuedOp) -> MutationTicket:
+    def _submit(
+        self, op: MutationTicket, timeout: Optional[float], wait: bool
+    ) -> MutationTicket:
+        """Admit ``op``; with ``wait``, block until durable + visible.
+
+        Validation is synchronous against the *admitted* catalog even
+        though application is asynchronous: a duplicate add raises
+        ``ValueError`` and a remove of a uid that is not live raises
+        ``KeyError`` here, and a full queue raises
+        :class:`ServingOverloaded`.
+        """
+        deadline = self._deadline(timeout)
+        start = time.perf_counter()
         with self._work:
             self._check_accepting()
-            if op.kind == "add":
-                if op.profile.uid in self._admitted:
-                    raise ValueError(
-                        f"duplicate uid {op.profile.uid!r} in serving index"
-                    )
-            elif op.kind == "remove":
-                if op.uid not in self._admitted:
-                    raise KeyError(op.uid)
+            if op.kind == "add" and op.uid in self._admitted:
+                raise ValueError(f"duplicate uid {op.uid!r} in serving index")
+            if op.kind == "remove" and op.uid not in self._admitted:
+                raise KeyError(op.uid)
             if len(self._queue) >= self.queue_limit:
                 raise ServingOverloaded(
                     f"admission queue full ({self.queue_limit} ops)",
                     retry_after=self._retry_after(),
                 )
             if op.kind == "add":
-                self._admitted[op.profile.uid] = op.profile
+                self._admitted[op.uid] = op.profile
             elif op.kind == "remove":
                 del self._admitted[op.uid]
             self._queue.append(op)
             self._work.notify()
-        return op.ticket
+        if wait:
+            op.wait(deadline)
+            self._record_latency(op.kind, time.perf_counter() - start)
+        return op
 
     def add(
         self,
@@ -628,23 +630,14 @@ class ServingIndex:
         timeout: Optional[float] = None,
         wait: bool = True,
     ) -> MutationTicket:
-        """Admit an insertion; by default block until durable + visible.
+        """Admit an insertion (``ValueError`` on a duplicate uid).
 
-        Raises ``ValueError`` on a duplicate uid (checked against the
-        *admitted* catalog, so validation is synchronous even though
-        application is asynchronous), :class:`ServingOverloaded` when
-        the queue is full.  ``wait=False`` returns the ticket
-        immediately.
+        By default blocks until durable + visible; ``wait=False``
+        returns the ticket immediately.
         """
-        deadline = self._deadline(timeout)
-        start = time.perf_counter()
-        ticket = self._admit(
-            _QueuedOp("add", MutationTicket("add", entity.uid), profile=entity)
+        return self._submit(
+            MutationTicket("add", entity.uid, entity), timeout, wait
         )
-        if wait:
-            ticket.wait(deadline)
-            self._record_latency("add", time.perf_counter() - start)
-        return ticket
 
     def remove(
         self,
@@ -654,15 +647,7 @@ class ServingIndex:
         wait: bool = True,
     ) -> MutationTicket:
         """Admit a removal (``KeyError`` when the uid is not live)."""
-        deadline = self._deadline(timeout)
-        start = time.perf_counter()
-        ticket = self._admit(
-            _QueuedOp("remove", MutationTicket("remove", uid), uid=uid)
-        )
-        if wait:
-            ticket.wait(deadline)
-            self._record_latency("remove", time.perf_counter() - start)
-        return ticket
+        return self._submit(MutationTicket("remove", uid), timeout, wait)
 
     def compact(
         self, *, timeout: Optional[float] = None, wait: bool = True
@@ -673,39 +658,21 @@ class ServingIndex:
         writer compacts the back buffer — the rewritten structure only
         becomes visible at the next publish.
         """
-        deadline = self._deadline(timeout)
-        ticket = self._admit(
-            _QueuedOp("compact", MutationTicket("compact", "<maintenance>"))
+        return self._submit(
+            MutationTicket("compact", "<maintenance>"), timeout, wait
         )
-        if wait:
-            ticket.wait(deadline)
-        return ticket
 
     # ------------------------------------------------------------------
     # Queries (readers' threads).
     # ------------------------------------------------------------------
 
-    def _pin(self) -> Snapshot:
-        with self._turnstile:
-            snapshot = self._published
-            snapshot.pins += 1
-            return snapshot
-
-    def _unpin(self, snapshot: Snapshot) -> None:
-        with self._turnstile:
-            snapshot.pins -= 1
-            if snapshot.pins == 0:
-                self._turnstile.notify_all()
-
-    def query(
+    def _read(
         self,
-        entity: EntityProfile,
-        *,
-        timeout: Optional[float] = None,
-        info: bool = False,
-        **params: object,
+        run: Callable[[IncrementalIndex], object],
+        timeout: Optional[float],
+        info: bool,
     ):
-        """Candidates of ``entity`` against the pinned snapshot.
+        """Answer ``run(index)`` on the pinned published snapshot.
 
         Runs on the caller's thread, concurrently with the writer and
         other readers.  The cooperative deadline is checked at the call
@@ -720,17 +687,35 @@ class ServingIndex:
         start = time.perf_counter()
         if deadline is not None:
             deadline.check()
-        snapshot = self._pin()
+        with self._turnstile:
+            snapshot = self._published
+            snapshot.pins += 1
         try:
-            result = snapshot.index._query_result(entity, **params)
+            result = run(snapshot.index)
         finally:
-            self._unpin(snapshot)
+            with self._turnstile:
+                snapshot.pins -= 1
+                if snapshot.pins == 0:
+                    self._turnstile.notify_all()
         if deadline is not None:
             deadline.check()
         self._record_latency("query", time.perf_counter() - start)
         if info:
             return result, SnapshotInfo(snapshot.epoch, snapshot.applied)
         return result
+
+    def query(
+        self,
+        entity: EntityProfile,
+        *,
+        timeout: Optional[float] = None,
+        info: bool = False,
+        **params: object,
+    ):
+        """Candidates of ``entity`` against the pinned snapshot."""
+        return self._read(
+            lambda index: index._query_result(entity, **params), timeout, info
+        )
 
     def query_many(
         self,
@@ -745,25 +730,13 @@ class ServingIndex:
         The whole batch sees a single consistent state (one pin, one
         epoch) and runs through the index's batched kernel path.
         """
-        if self._stop and self._failure is None:
-            raise ServingClosed("serving index is closed")
-        deadline = self._deadline(timeout)
-        start = time.perf_counter()
-        if deadline is not None:
-            deadline.check()
-        snapshot = self._pin()
-        try:
-            results = tuple(
-                snapshot.index._query_many_results(list(entities), **params)
-            )
-        finally:
-            self._unpin(snapshot)
-        if deadline is not None:
-            deadline.check()
-        self._record_latency("query", time.perf_counter() - start)
-        if info:
-            return results, SnapshotInfo(snapshot.epoch, snapshot.applied)
-        return results
+        return self._read(
+            lambda index: tuple(
+                index._query_many_results(list(entities), **params)
+            ),
+            timeout,
+            info,
+        )
 
     # ------------------------------------------------------------------
     # The writer thread.
@@ -798,41 +771,36 @@ class ServingIndex:
                     self._wedge(error, [])
                     return
 
-    def _apply_batch(self, batch: List[_QueuedOp]) -> None:
+    def _apply_batch(self, batch: List[MutationTicket]) -> None:
         started = time.perf_counter()
         # 1. Durability first: log + one group fsync for the batch.
         if self._wal is not None:
             for op in batch:
-                if op.kind == "add":
-                    record = WriteAheadLog.record_for(
-                        "add",
-                        self._next_seq,
-                        **_profile_payload(op.profile),
-                    )
-                elif op.kind == "remove":
-                    record = WriteAheadLog.record_for(
-                        "remove", self._next_seq, uid=op.uid
-                    )
-                else:
+                if op.kind == "compact":
                     continue  # maintenance is not logged: no logical state
-                op.ticket.seq = self._next_seq
+                fields = (
+                    _profile_payload(op.profile)
+                    if op.kind == "add"
+                    else {"uid": op.uid}
+                )
+                record = WriteAheadLog.record_for(
+                    op.kind, self._next_seq, **fields
+                )
+                op.seq = self._next_seq
                 self._next_seq += 1
                 self._wal.append(record)
             self._wal.sync()
             if batch:
                 self._durable_seq = self._next_seq - 1
         # 2. Apply to the private back buffer (never visible mid-way).
-        mutations = 0
+        # Every op, compaction included, advances the op clock.
+        mutations = len(batch)
         for op in batch:
             self._apply_op(self._back, op)
             if op.kind == "add":
-                self._applied_catalog[op.profile.uid] = op.profile
-                mutations += 1
+                self._applied_catalog[op.uid] = op.profile
             elif op.kind == "remove":
                 del self._applied_catalog[op.uid]
-                mutations += 1
-            else:
-                mutations += 1  # compaction advances the op clock too
         self._applied_since_checkpoint += mutations
         # 3. Publish: one atomic swap; readers pin the new state from
         # here on.  A fault injected at this boundary aborts the batch
@@ -851,7 +819,7 @@ class ServingIndex:
         # 4. Acknowledge: durable and visible.
         epoch = self._published.epoch
         for op in batch:
-            op.ticket._complete(epoch)
+            op._complete(epoch)
         # 5. Reclaim the previous snapshot once its readers drain, and
         # catch it up with the same batch — it becomes the next back
         # buffer.  Readers always pin the *published* snapshot, so the
@@ -864,7 +832,7 @@ class ServingIndex:
         self._back = previous.index
         self._record_latency("apply_batch", time.perf_counter() - started)
 
-    def _apply_op(self, index: IncrementalIndex, op: _QueuedOp) -> None:
+    def _apply_op(self, index: IncrementalIndex, op: MutationTicket) -> None:
         """Apply one op with bounded retry; idempotent under re-entry.
 
         A fault can fire *after* the index mutated (stage exit hooks),
@@ -875,7 +843,7 @@ class ServingIndex:
         while True:
             try:
                 if op.kind == "add":
-                    if op.profile.uid not in index:
+                    if op.uid not in index:
                         index.add(op.profile)
                 elif op.kind == "remove":
                     if op.uid in index:
@@ -893,7 +861,7 @@ class ServingIndex:
                 attempts += 1
                 if attempts > self.max_retries:
                     raise _WriterWedged(
-                        f"{op.kind}({op.ticket.uid!r}) failed after"
+                        f"{op.kind}({op.uid!r}) failed after"
                         f" {attempts} attempts: {error!r}"
                     ) from error
                 time.sleep(self.backoff * (2 ** (attempts - 1)))
@@ -926,7 +894,9 @@ class ServingIndex:
         finally:
             stages.fire_stage_hooks("exit", "serving/checkpoint")
 
-    def _wedge(self, error: BaseException, batch: List[_QueuedOp]) -> None:
+    def _wedge(
+        self, error: BaseException, batch: List[MutationTicket]
+    ) -> None:
         """Degrade to read-only: fail outstanding tickets, keep serving."""
         description = f"{type(error).__name__}: {error}"
         with self._work:
@@ -937,8 +907,8 @@ class ServingIndex:
             f"mutation dropped: writer wedged ({description})"
         )
         for op in pending:
-            if not op.ticket.done:
-                op.ticket._fail(failure)
+            if not op.done:
+                op._fail(failure)
         with self._turnstile:
             self._turnstile.notify_all()
 
@@ -987,7 +957,11 @@ class ServingIndex:
             "live": live,
             "queue_depth": queue_depth,
             "queue_limit": self.queue_limit,
-            "log_lag": queue_depth,
+            "log_lag": (
+                self._applied_since_checkpoint
+                if self._wal is not None
+                else None
+            ),
             "durable_seq": self._durable_seq,
             "writer_alive": self._writer.is_alive(),
             "wal": str(self._wal.path) if self._wal is not None else None,

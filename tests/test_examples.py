@@ -32,18 +32,6 @@ def test_custom_dataset():
     assert "PC=1.00" in output
 
 
-def test_deduplication():
-    output = run_example("deduplication.py")
-    assert "duplicate clusters" in output
-    assert "kNN-Join" in output
-
-
-def test_end_to_end_er():
-    output = run_example("end_to_end_er.py")
-    assert "end-to-end" in output
-    assert "filtering" in output
-
-
 @pytest.mark.parametrize(
     "name",
     ["product_deduplication.py", "bibliographic_linkage.py",

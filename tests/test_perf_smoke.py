@@ -6,7 +6,7 @@ and kNN / count-only kernel ratios and the CNP / WNP pruning ratio (the
 machine's speed cancels out of all three), an incremental query latency budget, a ceiling on
 how much a serving query slows when the live set grows 20x, memory
 ceilings per candidate pair and per sparse-tuner overlap cell, plus the
-aggregation contract of the trajectory file.  Run just this guard with
+keyed-replacement contract of the trajectory file.  Run just this guard with
 ``pytest -m perf_smoke``; the wall-clock checks are skipped on
 known-slow CI boxes (``CI=slow-box``) where they are noise.  The memory
 checks count bytes, so they always run.
@@ -156,7 +156,7 @@ def test_cnp_stays_within_bound_of_wnp():
     )
 
 
-def test_write_rows_aggregates_instead_of_duplicating(tmp_path):
+def test_write_rows_replaces_instead_of_duplicating(tmp_path):
     bench = _load_bench()
     rows = [
         {
@@ -178,37 +178,42 @@ def test_write_rows_aggregates_instead_of_duplicating(tmp_path):
     ]
     out = tmp_path / "BENCH_sparse.json"
     bench.write_rows(rows, out)
-    bench.write_rows(rows, out)  # aggregates, never appends duplicates
+    bench.write_rows(rows, out)  # replaces, never appends duplicates
     recorded = json.loads(out.read_text())
     assert len(recorded) == len(rows)
     by_key = {(r["kernel"], r["workers"]): r for r in recorded}
-    assert by_key[("batch_query_csr", 1)]["runs"] == 6
+    assert by_key[("batch_query_csr", 1)]["runs"] == 3
     assert by_key[("batch_query_csr", 1)]["wall_s"] == pytest.approx(0.5)
     assert ROW_SCHEMA <= set(recorded[0])
     # No temp file left behind (the rewrite is tmp + os.replace).
     assert list(tmp_path.iterdir()) == [out]
 
 
-def test_write_rows_weighted_median_and_workload_reset(tmp_path):
+def test_write_rows_fresh_row_replaces_recorded_row(tmp_path):
     bench = _load_bench()
     out = tmp_path / "BENCH_sparse.json"
     base = {
-        "kernel": "ejoin_csr",
-        "dataset": "bench-1000x1000-T1G",
+        "kernel": "knn_csr",
+        "dataset": "bench-5000x5000-T1G",
         "workers": 1,
         "candidates": 99,
     }
-    bench.write_rows([dict(base, wall_s=1.0, runs=5)], out)
-    bench.write_rows([dict(base, wall_s=9.0, runs=1)], out)
-    row = json.loads(out.read_text())[0]
-    # 5-run median dominates the 1-run outlier.
-    assert row["wall_s"] == pytest.approx(1.0)
-    assert row["runs"] == 6
-    # A changed candidate count means a changed workload: stats restart.
+    other = dict(base, kernel="ejoin_csr", wall_s=0.171, runs=6)
+    bench.write_rows([dict(base, wall_s=0.818, runs=6), other], out)
+    # A re-measure after a speed-up records the new figure even though
+    # the recorded row is backed by more runs.
+    bench.write_rows([dict(base, wall_s=0.306, runs=3)], out)
+    recorded = {row["kernel"]: row for row in json.loads(out.read_text())}
+    assert recorded["knn_csr"]["wall_s"] == pytest.approx(0.306)
+    assert recorded["knn_csr"]["runs"] == 3
+    # Keys the re-run did not measure keep their rows.
+    assert recorded["ejoin_csr"]["wall_s"] == pytest.approx(0.171)
+    # A changed candidate count is just another fresh row.
     bench.write_rows([dict(base, wall_s=2.0, runs=2, candidates=77)], out)
-    row = json.loads(out.read_text())[0]
-    assert row["runs"] == 2 and row["candidates"] == 77
-    assert row["wall_s"] == pytest.approx(2.0)
+    recorded = {row["kernel"]: row for row in json.loads(out.read_text())}
+    assert recorded["knn_csr"]["runs"] == 2
+    assert recorded["knn_csr"]["candidates"] == 77
+    assert recorded["knn_csr"]["wall_s"] == pytest.approx(2.0)
 
 
 def test_write_rows_upgrades_old_schema_rows(tmp_path):

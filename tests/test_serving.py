@@ -211,6 +211,8 @@ class TestServingBasics:
             service.add(pool()[0])
         with pytest.raises(ServingClosed):
             service.query(pool()[0])
+        with pytest.raises(ServingClosed):
+            service.query_many(pool()[:2])
         service.close()  # idempotent
 
     def test_wait_false_returns_pending_ticket(self):
@@ -261,23 +263,33 @@ class TestOverloadAndDeadlines:
             svc.add(entities[2])
             assert entities[2].uid in svc
 
-    def test_query_deadline_cooperative(self):
+    @pytest.mark.parametrize("read", ["query", "query_many"])
+    def test_query_deadline_cooperative(self, read):
         entities = pool()
         with ServingIndex(factory, default_timeout=30.0) as service:
             service.add(entities[0])
-            assert service.query(entities[0], timeout=10.0)  # plenty
+            call = getattr(service, read)
+            probe = entities[0] if read == "query" else entities[:1]
+            assert call(probe, timeout=10.0)  # plenty
             with pytest.raises(CellDeadlineExceeded):
-                service.query(entities[0], timeout=-1.0)
+                call(probe, timeout=-1.0)
 
-    def test_mutation_wait_deadline(self):
+    @pytest.mark.parametrize("kind", ["add", "remove", "compact"])
+    def test_mutation_wait_deadline(self, kind):
         entities = pool()
         injector = FaultInjector.from_spec("delay:serving/publish:0.4:1")
-        with injector.installed():
-            with ServingIndex(factory, batch_limit=1) as service:
+        with ServingIndex(factory, batch_limit=1) as service:
+            service.add(entities[1])
+            with injector.installed():
                 ticket = service.add(entities[0], wait=False)
                 time.sleep(0.02)
                 with pytest.raises(CellDeadlineExceeded):
-                    service.add(entities[1], timeout=0.05)
+                    if kind == "add":
+                        service.add(entities[2], timeout=0.05)
+                    elif kind == "remove":
+                        service.remove(entities[1].uid, timeout=0.05)
+                    else:
+                        service.compact(timeout=0.05)
                 ticket.wait()  # eventually lands
 
 
@@ -454,7 +466,18 @@ class TestHealthStats:
             assert health["queue_depth"] == 0
             assert health["writer_alive"] is True
             assert health["wal"] is None
+            assert health["log_lag"] is None
             assert health["index"]["live"] == 1
+
+    def test_log_lag_counts_ops_since_checkpoint(self, tmp_path):
+        entities = pool()
+        with ServingIndex(
+            factory, directory=tmp_path, checkpoint_every=3
+        ) as service:
+            for profile in entities[:5]:
+                service.add(profile)
+            # The third add checkpointed; two acked adds follow it.
+            assert service.health()["log_lag"] == 2
 
     def test_stats_latency_quantiles(self):
         entities = pool()
