@@ -24,7 +24,7 @@ from typing import (
 import numpy as np
 
 from ..core.candidates import KEY_WIDTH, CandidateSet
-from ..core.incremental import IncrementalIndex
+from ..core.incremental import BucketIndex
 from ..core.profile import EntityProfile
 
 __all__ = [
@@ -211,7 +211,7 @@ def build_blocks_from_keys(
     return BlockCollection(blocks)
 
 
-class IncrementalBlockIndex(IncrementalIndex):
+class IncrementalBlockIndex(BucketIndex):
     """Mutable key -> block-membership index over one live catalog.
 
     The serving form of the blocking family: the catalog plays the role
@@ -219,6 +219,7 @@ class IncrementalBlockIndex(IncrementalIndex):
     the candidates are the catalog entities sharing at least one
     blocking key with the probe — exactly the cross-side pairs
     :func:`build_blocks_from_keys` would emit for the same signatures.
+    The buckets are the blocks, keyed by the builder's signatures.
 
     ``max_block_size`` mirrors the proactive builders' ``b_max`` cap:
     keys whose live membership exceeds the cap are suppressed at query
@@ -245,53 +246,28 @@ class IncrementalBlockIndex(IncrementalIndex):
         super().__init__(attribute=attribute)
         self.builder = builder
         self.max_block_size = max_block_size
-        self._members: Dict[str, Set[int]] = {}
-        self._keys_of: Dict[int, Tuple[str, ...]] = {}
 
-    def _signatures(self, profile: EntityProfile) -> Set[str]:
+    def _keys(self, profile: EntityProfile) -> Set[str]:
         return set(self.builder.keys(self.text_of(profile)))
 
-    def _add(self, slot: int, profile: EntityProfile) -> None:
-        keys = tuple(sorted(self._signatures(profile)))
-        self._keys_of[slot] = keys
-        for key in keys:
-            self._members.setdefault(key, set()).add(slot)
-
-    def _remove(self, slot: int, profile: EntityProfile) -> None:
-        for key in self._keys_of.pop(slot):
-            members = self._members[key]
-            members.discard(slot)
-            if not members:
-                del self._members[key]
-
     def _query(self, profile: EntityProfile) -> Iterable[int]:
-        matches: Set[int] = set()
         cap = self.max_block_size
-        for key in self._signatures(profile):
-            members = self._members.get(key)
-            if not members:
-                continue
-            if cap is not None and len(members) > cap:
-                continue
-            matches.update(members)
+        if cap is None:
+            return super()._query(profile)
+        matches: Set[int] = set()
+        for key in self._probe_keys(profile):
+            members = self._buckets.get(key, ())
+            if len(members) <= cap:
+                matches.update(members)
         return matches
 
     def index_stats(self) -> Dict[str, object]:
         stats = super().index_stats()
-        oversized = 0
-        if self.max_block_size is not None:
-            oversized = sum(
-                1
-                for members in self._members.values()
-                if len(members) > self.max_block_size
-            )
-        stats.update(
-            keys=len(self._members),
-            max_block=max(
-                (len(members) for members in self._members.values()),
-                default=0,
-            ),
-            suppressed_keys=oversized,
+        cap = self.max_block_size
+        stats["suppressed_keys"] = (
+            0
+            if cap is None
+            else sum(len(members) > cap for members in self._buckets.values())
         )
         return stats
 

@@ -31,7 +31,9 @@ Uniform mutation semantics, enforced here so every family agrees:
 adding a uid already live raises ``ValueError`` (the catalog models the
 individually duplicate-free collections of Clean-Clean ER); removing an
 unknown uid raises ``KeyError``; internal slots are never reused, which
-is what lets the concrete indexes tombstone lazily.
+is what lets the concrete indexes tombstone lazily.  The signature-based
+families (blocking and both LSH twins) share one bucket store,
+:class:`BucketIndex`.
 """
 
 from __future__ import annotations
@@ -40,10 +42,12 @@ import abc
 from typing import (
     Callable,
     Dict,
+    Hashable,
     Iterable,
     List,
     Optional,
     Sequence,
+    Set,
     Tuple,
 )
 
@@ -57,6 +61,7 @@ from .stages import ADD, INCREMENTAL_STAGES, INDEX, QUERY, REMOVE, StageTrace
 
 __all__ = [
     "IncrementalIndex",
+    "BucketIndex",
     "IncrementalFilterAdapter",
     "Operation",
     "random_operations",
@@ -166,18 +171,17 @@ class IncrementalIndex(abc.ABC):
     def query_many(
         self, entities: Sequence[EntityProfile], **params: object
     ) -> Tuple[Tuple[str, ...], ...]:
-        """Batched :meth:`query`: one result tuple per probe, in order.
+        """:meth:`query` over a batch: one result tuple per probe, in order.
 
-        Semantically identical to ``tuple(query(e) for e in entities)``
-        — the parity suite pins that — but routed through
-        :meth:`_query_many_results`, which index families override with
-        a genuinely batched path (ScanCount runs the whole probe batch
-        through the chunked CSR kernels).  The batch is traced as one
-        ``QUERY`` stage entry with the batch cardinalities.
+        Equal to ``tuple(query(e) for e in entities)`` — the parity suite
+        pins that — but traced as one ``QUERY`` stage entry with the
+        batch cardinalities.
         """
         entities = list(entities)
         with self.trace.stage(QUERY, input_size=len(entities)) as record:
-            results = tuple(self._query_many_results(entities, **params))
+            results = tuple(
+                self._query_result(entity, **params) for entity in entities
+            )
             record.output_size = sum(len(result) for result in results)
         return results
 
@@ -194,12 +198,6 @@ class IncrementalIndex(abc.ABC):
         return tuple(
             sorted(self._profile_of_slot[slot].uid for slot in slots)
         )
-
-    def _query_many_results(
-        self, entities: Sequence[EntityProfile], **params: object
-    ) -> List[Tuple[str, ...]]:
-        """Untraced batch hook behind :meth:`query_many` (overridable)."""
-        return [self._query_result(entity, **params) for entity in entities]
 
     # ------------------------------------------------------------------
     # Maintenance and health hooks (the serving layer's surface).
@@ -246,6 +244,61 @@ class IncrementalIndex(abc.ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.describe()} live={len(self)}>"
+
+
+class BucketIndex(IncrementalIndex):
+    """An incremental index that files each entity under signature keys.
+
+    Token blocking, q-gram blocking and LSH are one technique —
+    signature-based blocking: an entity lands in one bucket per key its
+    signature yields, and a probe's candidates are the union of the
+    buckets its keys select.  This class owns the buckets (key -> live
+    slots, slot -> keys), eager removal (an emptied bucket is deleted at
+    once, so none survives), the union query and the ``buckets`` /
+    ``max_bucket`` occupancy gauges.  A family supplies :meth:`_keys`
+    and, where probing selects other buckets than insertion fills,
+    :meth:`_probe_keys`.
+    """
+
+    def __init__(self, attribute: Optional[str] = None) -> None:
+        super().__init__(attribute=attribute)
+        self._buckets: Dict[Hashable, Set[int]] = {}
+        self._keys_of: Dict[int, Tuple[Hashable, ...]] = {}
+
+    @abc.abstractmethod
+    def _keys(self, profile: EntityProfile) -> Iterable[Hashable]:
+        """The distinct bucket keys ``profile`` is filed under."""
+
+    def _probe_keys(self, profile: EntityProfile) -> Iterable[Hashable]:
+        """The bucket keys a query with ``profile`` visits."""
+        return self._keys(profile)
+
+    def _add(self, slot: int, profile: EntityProfile) -> None:
+        keys = tuple(self._keys(profile))
+        self._keys_of[slot] = keys
+        for key in keys:
+            self._buckets.setdefault(key, set()).add(slot)
+
+    def _remove(self, slot: int, profile: EntityProfile) -> None:
+        for key in self._keys_of.pop(slot):
+            bucket = self._buckets[key]
+            bucket.discard(slot)
+            if not bucket:
+                del self._buckets[key]
+
+    def _query(self, profile: EntityProfile) -> Iterable[int]:
+        matches: Set[int] = set()
+        for key in self._probe_keys(profile):
+            matches.update(self._buckets.get(key, ()))
+        return matches
+
+    def index_stats(self) -> Dict[str, object]:
+        stats = super().index_stats()
+        stats.update(
+            buckets=len(self._buckets),
+            max_bucket=max(map(len, self._buckets.values()), default=0),
+        )
+        return stats
 
 
 class IncrementalFilterAdapter(Filter):

@@ -50,7 +50,6 @@ __all__ = [
     "method_codes",
     "parallel_codes",
     "register",
-    "serving_codes",
 ]
 
 #: The three method families of the paper (Problem 1, Section II).
@@ -141,17 +140,6 @@ class FilterSpec:
             )
         return self.incremental_factory(dict(params or {}))
 
-    @property
-    def supports_serving(self) -> bool:
-        """True when the method can be wrapped by the serving layer.
-
-        Serving is defined for every incremental method: the
-        :class:`~repro.core.serving.ServingIndex` only needs the uniform
-        add/remove/query surface plus deterministic rebuilds, which the
-        incremental contract already guarantees.
-        """
-        return self.supports_incremental
-
     def build_serving(
         self,
         params: Optional[Mapping[str, object]] = None,
@@ -159,10 +147,14 @@ class FilterSpec:
     ):
         """The method behind a :class:`~repro.core.serving.ServingIndex`.
 
-        ``params`` configures the wrapped incremental index exactly as
-        :meth:`build_incremental` does; ``serving_kwargs`` (``directory``,
-        ``queue_limit``, ``checkpoint_every``, ...) pass through to the
-        serving constructor.  The factory handed over is re-invocable, so
+        Serving is defined for every method with a streaming form
+        (:attr:`supports_incremental`, :func:`incremental_codes`): the
+        serving layer needs only the uniform add/remove/query surface
+        and deterministic rebuilds.  ``params`` configures the wrapped
+        incremental index exactly as :meth:`build_incremental` does;
+        ``serving_kwargs`` (``directory``, ``queue_limit``,
+        ``checkpoint_every``, ...) pass through to the serving
+        constructor.  The factory handed over is re-invocable, so
         the service can double-buffer and the chaos oracle can rebuild.
         """
         from .serving import ServingIndex
@@ -277,11 +269,6 @@ def family_codes(family: str, baselines: bool = True) -> Tuple[str, ...]:
 def incremental_codes() -> Tuple[str, ...]:
     """Codes of the methods with a streaming form, in row order."""
     return tuple(s.code for s in all_specs() if s.supports_incremental)
-
-
-def serving_codes() -> Tuple[str, ...]:
-    """Codes of the methods the serving layer can wrap, in row order."""
-    return tuple(s.code for s in all_specs() if s.supports_serving)
 
 
 def build_serving(

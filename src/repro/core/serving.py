@@ -725,14 +725,15 @@ class ServingIndex:
         info: bool = False,
         **params: object,
     ):
-        """Batched :meth:`query` over one pinned snapshot.
+        """:meth:`query` over a batch of probes, on one pinned snapshot.
 
         The whole batch sees a single consistent state (one pin, one
-        epoch) and runs through the index's batched kernel path.
+        epoch); each probe runs the same ``_query_result`` as
+        :meth:`query`.
         """
         return self._read(
             lambda index: tuple(
-                index._query_many_results(list(entities), **params)
+                index._query_result(entity, **params) for entity in entities
             ),
             timeout,
             info,

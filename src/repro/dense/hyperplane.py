@@ -12,14 +12,13 @@ target recall without more tables.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..core.incremental import IncrementalIndex
+from ..core.incremental import BucketIndex
 from ..core.profile import EntityProfile
 from ..core.stages import INDEX, QUERY
-from ..text.cleaning import TextCleaner
 from .base import DenseNNFilter, bucket_join
 from .embeddings import HashedNGramEmbedder
 
@@ -149,15 +148,15 @@ class HyperplaneLSH(DenseNNFilter):
         )
 
 
-class IncrementalHyperplaneLSH(IncrementalIndex):
-    """Mutable multi-table hyperplane LSH (per-bucket add/remove).
+class IncrementalHyperplaneLSH(BucketIndex):
+    """Mutable multi-table hyperplane LSH: one bucket per table.
 
     The projections are drawn once at construction (the embedder's
     dimensionality is fixed), exactly as :class:`HyperplaneLSH` draws
     them per run, so under the same seed and embedder the streamed
-    buckets match the batch filter's.  Queries multi-probe with the same
-    per-table budget (``max(1, probes // tables)``); removals delete the
-    slot from its one bucket per table.
+    buckets match the batch filter's.  Bucket keys are ``(table, sign-bit
+    key)`` tuples; queries multi-probe with the same per-table budget
+    (``max(1, probes // tables)``).
     """
 
     name = "inc-hp-lsh"
@@ -178,12 +177,7 @@ class IncrementalHyperplaneLSH(IncrementalIndex):
             cleaning=cleaning, seed=seed, embedder=embedder,
         )
         self.embedder = self._lsh.embedder
-        self._cleaner = TextCleaner()
         self._projections = self._lsh._projections(self.embedder.dim)
-        self._buckets: List[Dict[int, List[int]]] = [
-            {} for __ in range(tables)
-        ]
-        self._bucket_keys: Dict[int, List[int]] = {}
 
     @property
     def tables(self) -> int:
@@ -197,51 +191,28 @@ class IncrementalHyperplaneLSH(IncrementalIndex):
     def probes(self) -> int:
         return self._lsh.probes
 
-    def _vector(self, profile: EntityProfile) -> np.ndarray:
+    def _scores(self, profile: EntityProfile) -> List[np.ndarray]:
+        """Per table, the profile's projections as a one-row matrix."""
         text = self.text_of(profile)
         if self._lsh.cleaning:
-            text = self._cleaner.clean(text)
-        return self.embedder.embed_text(text)
+            text = self._lsh._cleaner.clean(text)
+        vector = self.embedder.embed_text(text)
+        return [
+            (vector @ projection)[None, :] for projection in self._projections
+        ]
 
-    def _add(self, slot: int, profile: EntityProfile) -> None:
-        vector = self._vector(profile)
-        keys: List[int] = []
-        for table, projection in enumerate(self._projections):
-            key = int(self._lsh._keys((vector @ projection)[None, :])[0])
-            keys.append(key)
-            self._buckets[table].setdefault(key, []).append(slot)
-        self._bucket_keys[slot] = keys
+    def _keys(self, profile: EntityProfile) -> List[Tuple[int, int]]:
+        return [
+            (table, int(self._lsh._keys(scores)[0]))
+            for table, scores in enumerate(self._scores(profile))
+        ]
 
-    def _remove(self, slot: int, profile: EntityProfile) -> None:
-        for table, key in enumerate(self._bucket_keys.pop(slot)):
-            bucket = self._buckets[table][key]
-            bucket.remove(slot)
-            if not bucket:
-                del self._buckets[table][key]
-
-    def _query(self, profile: EntityProfile) -> Iterable[int]:
-        vector = self._vector(profile)
-        matches: Set[int] = set()
-        for buckets, projection in zip(self._buckets, self._projections):
-            keys, __ = self._lsh._probe_keys((vector @ projection)[None, :])
-            for key in keys.tolist():
-                matches.update(buckets.get(key, ()))
-        return matches
-
-    def index_stats(self) -> Dict[str, object]:
-        stats = super().index_stats()
-        stats.update(
-            buckets=sum(len(table) for table in self._buckets),
-            max_bucket=max(
-                (
-                    len(bucket)
-                    for table in self._buckets
-                    for bucket in table.values()
-                ),
-                default=0,
-            ),
-        )
-        return stats
+    def _probe_keys(self, profile: EntityProfile) -> List[Tuple[int, int]]:
+        return [
+            (table, key)
+            for table, scores in enumerate(self._scores(profile))
+            for key in self._lsh._probe_keys(scores)[0].tolist()
+        ]
 
     def describe(self) -> str:
         return (

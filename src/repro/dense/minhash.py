@@ -15,13 +15,13 @@ it never touches embeddings.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import FrozenSet, List, Optional, Tuple
 
 import numpy as np
 
 from ..core.candidates import CandidateSet
 from ..core.filters import Filter
-from ..core.incremental import IncrementalIndex
+from ..core.incremental import BucketIndex
 from ..core.profile import EntityCollection, EntityProfile
 from ..core.stages import INDEX, NN_STAGES, PREPROCESS, QUERY
 from ..text.cleaning import TextCleaner
@@ -188,16 +188,15 @@ class MinHashLSH(Filter):
         )
 
 
-class IncrementalMinHashLSH(IncrementalIndex):
-    """Mutable banded MinHash LSH tables (per-bucket add/remove).
+class IncrementalMinHashLSH(BucketIndex):
+    """Mutable banded MinHash LSH tables: one bucket per band chunk.
 
     Delegates the signature math to a private :class:`MinHashLSH` so the
     streamed bucketing is bit-identical to the batch filter under the
     same seed: an entity added here lands in exactly the buckets the
     batch ``_run`` would put it in, and a query visits exactly the
-    buckets its signature selects.  Removal is eager — the slot is
-    deleted from every band bucket it occupies (the per-slot bucket keys
-    are retained for that purpose), so empty buckets never accumulate.
+    buckets its signature selects.  The bucket keys are
+    ``(band, chunk bytes)``; an entity without shingles has none.
     """
 
     name = "inc-mh-lsh"
@@ -217,8 +216,6 @@ class IncrementalMinHashLSH(IncrementalIndex):
             cleaning=cleaning, seed=seed,
         )
         self._a, self._b = self._lsh._hash_family()
-        self._buckets: Dict[Tuple[int, bytes], List[int]] = {}
-        self._bucket_keys: Dict[int, List[Tuple[int, bytes]]] = {}
 
     @property
     def bands(self) -> int:
@@ -228,7 +225,7 @@ class IncrementalMinHashLSH(IncrementalIndex):
     def rows(self) -> int:
         return self._lsh.rows
 
-    def _band_keys(self, profile: EntityProfile) -> List[Tuple[int, bytes]]:
+    def _keys(self, profile: EntityProfile) -> List[Tuple[int, bytes]]:
         text = self.text_of(profile)
         if self._lsh.cleaning:
             text = self._lsh._cleaner.clean(text)
@@ -241,35 +238,6 @@ class IncrementalMinHashLSH(IncrementalIndex):
             (band, signature[band * rows : (band + 1) * rows].tobytes())
             for band in range(self._lsh.bands)
         ]
-
-    def _add(self, slot: int, profile: EntityProfile) -> None:
-        keys = self._band_keys(profile)
-        self._bucket_keys[slot] = keys
-        for key in keys:
-            self._buckets.setdefault(key, []).append(slot)
-
-    def _remove(self, slot: int, profile: EntityProfile) -> None:
-        for key in self._bucket_keys.pop(slot):
-            bucket = self._buckets[key]
-            bucket.remove(slot)
-            if not bucket:
-                del self._buckets[key]
-
-    def _query(self, profile: EntityProfile) -> Iterable[int]:
-        matches: Set[int] = set()
-        for key in self._band_keys(profile):
-            matches.update(self._buckets.get(key, ()))
-        return matches
-
-    def index_stats(self) -> Dict[str, object]:
-        stats = super().index_stats()
-        stats.update(
-            buckets=len(self._buckets),
-            max_bucket=max(
-                (len(bucket) for bucket in self._buckets.values()), default=0
-            ),
-        )
-        return stats
 
     def describe(self) -> str:
         return self._lsh.describe().replace(self._lsh.name, self.name, 1)

@@ -36,6 +36,8 @@ The incremental (serving) form of the same structure is
 lazily compacted CSR snapshot with tombstoned removals — wrapped by
 :class:`IncrementalScanCountFilter`, the
 :class:`~repro.core.incremental.IncrementalIndex` of the sparse family.
+It answers one probe at a time, through :meth:`ScanCountIndex.probe` on
+the snapshot; a batch of serving probes is a loop over that one path.
 """
 
 from __future__ import annotations
@@ -307,7 +309,8 @@ class DynamicPostings:
     two parts are disjoint by construction (a slot lives in the snapshot
     *or* the delta, never both).  ``add``/``remove`` keep the live slots
     and their sizes current, so a query never walks the live set in
-    Python: its cost is the postings it touches.
+    Python: its cost is the postings it touches.  :meth:`overlap_arrays`
+    is the one read path; a batch of probes calls it once per probe.
     """
 
     def __init__(self, compaction_ratio: float = 0.5) -> None:
@@ -388,69 +391,21 @@ class DynamicPostings:
 
         Returns ``(slots, overlaps, sizes)`` — overlapping live slots (in
         unspecified but deterministic order), their token overlap with the
-        query, and their set cardinalities.  This is the vectorized
-        serving-path kernel: the CSR snapshot contributes through
-        :meth:`ScanCountIndex.probe`, the delta dict through one
-        ``np.bincount`` of its slots' offsets from the watermark, and
-        tombstones are masked with a single ``searchsorted`` against the
-        sorted live slots.  The two contributions are disjoint by
-        construction (a slot lives in the snapshot *or* the delta, never
-        both).
+        query, and their set cardinalities.  The CSR snapshot contributes
+        through :meth:`ScanCountIndex.probe`, the delta dict through one
+        ``np.bincount`` of its slots' offsets from the watermark (every
+        delta slot is at or above it), and tombstones are masked out of
+        both with a single ``searchsorted`` against the sorted live
+        slots.  The two contributions are disjoint by construction (a
+        slot lives in the snapshot *or* the delta, never both).
         """
         if not self._live:
             return _EMPTY, _EMPTY, _EMPTY
+        slot_parts: List[np.ndarray] = []
+        count_parts: List[np.ndarray] = []
         set_ids = csr_counts = _EMPTY
         if self._csr is not None:
             set_ids, csr_counts = self._csr.probe(query)
-        return self._merge_live(query, set_ids, csr_counts)
-
-    def batch_overlap_arrays(
-        self, queries: Sequence[FrozenSet[str]]
-    ) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Per-query :meth:`overlap_arrays`, batched through the CSR kernels.
-
-        The snapshot contribution of the *whole* probe batch runs as one
-        :meth:`ScanCountIndex.batch_overlaps` call (the chunked
-        ``materialize`` kernel of :mod:`repro.sparse.kernels`), so the
-        per-query Python overhead collapses to the delta merge and the
-        liveness mask.  Row-for-row equal to calling
-        :meth:`overlap_arrays` per query.
-        """
-        if not self._live:
-            return [(_EMPTY, _EMPTY, _EMPTY) for __ in queries]
-        if self._csr is not None and len(self._csr):
-            query_ptr, set_ids, csr_counts = self._csr.batch_overlaps(
-                list(queries)
-            )
-        else:
-            query_ptr = np.zeros(len(queries) + 1, dtype=np.int64)
-            set_ids = csr_counts = _EMPTY
-        bounds = query_ptr.tolist()
-        return [
-            self._merge_live(
-                query,
-                set_ids[bounds[position] : bounds[position + 1]],
-                csr_counts[bounds[position] : bounds[position + 1]],
-            )
-            for position, query in enumerate(queries)
-        ]
-
-    def _merge_live(
-        self,
-        query: FrozenSet[str],
-        set_ids: np.ndarray,
-        csr_counts: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """One query's live ``(slots, overlaps, sizes)``: the merge step.
-
-        ``(set_ids, csr_counts)`` are the query's CSR snapshot overlaps;
-        the delta postings are counted with one ``np.bincount`` of their
-        offsets from the watermark (every delta slot is at or above it)
-        and tombstoned slots are masked out of both parts.
-        """
-        live_slots, live_sizes = self._live_index()
-        slot_parts: List[np.ndarray] = []
-        count_parts: List[np.ndarray] = []
         if len(set_ids):
             slot_parts.append(self._csr_slots[set_ids])
             count_parts.append(csr_counts)
@@ -469,6 +424,7 @@ class DynamicPostings:
             return _EMPTY, _EMPTY, _EMPTY
         slots = np.concatenate(slot_parts)
         overlaps = np.concatenate(count_parts)
+        live_slots, live_sizes = self._live_index()
         positions = np.searchsorted(live_slots, slots)
         positions = np.minimum(positions, len(live_slots) - 1)
         alive = live_slots[positions] == slots
@@ -581,28 +537,6 @@ class IncrementalScanCountFilter(IncrementalIndex):
         _check_mode(eps, k)
         return eps, k
 
-    def _select(
-        self,
-        query_size: int,
-        slots: np.ndarray,
-        overlaps: np.ndarray,
-        sizes: np.ndarray,
-        eps: Optional[float],
-        k: Optional[int],
-    ) -> List[int]:
-        """Apply the ε / kNN selection rule to one query's overlap rows."""
-        if len(slots) == 0:
-            return []
-        query_sizes = np.full(len(slots), query_size, dtype=np.int64)
-        similarities = self.vector_measure(sizes, query_sizes, overlaps)
-        if eps is not None:
-            keep = similarities >= float(eps)
-        else:
-            # The kNN-Join tie rule: keep every set whose similarity is
-            # among the k highest *distinct* values.
-            keep = similarities >= kth_distinct_cutoff(similarities, int(k))
-        return slots[keep].tolist()
-
     def _query(
         self,
         profile: EntityProfile,
@@ -612,36 +546,17 @@ class IncrementalScanCountFilter(IncrementalIndex):
         eps, k = self._mode(eps, k)
         tokens = self._tokens(profile)
         slots, overlaps, sizes = self._postings.overlap_arrays(tokens)
-        return self._select(len(tokens), slots, overlaps, sizes, eps, k)
-
-    def _query_many_results(
-        self,
-        entities: Sequence[EntityProfile],
-        eps: Optional[float] = None,
-        k: Optional[int] = None,
-    ) -> List[Tuple[str, ...]]:
-        """Batched query path: one chunked-CSR kernel pass for the batch.
-
-        Parity with per-call :meth:`_query` is pinned by the test suite;
-        the speedup comes from amortizing the snapshot scan
-        (:meth:`DynamicPostings.batch_overlap_arrays`) over the batch.
-        """
-        eps, k = self._mode(eps, k)
-        token_sets = [self._tokens(profile) for profile in entities]
-        per_query = self._postings.batch_overlap_arrays(token_sets)
-        results: List[Tuple[str, ...]] = []
-        for tokens, (slots, overlaps, sizes) in zip(token_sets, per_query):
-            selected = self._select(
-                len(tokens), slots, overlaps, sizes, eps, k
-            )
-            results.append(
-                tuple(
-                    sorted(
-                        self._profile_of_slot[slot].uid for slot in selected
-                    )
-                )
-            )
-        return results
+        if len(slots) == 0:
+            return []
+        query_sizes = np.full(len(slots), len(tokens), dtype=np.int64)
+        similarities = self.vector_measure(sizes, query_sizes, overlaps)
+        if eps is not None:
+            keep = similarities >= float(eps)
+        else:
+            # The kNN-Join tie rule: keep every set whose similarity is
+            # among the k highest *distinct* values.
+            keep = similarities >= kth_distinct_cutoff(similarities, int(k))
+        return slots[keep].tolist()
 
     def compact(self) -> bool:
         """Force a postings compaction (CSR snapshot rebuild)."""

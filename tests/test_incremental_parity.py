@@ -578,9 +578,9 @@ class TestRegistryCapability:
 
 
 # ----------------------------------------------------------------------
-# Satellite: query_many parity — the batched read path answers exactly
-# like per-probe query(), across all families and through the chunked
-# CSR kernels for ScanCount.
+# Satellite: query_many parity — a batch of probes answers exactly like
+# per-probe query(), across all families, ScanCount's CSR snapshot plus
+# delta included.
 # ----------------------------------------------------------------------
 
 
@@ -616,7 +616,7 @@ class TestQueryManyParity:
 
     def test_scancount_query_many_crosses_csr_kernels(self):
         # Force a compaction so the postings hold a materialized CSR
-        # snapshot plus deltas: the batch path must merge both.
+        # snapshot plus deltas: every probe of the batch must merge both.
         index = IncrementalScanCountFilter(threshold=0.3, compaction_ratio=0.1)
         pool = _smoke_pool(14, seed=63)
         rng = np.random.default_rng(64)
@@ -647,27 +647,9 @@ class TestQueryManyParity:
         with pytest.raises(ValueError):
             index.query_many(pool, eps=0.5, k=2)
 
-    def test_scancount_batch_overlap_arrays_matches_scalar(self):
-        index = IncrementalScanCountFilter(threshold=0.2, compaction_ratio=0.1)
-        pool = _smoke_pool(12, seed=66)
-        for profile in pool[:9]:
-            index.add(profile)
-        index.remove(pool[2].uid)
-        index._postings.compact()
-        index.add(pool[10])  # delta on top of the CSR snapshot
-        token_sets = [index._tokens(p) for p in pool]
-        batched = index._postings.batch_overlap_arrays(token_sets)
-        for tokens, (slots, overlaps, sizes) in zip(token_sets, batched):
-            s_slots, s_overlaps, s_sizes = index._postings.overlap_arrays(
-                tokens
-            )
-            np.testing.assert_array_equal(slots, s_slots)
-            np.testing.assert_array_equal(overlaps, s_overlaps)
-            np.testing.assert_array_equal(sizes, s_sizes)
-
-    def test_batch_overlap_arrays_masks_tombstones_on_both_sides(self):
+    def test_overlap_arrays_masks_tombstones_on_both_sides(self):
         # Slots removed after the snapshot and slots removed from the
-        # delta must both vanish from the batched rows.
+        # delta must both vanish from every query's rows.
         postings = DynamicPostings(compaction_ratio=100.0)
         sets = {
             slot: frozenset({f"t{slot % 4}", f"u{slot % 3}", f"v{slot}"})
@@ -687,8 +669,8 @@ class TestQueryManyParity:
             frozenset({"zz"}),
             frozenset({"t1", "u2", "v14", "v15"}),
         ]
-        batched = postings.batch_overlap_arrays(queries)
-        for query, (slots, overlaps, sizes) in zip(queries, batched):
+        for query in queries:
+            slots, overlaps, sizes = postings.overlap_arrays(query)
             expected = {
                 slot: (len(tokens & query), len(tokens))
                 for slot, tokens in live.items()

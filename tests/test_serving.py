@@ -568,11 +568,7 @@ class TestOracle:
 
 
 class TestRegistryServing:
-    def test_serving_codes_match_incremental_codes(self):
-        assert registry.serving_codes() == registry.incremental_codes()
-        assert len(registry.serving_codes()) > 0
-
-    @pytest.mark.parametrize("code", registry.serving_codes())
+    @pytest.mark.parametrize("code", registry.incremental_codes())
     def test_build_serving_round_trip(self, code):
         entities = pool(6, seed=11)
         with registry.build_serving(code) as service:
@@ -588,7 +584,7 @@ class TestRegistryServing:
 
     def test_build_serving_rejects_batch_only_methods(self):
         for spec in registry.all_specs():
-            if not spec.supports_serving:
+            if not spec.supports_incremental:
                 with pytest.raises(ValueError, match="no incremental"):
                     spec.build_serving()
                 break

@@ -349,7 +349,7 @@ def _run_script(service, ops):
             service.compact()
 
 
-@pytest.mark.parametrize("code", registry.serving_codes())
+@pytest.mark.parametrize("code", registry.incremental_codes())
 def test_family_answers_match_rebuild_after_mutations(code):
     entities = pool(10, seed=21)
     ops, live = _script(entities)
@@ -365,7 +365,7 @@ def test_family_answers_match_rebuild_after_mutations(code):
     assert single == batched == direct.query_many(entities)
 
 
-@pytest.mark.parametrize("code", registry.serving_codes())
+@pytest.mark.parametrize("code", registry.incremental_codes())
 def test_family_recovers_from_wal_alone(code, tmp_path):
     entities = pool(10, seed=21)
     ops, live = _script(entities)
