@@ -23,21 +23,6 @@ __all__ = ["GridSearchOptimizer", "DEFAULT_RECALL_TARGET"]
 DEFAULT_RECALL_TARGET = 0.9
 
 
-def _quality_ties(current, challenger) -> bool:
-    """True when ``better()`` considers the two results exactly equal.
-
-    ``better()`` keeps the incumbent on ties; under cost-based
-    reordering that incumbent may carry a *higher* original index than
-    the challenger, so :meth:`GridSearchOptimizer.search` needs the tie
-    detected explicitly to restore the enumeration-order winner.
-    """
-    if current.feasible != challenger.feasible:
-        return False
-    if current.feasible:
-        return current.pq == challenger.pq
-    return current.pc == challenger.pc
-
-
 class GridSearchOptimizer:
     """Exhaustive grid search under a recall constraint.
 
@@ -104,8 +89,8 @@ class GridSearchOptimizer:
             duplicates_found=round(total_found / runs),
         )
 
+    @staticmethod
     def measure_runtime(
-        self,
         filter_: Filter,
         dataset: ERDataset,
         attribute: Optional[str] = None,
@@ -146,56 +131,42 @@ class GridSearchOptimizer:
         grid cheap-first, so incumbents arrive early and ``should_prune``
         has something to compare against from the start.  The selected
         winner is guaranteed identical to the enumeration-order run:
-        ``better()``'s quality ordering is total, ties keep the config
-        with the lower *original* index (the enumeration-order semantics
-        of "first maximal wins"), and a config enumerated before the
-        incumbent is never pruned — only evaluated — so an
-        original-order tie can still flip the winner to it.
+        ``better()``'s quality ordering is total, each configuration is
+        offered to the :class:`~repro.tuning.result.Incumbent` at its
+        *original* index, so ties keep the lower one (the
+        enumeration-order semantics of "first maximal wins"), and a
+        config enumerated before the incumbent is never pruned — only
+        evaluated — so an original-order tie can still flip the winner
+        to it.
         """
-        from ..tuning.result import TunedResult, better
+        from ..tuning.result import Incumbent
 
         ordered = list(enumerate(configurations))
+        if not ordered:
+            raise ValueError("empty configuration grid")
         if cost is not None:
             ordered.sort(key=lambda pair: (cost(pair[1]), pair[0]))
-        best: Optional[TunedResult] = None
-        best_index = -1
-        tried = 0
-        enumerated = 0
-        pruned = 0
-        method_name = ""
+        incumbent = Incumbent("", self.target_recall)
         for index, config in ordered:
-            enumerated += 1
+            incumbent.enumerated += 1
             if (
                 should_prune is not None
-                and best is not None
-                and index > best_index
-                and should_prune(config, best)
+                and incumbent.best is not None
+                and index > incumbent.position
+                and should_prune(config, incumbent.best)
             ):
-                pruned += 1
+                incumbent.pruned += 1
                 continue
             filter_ = factory(**config)
-            method_name = method_name or filter_.name
+            incumbent.method = filter_.name
             evaluation = self.evaluate(filter_, dataset, attribute)
-            tried += 1
-            challenger = TunedResult(
-                method=filter_.name,
-                params=dict(config),
-                pc=evaluation.pc,
-                pq=evaluation.pq,
-                candidates=evaluation.candidates,
-                feasible=evaluation.pc >= self.target_recall,
+            incumbent.offer(
+                dict(config),
+                evaluation.pc,
+                evaluation.pq,
+                evaluation.candidates,
+                position=index,
             )
-            if best is None or better(best, challenger) is challenger or (
-                _quality_ties(best, challenger) and index < best_index
-            ):
-                best = challenger
-                best_index = index
-        if best is None:
-            raise ValueError("empty configuration grid")
-        best.configurations_tried = tried
-        best.configurations_enumerated = enumerated
-        best.configurations_pruned = pruned
-        best.runtime = self.measure_runtime(
-            factory(**best.params), dataset, attribute
+        return incumbent.finish(
+            lambda params: factory(**params), dataset, attribute
         )
-        return best

@@ -203,13 +203,10 @@ class WriteAheadLog:
         """Flush and fsync everything appended since the last sync."""
         if self._pending == 0:
             return
-        stages.fire_stage_hooks("enter", "wal/fsync")
-        try:
+        with stages.boundary("wal/fsync"):
             self._handle.flush()
             os.fsync(self._handle.fileno())
             self._pending = 0
-        finally:
-            stages.fire_stage_hooks("exit", "wal/fsync")
 
     def close(self) -> None:
         try:
@@ -850,11 +847,8 @@ class ServingIndex:
                     if op.uid in index:
                         index.remove(op.uid)
                 elif op.kind == "compact":
-                    stages.fire_stage_hooks("enter", "serving/compact")
-                    try:
+                    with stages.boundary("serving/compact"):
                         index.compact()
-                    finally:
-                        stages.fire_stage_hooks("exit", "serving/compact")
                 return
             except (KeyboardInterrupt, SystemExit):
                 raise
@@ -875,8 +869,7 @@ class ServingIndex:
         only leaves already-checkpointed records in the WAL, which
         recovery skips by their seq.
         """
-        stages.fire_stage_hooks("enter", "serving/checkpoint")
-        try:
+        with stages.boundary("serving/checkpoint"):
             payload = {
                 "schema": 1,
                 "seq": self._next_seq - 1,
@@ -892,8 +885,6 @@ class ServingIndex:
                 pass  # truncate
             self._wal = WriteAheadLog(self.directory / _WAL_NAME)
             self._applied_since_checkpoint = 0
-        finally:
-            stages.fire_stage_hooks("exit", "serving/checkpoint")
 
     def _wedge(
         self, error: BaseException, batch: List[MutationTicket]

@@ -50,6 +50,7 @@ __all__ = [
     "SERVING_STAGES",
     "LEARNED_STAGES",
     "add_stage_hook",
+    "boundary",
     "remove_stage_hook",
     "fire_stage_hooks",
     "has_stage_hooks",
@@ -168,12 +169,26 @@ def has_stage_hooks() -> bool:
 def fire_stage_hooks(event: str, name: str) -> None:
     """Fire every registered hook for a (possibly synthetic) boundary.
 
-    Callers outside :class:`StageTrace` (e.g. ``tune_method``) use this
+    Callers outside :class:`StageTrace` use this (or :func:`boundary`)
     to expose coarse-grained boundaries such as ``tune/kNNJ`` without
     owning a trace.
     """
     for hook in list(_STAGE_HOOKS):
         hook(event, name)
+
+
+@contextmanager
+def boundary(name: str) -> Iterator[None]:
+    """A synthetic boundary around a block: enter hooks, then exit hooks.
+
+    The exit hooks fire however the block leaves, exceptions included;
+    a raising enter hook aborts before the block runs and fires no exit.
+    """
+    fire_stage_hooks("enter", name)
+    try:
+        yield
+    finally:
+        fire_stage_hooks("exit", name)
 
 
 class StageRecord:

@@ -20,7 +20,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 from collections import Counter
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -441,21 +440,13 @@ class TokenStatsCache:
         """Atomically persist the disk entries (no-op when unchanged)."""
         if not self._dirty or self._disk is None:
             return
-        payload = {"schema": self.SCHEMA, "entries": self._disk}
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        handle, temp_name = tempfile.mkstemp(
-            dir=str(self.path.parent), prefix=self.path.name, suffix=".tmp"
+        # Imported here: ``repro.bench`` imports the tuning stack, which
+        # imports this module.
+        from ..bench.resilience import atomic_write_json
+
+        atomic_write_json(
+            self.path, {"schema": self.SCHEMA, "entries": self._disk}
         )
-        try:
-            with os.fdopen(handle, "w") as stream:
-                json.dump(payload, stream, indent=1)
-            os.replace(temp_name, self.path)
-        except BaseException:
-            try:
-                os.unlink(temp_name)
-            except OSError:
-                pass
-            raise
         self._dirty = False
 
     # ------------------------------------------------------------------

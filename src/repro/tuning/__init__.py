@@ -103,10 +103,5 @@ def tune_method(
         cache=cache,
         prune=prune,
     )
-    boundary = f"tune/{method}"
-    stages.fire_stage_hooks("enter", boundary)
-    try:
-        result = tuner.tune(dataset, attribute)
-    finally:
-        stages.fire_stage_hooks("exit", boundary)
-    return result
+    with stages.boundary(f"tune/{method}"):
+        return tuner.tune(dataset, attribute)

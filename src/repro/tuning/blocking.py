@@ -36,12 +36,12 @@ from ..blocking.cleaning import BlockFiltering, BlockPurging
 from ..blocking.metablocking import PairGraph, prune_mask
 from ..blocking.workflow import BlockingWorkflow, ComparisonPropagation, MetaBlocking
 from ..core.fastpairs import encode_pairs, evaluate_keys, groundtruth_keys
-from ..core.optimizer import DEFAULT_RECALL_TARGET, GridSearchOptimizer
-from ..core.stages import fire_stage_hooks
+from ..core.optimizer import DEFAULT_RECALL_TARGET
+from ..core.stages import boundary
 from ..datasets.generator import ERDataset
 from . import spaces
 from .estimator import BlockingEstimator, coverage_prunable, prune_enabled
-from .result import TunedResult, better
+from .result import Incumbent, TunedResult
 
 __all__ = ["BlockingWorkflowTuner", "WORKFLOW_NAMES", "make_builder"]
 
@@ -118,14 +118,11 @@ class BlockingWorkflowTuner:
         """
         if best is None:
             return False
-        fire_stage_hooks("enter", "estimate")
-        try:
+        with boundary("estimate"):
             stats = estimator.key_stats(self.builder_name, builder_params)
             return coverage_prunable(
                 stats.gt_overlapping, needed, total_duplicates, best
             )
-        finally:
-            fire_stage_hooks("exit", "estimate")
 
     # ------------------------------------------------------------------
     # Search.
@@ -138,10 +135,7 @@ class BlockingWorkflowTuner:
         gt_keys = groundtruth_keys(dataset.groundtruth, width)
         size1, size2 = len(dataset.left), len(dataset.right)
         proactive = self.builder_name in _PROACTIVE
-        best: Optional[TunedResult] = None
-        tried = 0
-        enumerated = 0
-        pruned = 0
+        incumbent = Incumbent(self.workflow, self.target_recall)
         total_duplicates = len(dataset.groundtruth)
         needed = math.ceil(self.target_recall * total_duplicates)
         estimator: Optional[BlockingEstimator] = None
@@ -149,11 +143,15 @@ class BlockingWorkflowTuner:
             estimator = BlockingEstimator(dataset, attribute)
 
         for builder_params in spaces.builder_grid(self.builder_name, self.profile):
-            enumerated += 1
+            incumbent.enumerated += 1
             if estimator is not None and self._builder_prunable(
-                estimator, builder_params, needed, total_duplicates, best
+                estimator,
+                builder_params,
+                needed,
+                total_duplicates,
+                incumbent.best,
             ):
-                pruned += 1
+                incumbent.pruned += 1
                 continue
             builder = make_builder(self.builder_name, **builder_params)
             base_blocks = builder.build(dataset.left, dataset.right, attribute)
@@ -183,38 +181,19 @@ class BlockingWorkflowTuner:
                     upper = evaluate_keys(graph_keys, gt_keys, size1, size2)
                     base_params = dict(builder_params)
                     base_params.update({"purging": purging, "ratio": ratio})
-                    if upper.pc < self.target_recall:
-                        # Recall is already out of reach; record the
-                        # closest miss (the paper's red cells report the
-                        # best-recall configuration) and terminate this
-                        # sweep — smaller ratios only shrink the
-                        # candidate set (the paper's early stop).
-                        tried += 1
-                        best = better(
-                            best,
-                            TunedResult(
-                                method=self.workflow,
-                                params={**base_params, "cleaner": "CP"},
-                                pc=upper.pc,
-                                pq=upper.pq,
-                                candidates=upper.candidates,
-                                feasible=False,
-                            ),
-                        )
-                        break
                     # Comparison Propagation: the distinct pairs themselves.
-                    tried += 1
-                    best = better(
-                        best,
-                        TunedResult(
-                            method=self.workflow,
-                            params={**base_params, "cleaner": "CP"},
-                            pc=upper.pc,
-                            pq=upper.pq,
-                            candidates=upper.candidates,
-                            feasible=upper.pc >= self.target_recall,
-                        ),
+                    incumbent.offer(
+                        {**base_params, "cleaner": "CP"},
+                        upper.pc,
+                        upper.pq,
+                        upper.candidates,
                     )
+                    if upper.pc < self.target_recall:
+                        # Recall is already out of reach: CP recorded the
+                        # closest miss (the paper's red cells report the
+                        # best-recall configuration); smaller ratios only
+                        # shrink the candidate set (the paper's early stop).
+                        break
                     # Meta-blocking: one graph, six weightings, seven prunings.
                     for scheme in spaces.weighting_schemes(self.profile):
                         weights = graph.weights(scheme)
@@ -223,34 +202,16 @@ class BlockingWorkflowTuner:
                             evaluation = evaluate_keys(
                                 graph_keys[mask], gt_keys, size1, size2
                             )
-                            tried += 1
-                            best = better(
-                                best,
-                                TunedResult(
-                                    method=self.workflow,
-                                    params={
-                                        **base_params,
-                                        "cleaner": f"{scheme}+{algorithm}",
-                                    },
-                                    pc=evaluation.pc,
-                                    pq=evaluation.pq,
-                                    candidates=evaluation.candidates,
-                                    feasible=evaluation.pc
-                                    >= self.target_recall,
-                                ),
+                            incumbent.offer(
+                                {
+                                    **base_params,
+                                    "cleaner": f"{scheme}+{algorithm}",
+                                },
+                                evaluation.pc,
+                                evaluation.pq,
+                                evaluation.candidates,
                             )
-        if best is None:
-            best = TunedResult(method=self.workflow, feasible=False)
-        best.configurations_tried = tried
-        best.configurations_enumerated = enumerated
-        best.configurations_pruned = pruned
-        if tried:
-            best.runtime = GridSearchOptimizer(
-                self.target_recall
-            ).measure_runtime(
-                self.build_filter(best.params), dataset, attribute
-            )
-        return best
+        return incumbent.finish(self.build_filter, dataset, attribute)
 
     # ------------------------------------------------------------------
     # Materialization.

@@ -1,14 +1,18 @@
 """Configuration optimization of the dense NN methods (Table V).
 
 * Cardinality-based methods (FAISS, SCANN, DeepBlocker) — for each
-  cleaning/RVS combination the tuner runs *one* search at the maximum
-  cardinality and derives the whole ascending-K sweep from the rank of
+  cleaning/RVS combination (and SCANN index variant) the tuner builds
+  the filter at the maximum cardinality and runs its index-and-query
+  step once, so the tuned and the built filter share one index
+  construction.  The whole ascending-K sweep derives from the rank of
   each duplicate, stopping at the first feasible K (the paper's early
-  termination).  DeepBlocker is stochastic, so ranks are averaged over
-  repetitions with different training seeds.
+  termination).  DeepBlocker is stochastic: ranks are averaged over
+  training seeds ``0 .. repetitions-1``, the seeds
+  :meth:`GridSearchOptimizer.evaluate` averages a built filter over.
 * Threshold-based methods (MinHash / Hyperplane / Cross-Polytope LSH) —
-  plain grid search over the discrete configurations of Table V, with
-  stochastic averaging handled by :class:`GridSearchOptimizer`.
+  plain grid search over the discrete configurations of Table V through
+  :meth:`GridSearchOptimizer.search`; each configuration is evaluated
+  over ``repetitions`` reseeded runs (one by default).
 
 Embeddings are cached per (dataset, attribute, cleaning) combination and
 the n-gram vector cache is shared through a single embedder instance, so
@@ -23,21 +27,18 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.optimizer import DEFAULT_RECALL_TARGET, GridSearchOptimizer
-from ..core.stages import fire_stage_hooks
+from ..core.stages import boundary
 from ..datasets.generator import ERDataset
-from ..dense.autoencoder import Autoencoder
 from ..dense.crosspolytope import CrossPolytopeLSH
 from ..dense.deepblocker import DeepBlocker
 from ..dense.embeddings import HashedNGramEmbedder
-from ..dense.flat_index import FlatIndex
 from ..dense.hyperplane import HyperplaneLSH
 from ..dense.knn_search import FaissKNN, ScannKNN
 from ..dense.minhash import MinHashLSH
-from ..dense.partitioned import PartitionedIndex
 from ..text.cleaning import TextCleaner
 from . import spaces
 from .estimator import MinHashEstimator, coverage_prunable, prune_enabled
-from .result import TunedResult, better
+from .result import Incumbent, TunedResult
 
 __all__ = [
     "EmbeddingCache",
@@ -100,6 +101,27 @@ def _first_feasible_k(
     return k, pc, pq, candidates
 
 
+def _rank_hits(
+    ids: np.ndarray,
+    query_ids: np.ndarray,
+    gt_keys: np.ndarray,
+    indexed_count: int,
+    k_max: int,
+) -> np.ndarray:
+    """Duplicates found at each rank ``0..k_max-1`` of one kNN search.
+
+    ``(ids, query_ids)`` is a filter's flat ``_index_and_query`` output:
+    each query's ids form one contiguous best-first run, queries in
+    ascending order, so a pair's rank is its offset within its run.
+    ``gt_keys`` are the duplicates as ``query * indexed_count + id``.
+    """
+    run_lengths = np.bincount(query_ids, minlength=1)
+    run_starts = np.cumsum(run_lengths) - run_lengths
+    ranks = np.arange(len(ids)) - run_starts[query_ids]
+    hits = np.isin(query_ids * indexed_count + ids, gt_keys)
+    return np.bincount(ranks[hits], minlength=k_max)
+
+
 class KNNSearchTuner:
     """Problem-1 tuner for FAISS / SCANN / DeepBlocker."""
 
@@ -120,42 +142,6 @@ class KNNSearchTuner:
         self.cache = cache or EmbeddingCache()
         self.repetitions = repetitions
 
-    # ------------------------------------------------------------------
-    # Rank computation per preprocessing combination.
-    # ------------------------------------------------------------------
-
-    def _ranked_ids(
-        self,
-        indexed: np.ndarray,
-        queries: np.ndarray,
-        k_max: int,
-        variant: Dict[str, object],
-        seed: int,
-    ) -> List[np.ndarray]:
-        """Best-first indexed ids per query, under the method's index."""
-        if self.method == "faiss":
-            ids, __ = FlatIndex(indexed, metric="l2").search(queries, k_max)
-            return [row for row in ids]
-        if self.method == "scann":
-            index = PartitionedIndex(
-                indexed,
-                metric=str(variant.get("similarity", "l2")),
-                quantize=variant.get("index_type") == "AH",
-                seed=seed,
-            )
-            return index.search(queries, k_max)
-        # DeepBlocker: train the tuple embedding, then exact search.
-        model = Autoencoder(
-            input_dim=indexed.shape[1], hidden_dim=150, seed=seed
-        )
-        model.fit(np.vstack([indexed, queries]), epochs=12)
-        encoded_index = DeepBlocker._normalize(model.encode(indexed))
-        encoded_queries = DeepBlocker._normalize(model.encode(queries))
-        ids, __ = FlatIndex(encoded_index, metric="l2").search(
-            encoded_queries, k_max
-        )
-        return [row for row in ids]
-
     def _variants(self) -> List[Dict[str, object]]:
         if self.method == "scann":
             return [
@@ -173,10 +159,11 @@ class KNNSearchTuner:
         self, dataset: ERDataset, attribute: Optional[str] = None
     ) -> TunedResult:
         k_values = spaces.dense_k_values(self.profile)
-        best: Optional[TunedResult] = None
-        tried = 0
+        incumbent = Incumbent(self.method, self.target_recall)
         total_duplicates = len(dataset.groundtruth)
         repetitions = self.repetitions if self.method == "deepblocker" else 1
+        gt = np.asarray(list(dataset.groundtruth), dtype=np.int64)
+        gt = gt.reshape(-1, 2)
         for cleaning in (False, True):
             left_vectors = self.cache.vectors(dataset.left, attribute, cleaning)
             right_vectors = self.cache.vectors(
@@ -185,35 +172,27 @@ class KNNSearchTuner:
             for reverse in (False, True):
                 if reverse:
                     indexed, queries = right_vectors, left_vectors
-                    gt_by_query = self._group_gt(
-                        [(j, i) for i, j in dataset.groundtruth]
-                    )
+                    gt_indexed, gt_queries = gt[:, 1], gt[:, 0]
                 else:
                     indexed, queries = left_vectors, right_vectors
-                    gt_by_query = self._group_gt(list(dataset.groundtruth))
+                    gt_indexed, gt_queries = gt[:, 0], gt[:, 1]
+                gt_keys = gt_queries * indexed.shape[0] + gt_indexed
                 k_max = min(max(k_values), indexed.shape[0])
                 usable_ks = [k for k in k_values if k <= k_max] or [k_max]
+                per_query_counts = np.arange(k_max + 1) * queries.shape[0]
+                base = {"cleaning": cleaning, "reverse": reverse}
                 for variant in self._variants():
+                    flt = self.build_filter({**base, "k": k_max, **variant})
                     rank_hits = np.zeros(k_max, dtype=np.float64)
                     for repetition in range(repetitions):
-                        ids = self._ranked_ids(
-                            indexed, queries, k_max, variant, seed=repetition
+                        flt.reseed(repetition)
+                        ids, query_ids = flt._index_and_query(
+                            indexed, queries
                         )
-                        for query_id, row in enumerate(ids):
-                            matches = gt_by_query.get(query_id)
-                            if not matches:
-                                continue
-                            for rank, indexed_id in enumerate(row):
-                                if int(indexed_id) in matches:
-                                    rank_hits[rank] += 1.0
+                        rank_hits += _rank_hits(
+                            ids, query_ids, gt_keys, indexed.shape[0], k_max
+                        )
                     rank_hits /= repetitions
-                    per_query_counts = np.array(
-                        [
-                            min(k, indexed.shape[0]) * queries.shape[0]
-                            for k in range(k_max + 1)
-                        ],
-                        dtype=np.int64,
-                    )
                     k, pc, pq, candidates = _first_feasible_k(
                         rank_hits,
                         per_query_counts,
@@ -221,39 +200,15 @@ class KNNSearchTuner:
                         usable_ks,
                         self.target_recall,
                     )
-                    tried += len(usable_ks)
-                    best = better(
-                        best,
-                        TunedResult(
-                            method=self.method,
-                            params={
-                                "cleaning": cleaning,
-                                "reverse": reverse,
-                                "k": k,
-                                **variant,
-                            },
-                            pc=pc,
-                            pq=pq,
-                            candidates=candidates,
-                            feasible=pc >= self.target_recall,
-                        ),
+                    incumbent.enumerated += len(usable_ks)
+                    incumbent.offer(
+                        {**base, "k": k, **variant},
+                        pc,
+                        pq,
+                        candidates,
+                        tried=len(usable_ks),
                     )
-        if best is None:
-            best = TunedResult(method=self.method, feasible=False)
-        best.configurations_tried = tried
-        best.configurations_enumerated = tried
-        if best.params:
-            best.runtime = GridSearchOptimizer(
-                self.target_recall
-            ).measure_runtime(self.build_filter(best.params), dataset, attribute)
-        return best
-
-    @staticmethod
-    def _group_gt(pairs) -> Dict[int, set]:
-        grouped: Dict[int, set] = {}
-        for indexed_id, query_id in pairs:
-            grouped.setdefault(query_id, set()).add(indexed_id)
-        return grouped
+        return incumbent.finish(self.build_filter, dataset, attribute)
 
     def build_filter(self, params: Dict[str, object]):
         cleaning = bool(params["cleaning"])
@@ -327,14 +282,11 @@ class LSHTuner:
         needed = math.ceil(self.target_recall * total_duplicates)
 
         def should_prune(config: Dict[str, object], best: TunedResult) -> bool:
-            fire_stage_hooks("enter", "estimate")
-            try:
+            with boundary("estimate"):
                 stats = estimator.key_stats(config)
                 return coverage_prunable(
                     stats.gt_overlapping, needed, total_duplicates, best
                 )
-            finally:
-                fire_stage_hooks("exit", "estimate")
 
         return should_prune
 

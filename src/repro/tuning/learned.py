@@ -25,14 +25,14 @@ import numpy as np
 from ..blocking.building import StandardBlocking
 from ..blocking.metablocking import PairGraph
 from ..core.fastpairs import encode_pairs, evaluate_keys, groundtruth_keys
-from ..core.optimizer import DEFAULT_RECALL_TARGET, GridSearchOptimizer
+from ..core.optimizer import DEFAULT_RECALL_TARGET
 from ..datasets.generator import ERDataset
 from ..learned.features import edge_features
 from ..learned.filter import SupervisedMetaBlocking
 from ..learned.models import serialize_model, train_model
 from ..learned.sampling import sample_labeled_edges
 from . import spaces
-from .result import TunedResult, better
+from .result import Incumbent, TunedResult
 
 __all__ = ["SMB_SEED", "SupervisedMetaBlockingTuner"]
 
@@ -71,8 +71,7 @@ class SupervisedMetaBlockingTuner:
         graph = PairGraph(blocks)
         matrix = edge_features(graph)
         keys = encode_pairs(graph.lefts, graph.rights, width)
-        best: Optional[TunedResult] = None
-        tried = 0
+        incumbent = Incumbent(self.method, self.target_recall)
         for model_kind in spaces.smb_models(self.profile):
             for sample_size in spaces.smb_sample_sizes(self.profile):
                 indices, labels = sample_labeled_edges(
@@ -101,40 +100,27 @@ class SupervisedMetaBlockingTuner:
                     masks.append((
                         {"pruning": "CEP", "k": int(k)}, top_left | top_right
                     ))
+                incumbent.enumerated += len(masks)
                 for prune_params, mask in masks:
                     # The graph's rows are (left, right)-sorted, so the
                     # masked keys stay sorted-unique — no re-sort needed.
                     evaluation = evaluate_keys(
                         keys[mask], gt_keys, size1, size2
                     )
-                    tried += 1
-                    best = better(
-                        best,
-                        TunedResult(
-                            method=self.method,
-                            params={**base_params, **prune_params},
-                            pc=evaluation.pc,
-                            pq=evaluation.pq,
-                            candidates=evaluation.candidates,
-                            feasible=evaluation.pc >= self.target_recall,
-                        ),
+                    incumbent.offer(
+                        {**base_params, **prune_params},
+                        evaluation.pc,
+                        evaluation.pq,
+                        evaluation.candidates,
                     )
-        if best is None:
-            best = TunedResult(method=self.method, feasible=False)
-        best.configurations_tried = tried
-        best.configurations_enumerated = tried
-        if tried:
-            # Honest end-to-end runtime: an oracle-trained filter, so the
-            # measurement covers build + features + training + scoring +
-            # pruning (the inference-only rebuild would hide training).
-            best.runtime = GridSearchOptimizer(
-                self.target_recall
-            ).measure_runtime(
-                self._oracle_filter(best.params, dataset),
-                dataset,
-                attribute,
-            )
-        return best
+        # Honest end-to-end runtime: an oracle-trained filter, so the
+        # measurement covers build + features + training + scoring +
+        # pruning (the inference-only rebuild would hide training).
+        return incumbent.finish(
+            lambda params: self._oracle_filter(params, dataset),
+            dataset,
+            attribute,
+        )
 
     # ------------------------------------------------------------------
     # Materialization.

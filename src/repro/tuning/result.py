@@ -1,11 +1,21 @@
-"""The output of configuration optimization (Problem 1)."""
+"""The output of configuration optimization (Problem 1).
+
+:class:`Incumbent` is the one place that decides how an evaluated
+configuration becomes a Problem-1 winner and what the tuned cell
+reports; every tuner and :meth:`GridSearchOptimizer.search` fold their
+configurations into one.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
-__all__ = ["TunedResult", "better"]
+from ..core.filters import Filter
+from ..core.optimizer import GridSearchOptimizer
+from ..datasets.generator import ERDataset
+
+__all__ = ["Incumbent", "TunedResult", "better"]
 
 
 @dataclass
@@ -72,3 +82,90 @@ def better(
     if challenger.feasible:
         return challenger if challenger.pq > current.pq else current
     return challenger if challenger.pc > current.pc else current
+
+
+def _quality_ties(current: TunedResult, challenger: TunedResult) -> bool:
+    """True when ``better()`` considers the two results exactly equal."""
+    if current.feasible != challenger.feasible:
+        return False
+    if current.feasible:
+        return current.pq == challenger.pq
+    return current.pc == challenger.pc
+
+
+class Incumbent:
+    """The running Problem-1 winner of one search, with its counters.
+
+    ``tried`` counts executed configurations (:meth:`offer` adds them);
+    ``enumerated`` (grid decision points visited, executed plus pruned)
+    and ``pruned`` (decision points the estimators discarded unexecuted)
+    are counted by the search itself, since only it knows its decision
+    points.  ``position`` is the enumeration position of ``best``.
+    """
+
+    def __init__(self, method: str, target_recall: float) -> None:
+        self.method = method
+        self.target_recall = target_recall
+        self.best: Optional[TunedResult] = None
+        self.position = -1
+        self.tried = 0
+        self.enumerated = 0
+        self.pruned = 0
+
+    def offer(
+        self,
+        params: Dict[str, object],
+        pc: float,
+        pq: float,
+        candidates: int,
+        tried: int = 1,
+        position: Optional[int] = None,
+    ) -> None:
+        """Fold one evaluated configuration into the record.
+
+        ``tried`` is the number of grid configurations the offer stands
+        for (a sweep offers its pick once).  The challenger replaces the
+        incumbent when ``better()`` prefers it, or on an exact quality
+        tie when it comes earlier in enumeration order: the first
+        maximal configuration wins even when a search visits the grid
+        out of order.  ``position`` defaults to the number of
+        configurations tried so far, which grows with every offer.
+        """
+        if position is None:
+            position = self.tried
+        self.tried += tried
+        challenger = TunedResult(
+            method=self.method,
+            params=params,
+            pc=pc,
+            pq=pq,
+            candidates=candidates,
+            feasible=pc >= self.target_recall,
+        )
+        if self.best is None or better(self.best, challenger) is challenger or (
+            _quality_ties(self.best, challenger) and position < self.position
+        ):
+            self.best = challenger
+            self.position = position
+
+    def finish(
+        self,
+        build: Callable[[Dict[str, object]], Filter],
+        dataset: ERDataset,
+        attribute: Optional[str] = None,
+    ) -> TunedResult:
+        """The search's result, counters stamped and RT measured.
+
+        The winner's RT is one cold invocation of ``build(params)`` on
+        the whole dataset.  When nothing was offered the result is an
+        empty infeasible one with RT 0.
+        """
+        result = self.best or TunedResult(method=self.method, feasible=False)
+        result.configurations_tried = self.tried
+        result.configurations_enumerated = self.enumerated
+        result.configurations_pruned = self.pruned
+        if self.best is not None:
+            result.runtime = GridSearchOptimizer.measure_runtime(
+                build(result.params), dataset, attribute
+            )
+        return result

@@ -42,8 +42,8 @@ from typing import (
 
 import numpy as np
 
-from ..core.optimizer import DEFAULT_RECALL_TARGET, GridSearchOptimizer
-from ..core.stages import fire_stage_hooks
+from ..core.optimizer import DEFAULT_RECALL_TARGET
+from ..core.stages import boundary
 from ..datasets.generator import ERDataset
 from ..sparse.epsilon_join import EpsilonJoin
 from ..sparse.knn_join import KNNJoin, distinct_similarity_ranks
@@ -58,7 +58,7 @@ from .estimator import (
     feasible_threshold,
     prune_enabled,
 )
-from .result import TunedResult, better
+from .result import Incumbent, TunedResult
 
 __all__ = [
     "EpsilonJoinTuner",
@@ -255,8 +255,7 @@ class EpsilonJoinTuner:
         """
         surviving: List[str] = []
         pruned = 0
-        fire_stage_hooks("enter", "estimate")
-        try:
+        with boundary("estimate"):
             for measure in measures:
                 dup_sims = estimator.duplicate_similarities(
                     model, cleaning, measure
@@ -275,8 +274,6 @@ class EpsilonJoinTuner:
                             pruned += 1
                             continue
                 surviving.append(measure)
-        finally:
-            fire_stage_hooks("exit", "estimate")
         return surviving, pruned
 
     def tune(
@@ -284,10 +281,7 @@ class EpsilonJoinTuner:
     ) -> TunedResult:
         duplicates = list(dataset.groundtruth)
         needed = math.ceil(self.target_recall * len(duplicates))
-        best: Optional[TunedResult] = None
-        tried = 0
-        enumerated = 0
-        pruned = 0
+        incumbent = Incumbent(self.method, self.target_recall)
         measures = spaces.similarity_measures(self.profile)
         left_texts = dataset.left.texts(attribute)
         right_texts = dataset.right.texts(attribute)
@@ -296,12 +290,17 @@ class EpsilonJoinTuner:
             estimator = SparseJoinEstimator(dataset, attribute)
         for cleaning in (False, True):
             for model in spaces.representation_models(self.profile):
-                enumerated += len(measures)
+                incumbent.enumerated += len(measures)
                 if estimator is not None:
                     surviving, newly_pruned = self._plan_measures(
-                        estimator, model, cleaning, measures, needed, best
+                        estimator,
+                        model,
+                        cleaning,
+                        measures,
+                        needed,
+                        incumbent.best,
                     )
-                    pruned += newly_pruned
+                    incumbent.pruned += newly_pruned
                     if not surviving:
                         continue  # skip the overlap pass entirely
                 else:
@@ -313,10 +312,10 @@ class EpsilonJoinTuner:
                     duplicates,
                 )
                 for measure in surviving:
-                    tried += 1
                     dup_sims = matrix.duplicate_similarities(measure)
                     threshold = feasible_threshold(dup_sims, needed)
                     if threshold is None:
+                        incumbent.tried += 1
                         continue  # infeasible combo
                     # The threshold is >= 0.01, so token-disjoint pairs
                     # (similarity 0) never count toward |C|.
@@ -328,32 +327,18 @@ class EpsilonJoinTuner:
                     found = int(np.count_nonzero(dup_sims >= threshold))
                     pc = found / len(duplicates) if duplicates else 0.0
                     pq = found / total if total else 0.0
-                    best = better(
-                        best,
-                        TunedResult(
-                            method=self.method,
-                            params={
-                                "cleaning": cleaning,
-                                "model": model,
-                                "measure": measure,
-                                "threshold": threshold,
-                            },
-                            pc=pc,
-                            pq=pq,
-                            candidates=total,
-                            feasible=pc >= self.target_recall,
-                        ),
+                    incumbent.offer(
+                        {
+                            "cleaning": cleaning,
+                            "model": model,
+                            "measure": measure,
+                            "threshold": threshold,
+                        },
+                        pc,
+                        pq,
+                        total,
                     )
-        if best is None:
-            best = TunedResult(method=self.method, feasible=False)
-        best.configurations_tried = tried
-        best.configurations_enumerated = enumerated
-        best.configurations_pruned = pruned
-        if best.params:
-            best.runtime = GridSearchOptimizer(
-                self.target_recall
-            ).measure_runtime(self.build_filter(best.params), dataset, attribute)
-        return best
+        return incumbent.finish(self.build_filter, dataset, attribute)
 
     def build_filter(self, params: Dict[str, object]) -> EpsilonJoin:
         return EpsilonJoin(
@@ -404,8 +389,7 @@ class KNNJoinTuner:
         """
         if best is None:
             return False
-        fire_stage_hooks("enter", "estimate")
-        try:
+        with boundary("estimate"):
             stats = estimator.stats(model, cleaning)
             gt_ov = stats.gt_overlapping
             if coverage_prunable(gt_ov, needed, total_duplicates, best):
@@ -416,16 +400,11 @@ class KNNJoinTuner:
             # candidates at every k when no query is covered).
             covered = stats.covered_queries(reverse)
             return covered == 0 or gt_ov / covered <= best.pq
-        finally:
-            fire_stage_hooks("exit", "estimate")
 
     def tune(
         self, dataset: ERDataset, attribute: Optional[str] = None
     ) -> TunedResult:
-        best: Optional[TunedResult] = None
-        tried = 0
-        enumerated = 0
-        pruned = 0
+        incumbent = Incumbent(self.method, self.target_recall)
         k_values = spaces.knn_k_values(self.profile)
         k_max = max(k_values)
         measures = spaces.similarity_measures(self.profile)
@@ -443,7 +422,7 @@ class KNNJoinTuner:
             forward: Dict[str, _OverlapMatrix] = {}
             for reverse in (False, True):
                 for model in spaces.representation_models(self.profile):
-                    enumerated += len(measures)
+                    incumbent.enumerated += len(measures)
                     if estimator is not None and self._combo_prunable(
                         estimator,
                         model,
@@ -451,9 +430,9 @@ class KNNJoinTuner:
                         reverse,
                         needed,
                         total_duplicates,
-                        best,
+                        incumbent.best,
                     ):
-                        pruned += len(measures)
+                        incumbent.pruned += len(measures)
                         continue
                     if model not in forward:
                         forward[model] = _OverlapMatrix(
@@ -471,44 +450,27 @@ class KNNJoinTuner:
                     else:
                         matrix = forward[model]
                     for measure in measures:
-                        result = self._sweep(
+                        k, pc, pq, candidates = self._sweep(
                             matrix,
-                            len(dataset.groundtruth),
+                            total_duplicates,
                             measure,
                             k_values,
                             k_max,
                         )
-                        tried += len(k_values)
-                        if result is None:
-                            continue
-                        k, pc, pq, candidates = result
-                        best = better(
-                            best,
-                            TunedResult(
-                                method=self.method,
-                                params={
-                                    "cleaning": cleaning,
-                                    "reverse": reverse,
-                                    "model": model,
-                                    "measure": measure,
-                                    "k": k,
-                                },
-                                pc=pc,
-                                pq=pq,
-                                candidates=candidates,
-                                feasible=pc >= self.target_recall,
-                            ),
+                        incumbent.offer(
+                            {
+                                "cleaning": cleaning,
+                                "reverse": reverse,
+                                "model": model,
+                                "measure": measure,
+                                "k": k,
+                            },
+                            pc,
+                            pq,
+                            candidates,
+                            tried=len(k_values),
                         )
-        if best is None:
-            best = TunedResult(method=self.method, feasible=False)
-        best.configurations_tried = tried
-        best.configurations_enumerated = enumerated
-        best.configurations_pruned = pruned
-        if best.params:
-            best.runtime = GridSearchOptimizer(
-                self.target_recall
-            ).measure_runtime(self.build_filter(best.params), dataset, attribute)
-        return best
+        return incumbent.finish(self.build_filter, dataset, attribute)
 
     def _sweep(
         self,
@@ -517,7 +479,7 @@ class KNNJoinTuner:
         measure: str,
         k_values: List[int],
         k_max: int,
-    ) -> Optional[Tuple[int, float, float, int]]:
+    ) -> Tuple[int, float, float, int]:
         """Evaluate all k at once; return the first feasible (k, pc, pq, |C|).
 
         The whole sweep is two histograms (:meth:`_rank_histograms`) over

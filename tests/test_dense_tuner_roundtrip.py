@@ -1,13 +1,18 @@
 """Round-trip consistency of the dense kNN tuners.
 
 The sweep-based tuner derives PC/PQ/|C| analytically from one ranked
-search; materializing the winning configuration as a real filter must
-reproduce the same numbers (for the deterministic methods).
+search through the filter that ``build_filter`` returns (same index,
+seed and training schedule); materializing the winning configuration
+must reproduce the same numbers: exactly for the deterministic methods,
+and for DeepBlocker in the evaluation averaged over the tuner's own
+training seeds 0-2.
 """
 
 import pytest
 
 from repro.core.metrics import evaluate_candidates
+from repro.core.optimizer import GridSearchOptimizer
+from repro.datasets.registry import load_dataset
 from repro.tuning.dense import KNNSearchTuner
 
 
@@ -46,3 +51,29 @@ def test_deepblocker_tuner_returns_valid_result(small_generated):
         else len(small_generated.right)
     )
     assert len(candidates) == int(result.params["k"]) * queries
+
+
+def test_scann_winner_reproduces_on_rebuild():
+    dataset = load_dataset("d1")
+    tuner = KNNSearchTuner("scann", profile="fast")
+    tuned = tuner.tune(dataset)
+    candidates = tuner.build_filter(tuned.params).candidates(
+        dataset.left, dataset.right, None
+    )
+    built = evaluate_candidates(
+        candidates, dataset.groundtruth, len(dataset.left), len(dataset.right)
+    )
+    assert built.candidates == tuned.candidates
+    assert built.pc == tuned.pc
+    assert built.pq == tuned.pq
+
+
+def test_deepblocker_winner_matches_seed_averaged_evaluation():
+    dataset = load_dataset("d1")
+    tuner = KNNSearchTuner("deepblocker", profile="fast", repetitions=3)
+    tuned = tuner.tune(dataset)
+    built = GridSearchOptimizer(repetitions=3).evaluate(
+        tuner.build_filter(tuned.params), dataset
+    )
+    assert built.pc == pytest.approx(tuned.pc, abs=1e-9)
+    assert built.pq == pytest.approx(tuned.pq, abs=1e-9)

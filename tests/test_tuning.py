@@ -13,7 +13,7 @@ from repro.tuning import (
 )
 from repro.tuning.blocking import BlockingWorkflowTuner, make_builder
 from repro.tuning.dense import EmbeddingCache, KNNSearchTuner, LSHTuner
-from repro.tuning.result import TunedResult, better
+from repro.tuning.result import Incumbent, TunedResult, better
 from repro.tuning.sparse import EpsilonJoinTuner, KNNJoinTuner
 from repro.tuning import spaces
 
@@ -42,6 +42,37 @@ class TestTunedResult:
     def test_describe_params(self):
         result = TunedResult("m", params={"k": 3, "a": True})
         assert result.describe_params() == "a=True, k=3"
+
+
+class TestIncumbent:
+    def test_nothing_offered_finishes_infeasible_and_untimed(
+        self, tiny_dataset
+    ):
+        incumbent = Incumbent("m", 0.9)
+        incumbent.enumerated = incumbent.pruned = 4
+
+        def never_built(params):
+            raise AssertionError("no winner to time")
+
+        result = incumbent.finish(never_built, tiny_dataset)
+        assert (result.method, result.feasible, result.runtime) == (
+            "m", False, 0.0
+        )
+        assert result.configurations_tried == 0
+        assert result.configurations_enumerated == 4
+        assert result.configurations_pruned == 4
+
+    def test_exact_tie_goes_to_the_earlier_position(self):
+        in_order = Incumbent("m", 0.9)
+        in_order.offer({"id": 1}, 0.95, 0.5, 10, tried=3)
+        in_order.offer({"id": 2}, 0.92, 0.5, 10)
+        assert in_order.best.params == {"id": 1}
+        assert in_order.tried == 4
+        out_of_order = Incumbent("m", 0.9)
+        out_of_order.offer({"id": 2}, 0.92, 0.5, 10, position=2)
+        out_of_order.offer({"id": 1}, 0.95, 0.5, 10, position=1)
+        assert out_of_order.best.params == {"id": 1}
+        assert out_of_order.position == 1
 
 
 class TestGridSearchOptimizer:
