@@ -42,7 +42,7 @@ from bench_sparse_kernel import make_dataset, timed_median, write_rows
 
 from repro.blocking.building import StandardBlocking
 from repro.blocking.metablocking import PairGraph
-from repro.core.fastpairs import encode_pairs, groundtruth_keys
+from repro.core.candidates import pack_ids
 from repro.datasets.generator import ERDataset
 from repro.learned import (
     SupervisedMetaBlocking,
@@ -72,9 +72,8 @@ def train_weights(
     blocks = StandardBlocking().build(dataset.left, dataset.right, None)
     graph = PairGraph(blocks)
     matrix = edge_features(graph)
-    width = len(dataset.right)
-    keys = encode_pairs(graph.lefts, graph.rights, width)
-    gt_keys = groundtruth_keys(dataset.groundtruth, width)
+    keys = pack_ids(graph.lefts, graph.rights)
+    gt_keys = dataset.groundtruth.keys
     indices, labels = sample_labeled_edges(keys, gt_keys, sample_size, seed)
     model = train_model(model_kind, matrix[indices], labels, seed=seed)
     return serialize_model(model)

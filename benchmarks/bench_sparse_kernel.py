@@ -24,7 +24,7 @@ synthetic Clean-Clean ER dataset, then times
   (``tokenize_grid``; independent of ``--model``, hence its
   ``-fast-grid`` dataset label), and encoding the right side onto the
   index vocabulary (``query_encode``),
-* the kNN-Join result as a ``CandidateSet``: built from its fastpairs
+* the kNN-Join result as a ``CandidateSet``: built from its candidate
   keys by ``keys_to_candidate_set``, then evaluated for PC/PQ against
   the groundtruth (``candidate_set``; its ``bytes_per_pair`` is what
   the set retains per pair under ``tracemalloc``).
@@ -60,11 +60,8 @@ from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.fastpairs import (
-    encode_pairs,
-    keys_to_candidate_set,
-    unique_keys,
-)
+from repro.core.candidates import pack_ids
+from repro.core.fastpairs import keys_to_candidate_set
 from repro.core.groundtruth import GroundTruth
 from repro.core.incremental import random_operations
 from repro.core.metrics import evaluate_candidates
@@ -215,30 +212,29 @@ def knn_join_keys(
     queries: Sequence[FrozenSet[str]],
     k: int,
     measure: str,
-    width: int,
 ) -> np.ndarray:
-    """The kNN-Join pairs as sorted unique ``set * width + query`` keys."""
+    """The kNN-Join ``(set, query)`` pairs as candidate keys, query-major."""
     shards = index.run_kernel("knn", queries, 1, k=k, measure=measure)
     query_ids = np.concatenate([shard.value[0] for shard in shards])
     set_ids = np.concatenate([shard.value[1] for shard in shards])
-    return unique_keys(encode_pairs(set_ids, query_ids, width))
+    return pack_ids(set_ids, query_ids)
 
 
 def candidate_set_build(
-    keys: np.ndarray, width: int, groundtruth: GroundTruth
+    keys: np.ndarray, size: int, groundtruth: GroundTruth
 ) -> int:
     """Build the CandidateSet of ``keys`` and evaluate its PC/PQ."""
-    candidates = keys_to_candidate_set(keys, width)
-    evaluate_candidates(candidates, groundtruth, width, width)
+    candidates = keys_to_candidate_set(keys)
+    evaluate_candidates(candidates, groundtruth, size, size)
     return len(candidates)
 
 
-def retained_bytes_per_pair(keys: np.ndarray, width: int) -> float:
+def retained_bytes_per_pair(keys: np.ndarray) -> float:
     """Bytes the CandidateSet of ``keys`` keeps alive, per pair."""
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        candidates = keys_to_candidate_set(keys, width)
+        candidates = keys_to_candidate_set(keys)
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
@@ -393,15 +389,15 @@ def run_benchmarks(
     )
     record("knn_csr", knn_csr_s, knn_csr_pairs, runs)
 
-    width = len(dataset.right)
-    knn_keys = knn_join_keys(csr, right, 5, "cosine", width)
+    size = len(dataset.right)
+    knn_keys = knn_join_keys(csr, right, 5, "cosine")
     set_s, set_pairs, runs = timed_median(
-        lambda: candidate_set_build(knn_keys, width, dataset.groundtruth),
+        lambda: candidate_set_build(knn_keys, size, dataset.groundtruth),
         repeats,
     )
     record(
         "candidate_set", set_s, set_pairs, runs,
-        bytes_per_pair=retained_bytes_per_pair(knn_keys, width),
+        bytes_per_pair=retained_bytes_per_pair(knn_keys),
     )
 
     if full:

@@ -18,7 +18,8 @@ from repro.blocking.building import QGramsBlocking, StandardBlocking
 from repro.blocking.cleaning import BlockFiltering
 from repro.blocking.metablocking import MetaBlocking, PairGraph, prune_mask
 from repro.blocking.workflow import BlockingWorkflow
-from repro.core.fastpairs import evaluate_keys, groundtruth_keys
+from repro.core.candidates import pack_ids
+from repro.core.fastpairs import evaluate_keys
 from repro.core.metrics import evaluate_candidates
 from repro.datasets.registry import load_dataset
 from repro.sparse.knn_join import KNNJoin
@@ -43,8 +44,7 @@ def test_holistic_beats_stepwise_tuning(dataset, benchmark):
     """Tune BFr first (greedy), then the cleaner — and compare with the
     joint search.  The holistic winner is never worse (Section II)."""
     target = 0.9
-    width = len(dataset.right)
-    gt = groundtruth_keys(dataset.groundtruth, width)
+    gt = dataset.groundtruth.keys
 
     # Step-by-step: greedily pick the smallest feasible filtering ratio...
     best_ratio = 1.0
@@ -52,7 +52,10 @@ def test_holistic_beats_stepwise_tuning(dataset, benchmark):
         blocks = StandardBlocking().build(dataset.left, dataset.right)
         filtered = BlockFiltering(ratio).clean(blocks)
         upper = evaluate_keys(
-            filtered.pair_keys(width), gt, len(dataset.left), len(dataset.right)
+            filtered.distinct_pairs().keys,
+            gt,
+            len(dataset.left),
+            len(dataset.right),
         )
         if upper.pc < target:
             break
@@ -66,7 +69,7 @@ def test_holistic_beats_stepwise_tuning(dataset, benchmark):
         weights = graph.weights(scheme)
         for algorithm in ("WEP", "BLAST", "RCNP"):
             mask = prune_mask(graph, weights, algorithm)
-            keys = np.sort(graph.lefts[mask] * width + graph.rights[mask])
+            keys = np.sort(pack_ids(graph.lefts[mask], graph.rights[mask]))
             ev = evaluate_keys(keys, gt, len(dataset.left), len(dataset.right))
             if ev.pc >= target:
                 stepwise_pq = max(stepwise_pq, ev.pq)
@@ -85,7 +88,7 @@ def test_block_filtering_ratio_monotone(dataset):
     sizes = []
     for ratio in (1.0, 0.8, 0.6, 0.4, 0.2):
         filtered = BlockFiltering(ratio).clean(blocks) if ratio < 1 else blocks
-        sizes.append(len(filtered.pair_keys(len(dataset.right))))
+        sizes.append(len(filtered.distinct_pairs()))
     assert sizes == sorted(sizes, reverse=True)
 
 
@@ -108,13 +111,13 @@ def test_qgrams_tolerate_typos_better_than_tokens(dataset):
     token blocks before any cleaning."""
     token_blocks = StandardBlocking().build(dataset.left, dataset.right)
     qgram_blocks = QGramsBlocking(3).build(dataset.left, dataset.right)
-    width = len(dataset.right)
-    gt = groundtruth_keys(dataset.groundtruth, width)
+    gt = dataset.groundtruth.keys
+    size1, size2 = len(dataset.left), len(dataset.right)
     token_pc = evaluate_keys(
-        token_blocks.pair_keys(width), gt, len(dataset.left), len(dataset.right)
+        token_blocks.distinct_pairs().keys, gt, size1, size2
     ).pc
     qgram_pc = evaluate_keys(
-        qgram_blocks.pair_keys(width), gt, len(dataset.left), len(dataset.right)
+        qgram_blocks.distinct_pairs().keys, gt, size1, size2
     ).pc
     assert qgram_pc >= token_pc
 

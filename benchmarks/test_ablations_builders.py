@@ -13,7 +13,7 @@ import pytest
 from repro.blocking.attribute_clustering import AttributeClusteringBlocking
 from repro.blocking.building import SortedNeighborhoodBlocking, StandardBlocking
 from repro.blocking.canopy import CanopyClusteringBlocking
-from repro.core.fastpairs import evaluate_keys, groundtruth_keys
+from repro.core.fastpairs import evaluate_keys
 from repro.datasets.registry import load_dataset
 
 from conftest import write_artifact
@@ -25,10 +25,9 @@ def dataset():
 
 
 def _evaluate_blocks(blocks, dataset):
-    width = len(dataset.right)
     return evaluate_keys(
-        blocks.pair_keys(width),
-        groundtruth_keys(dataset.groundtruth, width),
+        blocks.distinct_pairs().keys,
+        dataset.groundtruth.keys,
         len(dataset.left),
         len(dataset.right),
     )

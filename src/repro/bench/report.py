@@ -403,7 +403,9 @@ class ReportBuilder:
                 f" PC at comparable PQ in {holds}/{len(learned)} settings."
             )
         pruning = self.pruning_summary()
-        if pruning:
+        # Cells tuned without ``--prune`` still count their grid; the
+        # section only reports a matrix in which something was pruned.
+        if any(row[2] for row in pruning):
             lines.append("")
             lines.append("### Cost-based grid pruning")
             lines.append("")

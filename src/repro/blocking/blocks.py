@@ -23,7 +23,7 @@ from typing import (
 
 import numpy as np
 
-from ..core.candidates import KEY_WIDTH, CandidateSet
+from ..core.candidates import KEY_WIDTH, CandidateSet, unique_keys
 from ..core.incremental import BucketIndex
 from ..core.profile import EntityProfile
 
@@ -74,13 +74,14 @@ class BlockMembers:
         """Per block, the number of cross-side pairs it induces."""
         return self.left_sizes * self.right_sizes
 
-    def pair_occurrences(self, width: int) -> np.ndarray:
-        """The keys ``left * width + right`` of every pair of every block.
+    def pair_occurrences(self) -> np.ndarray:
+        """The candidate keys of every pair of every block.
 
-        Repeats are kept, block by block and left-major; ``width`` must
-        exceed every right id.  Each left member repeats once per right
-        of its block, whose slice of ``right`` a cumsum-with-resets index
-        walks.
+        Repeats are kept, block by block and left-major.  Each left
+        member repeats once per right of its block, whose slice of
+        ``right`` a cumsum-with-resets index walks.  The keys are packed
+        in place (as :func:`~repro.core.candidates.pack_ids` would, but
+        without its copies of the id arrays).
         """
         per_left = np.repeat(self.right_sizes, self.left_sizes)
         keys = np.repeat(self.left, per_left)
@@ -96,7 +97,7 @@ class BlockMembers:
         index = np.ones(len(keys), dtype=np.int64)
         index[np.cumsum(lengths) - lengths] = steps
         np.cumsum(index, out=index)
-        keys *= width
+        keys *= KEY_WIDTH
         # "clip" lets take() gather into its own index array unbuffered.
         keys += self.right.take(index, out=index, mode="clip")
         return keys
@@ -167,17 +168,11 @@ class BlockCollection:
             sides.extend((flat, sizes))
         return BlockMembers(*sides)
 
-    def pair_keys(self, width: int) -> np.ndarray:
-        """Distinct cross-side pairs as sorted ``left * width + right`` keys.
-
-        The fast path used by the configuration optimizer (see
-        :mod:`repro.core.fastpairs`); ``width`` must exceed every right id.
-        """
-        return np.unique(self.members().pair_occurrences(width))
-
     def distinct_pairs(self) -> CandidateSet:
         """All distinct cross-side pairs (Comparison Propagation semantics)."""
-        return CandidateSet.from_keys(self.pair_keys(KEY_WIDTH))
+        return CandidateSet.from_keys(
+            unique_keys(self.members().pair_occurrences())
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -21,7 +21,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..core.candidates import CandidateSet, pack_ids
+from ..core.candidates import KEY_WIDTH, CandidateSet, pack_ids
 from .blocks import BlockCollection
 
 __all__ = [
@@ -191,11 +191,10 @@ class PairGraph:
         # Blocks per entity (|B_i|).
         self._left_blocks = np.bincount(members.left)
         self._right_blocks = np.bincount(members.right)
-        width = max(1, len(self._right_blocks))
         unique_keys, inverse = np.unique(
-            members.pair_occurrences(width), return_inverse=True
+            members.pair_occurrences(), return_inverse=True
         )
-        self.lefts, self.rights = np.divmod(unique_keys, width)
+        self.lefts, self.rights = np.divmod(unique_keys, KEY_WIDTH)
         del unique_keys
         self.common = np.bincount(inverse).astype(np.float64)
         # ARCS sums 1/||b|| over the pair's occurrences in block order.

@@ -6,18 +6,20 @@ ER, the two sides come from different collections, so pairs are *ordered*:
 ``(i, j)`` always means ``(id in E1, id in E2)``.
 
 A :class:`CandidateSet` holds its pairs as one sorted, unique int64 array
-of keys ``left << 32 | right``: the fastpairs key ``left * width + right``
-(:func:`encode_pairs`) at the fixed width :data:`KEY_WIDTH` = 2**32.
+of keys ``left << 32 | right`` (:func:`pack_ids`, the width
+:data:`KEY_WIDTH` = 2**32).  This is the one pair encoding of the
+package: blocking graphs, joins, tuners and the groundtruth all emit it,
+so a key array passes between them without a re-pack.
 """
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, Iterator, List, Tuple
+from typing import FrozenSet, Iterable, Iterator, Tuple
 
 import numpy as np
 
 __all__ = ["CandidateSet", "KEY_WIDTH", "count_shared", "encode_pairs",
-           "pack_ids"]
+           "pack_ids", "unique_keys"]
 
 Pair = Tuple[int, int]
 
@@ -58,6 +60,20 @@ def pack_ids(lefts, rights) -> np.ndarray:
     return encode_pairs(lefts, rights, KEY_WIDTH)
 
 
+def unique_keys(keys: np.ndarray) -> np.ndarray:
+    """Sorted, de-duplicated keys (the canonical candidate-set encoding).
+
+    A sort and one neighbour comparison: NumPy 2.4's ``np.unique``
+    hashes int64 keys first, which measured 15-60x slower on 10**4 to
+    2 * 10**6 keys.
+    """
+    keys = np.sort(keys)
+    keep = np.empty(len(keys), dtype=bool)
+    keep[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    return keys[keep]
+
+
 def count_shared(keys: np.ndarray, probes: np.ndarray) -> int:
     """How many of the unique ``probes`` occur in the sorted ``keys``."""
     if not len(keys) or not len(probes):
@@ -69,28 +85,25 @@ def count_shared(keys: np.ndarray, probes: np.ndarray) -> int:
 class CandidateSet:
     """A deduplicated set of candidate pairs between ``E1`` and ``E2``.
 
-    Filters build one once, from a list of pairs, from parallel id
-    arrays (:meth:`from_ids`) or from keys already sorted and unique
-    (:meth:`from_keys`).  :meth:`add` and :meth:`update` queue pairs on a
-    pending list that the next read merges into the keys, at one sort per
-    batch of adds.  Iteration decodes ``(left, right)`` int tuples in
-    ascending order, a chunk at a time; no tuple is stored.
+    Immutable: filters build one once, from a list of pairs, from
+    parallel id arrays (:meth:`from_ids`) or from keys already sorted and
+    unique (:meth:`from_keys`).  Iteration decodes ``(left, right)`` int
+    tuples in ascending order, a chunk at a time; no tuple is stored.
     """
 
-    __slots__ = ("_keys", "_pending")
+    __slots__ = ("_keys",)
 
     def __init__(self, pairs: Iterable[Pair] = ()) -> None:
         ids = np.array(list(pairs), dtype=np.int64)
         if ids.size and ids.shape[1:] != (2,):
             raise ValueError("candidate pairs must be (left, right) id pairs")
-        self._keys = np.unique(pack_ids(*ids.reshape(-1, 2).T))
+        self._keys = unique_keys(pack_ids(*ids.reshape(-1, 2).T))
         self._keys.flags.writeable = False
-        self._pending: List[int] = []
 
     @classmethod
     def from_ids(cls, lefts, rights) -> "CandidateSet":
         """The pairs ``(lefts[i], rights[i])``; any order, repeats allowed."""
-        return cls.from_keys(np.unique(pack_ids(lefts, rights)))
+        return cls.from_keys(unique_keys(pack_ids(lefts, rights)))
 
     @classmethod
     def from_keys(cls, keys: np.ndarray) -> "CandidateSet":
@@ -100,26 +113,12 @@ class CandidateSet:
             raise ValueError("candidate keys must be non-negative, increasing")
         keys.flags.writeable = False
         result = cls.__new__(cls)
-        result._keys, result._pending = keys, []
+        result._keys = keys
         return result
-
-    def add(self, left: int, right: int) -> None:
-        """Add the pair (entity ``left`` of E1, entity ``right`` of E2)."""
-        left, right = int(left), int(right)
-        if not (0 <= left < _LEFT_LIMIT and 0 <= right < KEY_WIDTH):
-            raise ValueError(f"pair ({left}, {right}) is out of the id range")
-        self._pending.append(left << 32 | right)
-
-    def update(self, pairs: Iterable[Pair]) -> None:
-        self._pending.extend(CandidateSet(pairs).keys.tolist())
 
     @property
     def keys(self) -> np.ndarray:
         """The pairs' sorted, unique keys (read-only)."""
-        if self._pending:
-            self._keys = np.union1d(self._keys, self._pending)
-            self._keys.flags.writeable = False
-            self._pending = []
         return self._keys
 
     def __len__(self) -> int:
@@ -142,8 +141,6 @@ class CandidateSet:
         if isinstance(other, CandidateSet):
             return np.array_equal(self.keys, other.keys)
         return NotImplemented
-
-    __hash__ = None  # mutable, hence unhashable
 
     def as_frozenset(self) -> FrozenSet[Pair]:
         """An immutable snapshot of the pairs."""

@@ -54,7 +54,6 @@ from typing import (
 import numpy as np
 
 from .candidates import CandidateSet
-from .fastpairs import encode_pairs, unique_keys
 from .filters import Filter
 from .profile import EntityCollection, EntityProfile
 from .stages import ADD, INCREMENTAL_STAGES, INDEX, QUERY, REMOVE, StageTrace
@@ -64,6 +63,7 @@ __all__ = [
     "BucketIndex",
     "IncrementalFilterAdapter",
     "Operation",
+    "answer_keys",
     "random_operations",
     "replay_check",
     "differential_smoke",
@@ -419,23 +419,16 @@ def random_operations(
     return operations
 
 
-def _result_keys(
-    uids: Sequence[str], query_number: int, uid_ids: Dict[str, int]
-) -> np.ndarray:
-    """Encode one query result as canonical fastpairs keys.
+def answer_keys(uids: Sequence[str], uid_ids: Dict[str, int]) -> np.ndarray:
+    """One query answer as sorted, unique candidate keys.
 
     Each uid gets a stable integer id (first-seen order across the whole
-    replay); the pair ``(query_number, uid id)`` is encoded with
-    :func:`~repro.core.fastpairs.encode_pairs` so results are compared in
-    exactly the representation the evaluation layer trusts.
+    replay) and the answer becomes the pairs ``(0, uid id)``, so answers
+    are compared in exactly the representation the evaluation layer
+    trusts.
     """
-    ids = np.asarray(
-        [uid_ids.setdefault(uid, len(uid_ids)) for uid in uids],
-        dtype=np.int64,
-    )
-    queries = np.full(len(ids), query_number, dtype=np.int64)
-    # Width bound: ids are assigned densely, so len(uid_ids) exceeds them all.
-    return unique_keys(encode_pairs(queries, ids, max(1, len(uid_ids))))
+    ids = [uid_ids.setdefault(uid, len(uid_ids)) for uid in uids]
+    return CandidateSet.from_ids(np.zeros(len(ids), np.int64), ids).keys
 
 
 def replay_check(
@@ -469,8 +462,8 @@ def replay_check(
             for profile in live.values():
                 oracle.add(profile)
             rebuilt = oracle.query(operation.profile)
-            streamed_keys = _result_keys(streamed, checked, uid_ids)
-            rebuilt_keys = _result_keys(rebuilt, checked, uid_ids)
+            streamed_keys = answer_keys(streamed, uid_ids)
+            rebuilt_keys = answer_keys(rebuilt, uid_ids)
             if not np.array_equal(streamed_keys, rebuilt_keys):
                 missing = sorted(set(rebuilt) - set(streamed))
                 spurious = sorted(set(streamed) - set(rebuilt))

@@ -21,8 +21,8 @@ implementation but the degenerate case of the parallel one.
 The default worker count is process-wide (:func:`set_default_workers`,
 seeded from ``REPRO_WORKERS``) so the bench CLI can switch the whole
 harness without threading a parameter through every call site.  The
-start method honours ``REPRO_MP_START`` and prefers ``fork`` where
-available (attach cost is one mmap; no module re-import per worker).
+start method prefers ``fork`` where available (attach cost is one mmap;
+no module re-import per worker).
 
 Fault handling: a worker that raises ships the traceback back through
 the result queue; a worker that dies outright (killed, segfault) is
@@ -286,11 +286,8 @@ class ShardResult:
 
 
 def _mp_context():
-    method = os.environ.get("REPRO_MP_START", "").strip()
     import multiprocessing
 
-    if method:
-        return multiprocessing.get_context(method)
     if "fork" in multiprocessing.get_all_start_methods():
         return multiprocessing.get_context("fork")
     return multiprocessing.get_context()  # pragma: no cover - non-posix

@@ -79,8 +79,7 @@ from ..bench.resilience import (
     salvage_json_prefix,
 )
 from . import stages
-from .fastpairs import encode_pairs, unique_keys
-from .incremental import IncrementalIndex, Operation
+from .incremental import IncrementalIndex, Operation, answer_keys
 from .profile import EntityProfile
 
 __all__ = [
@@ -1025,15 +1024,6 @@ class ServingIndex:
 # ----------------------------------------------------------------------
 
 
-def _keys_for(uids: Sequence[str], uid_ids: Dict[str, int]) -> np.ndarray:
-    ids = np.asarray(
-        [uid_ids.setdefault(uid, len(uid_ids)) for uid in uids],
-        dtype=np.int64,
-    )
-    zeros = np.zeros(len(ids), dtype=np.int64)
-    return unique_keys(encode_pairs(zeros, ids, max(1, len(uid_ids))))
-
-
 def chaos_replay_check(
     factory: Callable[[], IncrementalIndex],
     operations: Sequence[Operation],
@@ -1144,8 +1134,8 @@ def chaos_replay_check(
                 oracle.add(profile)
             oracles[applied] = oracle
         expected = oracle._query_result(probe)
-        result_keys = _keys_for(result, uid_ids)
-        expected_keys = _keys_for(expected, uid_ids)
+        result_keys = answer_keys(result, uid_ids)
+        expected_keys = answer_keys(expected, uid_ids)
         if not (
             np.array_equal(result_keys, expected_keys)
             and result_keys.tobytes() == expected_keys.tobytes()

@@ -32,14 +32,11 @@ __all__ = [
     "PURGE",
     "FILTER",
     "CLEAN",
-    "ESTIMATE",
     "PREPROCESS",
     "INDEX",
     "QUERY",
     "ADD",
     "REMOVE",
-    "WAL",
-    "PUBLISH",
     "FEATURES",
     "TRAIN",
     "SCORE",
@@ -47,7 +44,6 @@ __all__ = [
     "BLOCKING_STAGES",
     "NN_STAGES",
     "INCREMENTAL_STAGES",
-    "SERVING_STAGES",
     "LEARNED_STAGES",
     "add_stage_hook",
     "boundary",
@@ -90,21 +86,6 @@ QUERY = Stage("query", "querying + candidate selection")
 ADD = Stage("add", "incremental insertion of one entity")
 REMOVE = Stage("remove", "incremental removal of one entity")
 
-#: Serving layer (:mod:`repro.core.serving`): durability and snapshot
-#: publication on top of the incremental schema.  The writer thread also
-#: fires synthetic boundaries (``wal/append``, ``wal/append#<seq>``,
-#: ``wal/fsync``, ``serving/publish``, ``serving/compact``,
-#: ``serving/checkpoint``) through :func:`fire_stage_hooks`, which is
-#: where the chaos suite injects its faults.
-WAL = Stage("wal", "write-ahead log append + fsync batching")
-PUBLISH = Stage("publish", "atomic snapshot publication (epoch swap)")
-
-#: Cost-based tuning (:mod:`repro.tuning.estimator`): cardinality
-#: estimation and grid pruning decisions, fired by the tuners *before*
-#: any filter executes.  Not part of a filter schema — it is a tuning
-#: boundary like ``tune/<method>``, traced so pruning time is visible.
-ESTIMATE = Stage("estimate", "cardinality estimation + grid pruning")
-
 #: Learned meta-blocking (:mod:`repro.learned`): the supervised
 #: edge-pruning family decomposes into block building (shared with the
 #: blocking schema), per-edge feature extraction, model training on a
@@ -118,7 +99,6 @@ PRUNE = Stage("prune", "probability-threshold / top-k edge pruning")
 BLOCKING_STAGES: Tuple[Stage, ...] = (BUILD, PURGE, FILTER, CLEAN)
 NN_STAGES: Tuple[Stage, ...] = (PREPROCESS, INDEX, QUERY)
 INCREMENTAL_STAGES: Tuple[Stage, ...] = (ADD, REMOVE, QUERY)
-SERVING_STAGES: Tuple[Stage, ...] = (ADD, REMOVE, QUERY, WAL, PUBLISH)
 LEARNED_STAGES: Tuple[Stage, ...] = (BUILD, FEATURES, TRAIN, SCORE, PRUNE)
 
 StageLike = Union[Stage, str]

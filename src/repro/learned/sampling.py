@@ -4,7 +4,7 @@ The training set is drawn from the *edges of the blocking graph*, not
 from all entity pairs: the learned model only ever re-ranks candidates
 the blocking workflow already surfaced, so edges are exactly its
 inference distribution.  Labels come from the groundtruth oracle via the
-packed fastpairs keys, making the membership test a single vectorized
+candidate keys, making the membership test a single vectorized
 ``np.isin``.
 
 Sampling is deterministic given ``seed``: a fresh
@@ -31,8 +31,8 @@ def sample_labeled_edges(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Pick ``<= sample_size`` edge indices plus their 0/1 labels.
 
-    ``keys`` are the packed pair keys of every graph edge; ``gt_keys``
-    the packed groundtruth keys (same width).  Up to half the budget
+    ``keys`` are the candidate keys of every graph edge; ``gt_keys``
+    the groundtruth's (:attr:`GroundTruth.keys`).  Up to half the budget
     goes to positives (fewer when the graph holds fewer matching
     edges), the remainder to negatives.  Returns ``(indices, labels)``
     with ``indices`` sorted ascending; degenerate graphs may yield a

@@ -11,8 +11,8 @@ The query phase runs through the chunked counting kernels of
 place — the ε-Join masks with an integer overlap bound before the exact
 similarity check, the kNN join cuts each query at its k-th distinct
 similarity — so the flat overlap-row universe is never materialized.  The
-selected pairs are encoded directly into
-:func:`~repro.core.fastpairs.encode_pairs` keys — no intermediate Python
+selected pairs are packed directly into candidate keys
+(:func:`~repro.core.candidates.pack_ids`) — no intermediate Python
 sets.  A ``workers=`` knob shards the query axis over
 :mod:`repro.core.parallel` worker processes; results are byte-identical
 for every worker count (see the determinism argument there), and
@@ -26,8 +26,8 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.candidates import CandidateSet
-from ..core.fastpairs import encode_pairs, keys_to_candidate_set, unique_keys
+from ..core.candidates import CandidateSet, pack_ids
+from ..core.fastpairs import keys_to_candidate_set
 from ..core.filters import Filter
 from ..core.profile import EntityCollection
 from ..core.stages import INDEX, NN_STAGES, PREPROCESS, QUERY
@@ -135,9 +135,7 @@ class SparseNNFilter(Filter):
                 lefts, rights = query_ids, set_ids
             else:
                 lefts, rights = set_ids, query_ids
-            width = max(1, len(right))
-            keys = unique_keys(encode_pairs(lefts, rights, width))
-            candidates = keys_to_candidate_set(keys, width)
+            candidates = keys_to_candidate_set(pack_ids(lefts, rights))
             query.output_size = len(candidates)
         return candidates
 

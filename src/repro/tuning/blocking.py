@@ -35,7 +35,8 @@ from ..blocking.building import (
 from ..blocking.cleaning import BlockFiltering, BlockPurging
 from ..blocking.metablocking import PairGraph, prune_mask
 from ..blocking.workflow import BlockingWorkflow, ComparisonPropagation, MetaBlocking
-from ..core.fastpairs import encode_pairs, evaluate_keys, groundtruth_keys
+from ..core.candidates import pack_ids
+from ..core.fastpairs import evaluate_keys
 from ..core.optimizer import DEFAULT_RECALL_TARGET
 from ..core.stages import boundary
 from ..datasets.generator import ERDataset
@@ -131,8 +132,7 @@ class BlockingWorkflowTuner:
     def tune(
         self, dataset: ERDataset, attribute: Optional[str] = None
     ) -> TunedResult:
-        width = len(dataset.right)
-        gt_keys = groundtruth_keys(dataset.groundtruth, width)
+        gt_keys = dataset.groundtruth.keys
         size1, size2 = len(dataset.left), len(dataset.right)
         proactive = self.builder_name in _PROACTIVE
         incumbent = Incumbent(self.workflow, self.target_recall)
@@ -177,7 +177,7 @@ class BlockingWorkflowTuner:
                     # The graph's rows are the distinct pairs, (left,
                     # right)-sorted: their keys are sorted-unique, and so
                     # are the keys under any mask — no re-sort needed.
-                    graph_keys = encode_pairs(graph.lefts, graph.rights, width)
+                    graph_keys = pack_ids(graph.lefts, graph.rights)
                     upper = evaluate_keys(graph_keys, gt_keys, size1, size2)
                     base_params = dict(builder_params)
                     base_params.update({"purging": purging, "ratio": ratio})

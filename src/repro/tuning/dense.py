@@ -26,6 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..core.candidates import pack_ids
 from ..core.optimizer import DEFAULT_RECALL_TARGET, GridSearchOptimizer
 from ..core.stages import boundary
 from ..datasets.generator import ERDataset
@@ -102,23 +103,22 @@ def _first_feasible_k(
 
 
 def _rank_hits(
-    ids: np.ndarray,
+    keys: np.ndarray,
     query_ids: np.ndarray,
     gt_keys: np.ndarray,
-    indexed_count: int,
     k_max: int,
 ) -> np.ndarray:
     """Duplicates found at each rank ``0..k_max-1`` of one kNN search.
 
-    ``(ids, query_ids)`` is a filter's flat ``_index_and_query`` output:
-    each query's ids form one contiguous best-first run, queries in
-    ascending order, so a pair's rank is its offset within its run.
-    ``gt_keys`` are the duplicates as ``query * indexed_count + id``.
+    ``query_ids`` is a filter's flat ``_index_and_query`` output: each
+    query's ids form one contiguous best-first run, queries in ascending
+    order, so a pair's rank is its offset within its run.  ``keys`` are
+    the same pairs' candidate keys, checked against the groundtruth's.
     """
     run_lengths = np.bincount(query_ids, minlength=1)
     run_starts = np.cumsum(run_lengths) - run_lengths
-    ranks = np.arange(len(ids)) - run_starts[query_ids]
-    hits = np.isin(query_ids * indexed_count + ids, gt_keys)
+    ranks = np.arange(len(keys)) - run_starts[query_ids]
+    hits = np.isin(keys, gt_keys)
     return np.bincount(ranks[hits], minlength=k_max)
 
 
@@ -162,8 +162,7 @@ class KNNSearchTuner:
         incumbent = Incumbent(self.method, self.target_recall)
         total_duplicates = len(dataset.groundtruth)
         repetitions = self.repetitions if self.method == "deepblocker" else 1
-        gt = np.asarray(list(dataset.groundtruth), dtype=np.int64)
-        gt = gt.reshape(-1, 2)
+        gt_keys = dataset.groundtruth.keys
         for cleaning in (False, True):
             left_vectors = self.cache.vectors(dataset.left, attribute, cleaning)
             right_vectors = self.cache.vectors(
@@ -172,11 +171,8 @@ class KNNSearchTuner:
             for reverse in (False, True):
                 if reverse:
                     indexed, queries = right_vectors, left_vectors
-                    gt_indexed, gt_queries = gt[:, 1], gt[:, 0]
                 else:
                     indexed, queries = left_vectors, right_vectors
-                    gt_indexed, gt_queries = gt[:, 0], gt[:, 1]
-                gt_keys = gt_queries * indexed.shape[0] + gt_indexed
                 k_max = min(max(k_values), indexed.shape[0])
                 usable_ks = [k for k in k_values if k <= k_max] or [k_max]
                 per_query_counts = np.arange(k_max + 1) * queries.shape[0]
@@ -189,8 +185,9 @@ class KNNSearchTuner:
                         ids, query_ids = flt._index_and_query(
                             indexed, queries
                         )
+                        pair = (query_ids, ids) if reverse else (ids, query_ids)
                         rank_hits += _rank_hits(
-                            ids, query_ids, gt_keys, indexed.shape[0], k_max
+                            pack_ids(*pair), query_ids, gt_keys, k_max
                         )
                     rank_hits /= repetitions
                     k, pc, pq, candidates = _first_feasible_k(

@@ -24,7 +24,8 @@ import numpy as np
 
 from ..blocking.building import StandardBlocking
 from ..blocking.metablocking import PairGraph
-from ..core.fastpairs import encode_pairs, evaluate_keys, groundtruth_keys
+from ..core.candidates import pack_ids
+from ..core.fastpairs import evaluate_keys
 from ..core.optimizer import DEFAULT_RECALL_TARGET
 from ..datasets.generator import ERDataset
 from ..learned.features import edge_features
@@ -62,15 +63,14 @@ class SupervisedMetaBlockingTuner:
     def tune(
         self, dataset: ERDataset, attribute: Optional[str] = None
     ) -> TunedResult:
-        width = len(dataset.right)
         size1, size2 = len(dataset.left), len(dataset.right)
-        gt_keys = groundtruth_keys(dataset.groundtruth, width)
+        gt_keys = dataset.groundtruth.keys
         blocks = StandardBlocking().build(
             dataset.left, dataset.right, attribute
         )
         graph = PairGraph(blocks)
         matrix = edge_features(graph)
-        keys = encode_pairs(graph.lefts, graph.rights, width)
+        keys = pack_ids(graph.lefts, graph.rights)
         incumbent = Incumbent(self.method, self.target_recall)
         for model_kind in spaces.smb_models(self.profile):
             for sample_size in spaces.smb_sample_sizes(self.profile):

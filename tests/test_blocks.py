@@ -55,14 +55,17 @@ class TestBlockCollection:
         )
         assert len(collection.distinct_pairs()) == 1
 
-    def test_pair_keys_match_distinct_pairs(self):
+    def test_distinct_pairs_match_per_block_reference(self):
         collection = BlockCollection(
             [Block("a", (0, 1), (0, 1)), Block("b", (1,), (1, 2))]
         )
-        width = 10
-        keys = set(collection.pair_keys(width).tolist())
-        pairs = {left * width + right for left, right in collection.distinct_pairs()}
-        assert keys == pairs
+        reference = {
+            (left, right)
+            for block in collection
+            for left in block.left
+            for right in block.right
+        }
+        assert list(collection.distinct_pairs()) == sorted(reference)
 
     def test_build_blocks_from_keys(self):
         blocks = build_blocks_from_keys(

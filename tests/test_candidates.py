@@ -22,21 +22,17 @@ class TestCandidateSet:
         candidates = CandidateSet([(0, 1), (0, 1), (1, 2)])
         assert len(candidates) == 2
 
-    def test_add_and_contains(self):
-        candidates = CandidateSet()
-        candidates.add(3, 4)
-        assert (3, 4) in candidates
-        assert (4, 3) not in candidates
-
     def test_pairs_are_ordered(self):
         candidates = CandidateSet([(1, 0)])
         assert (1, 0) in candidates
         assert (0, 1) not in candidates
 
-    def test_update(self):
-        candidates = CandidateSet()
-        candidates.update([(0, 0), (1, 1)])
-        assert len(candidates) == 2
+    def test_is_immutable(self):
+        candidates = CandidateSet([(0, 1)])
+        assert not hasattr(candidates, "add")
+        assert not hasattr(candidates, "update")
+        with pytest.raises(ValueError):
+            candidates.keys[0] = 0
 
     def test_coerces_to_int(self):
         import numpy as np
@@ -93,12 +89,6 @@ class TestCandidateSetIdRange:
         with pytest.raises(ValueError):
             CandidateSet.from_keys(np.array([3, 3]))
 
-    def test_failed_add_leaves_the_set_unchanged(self):
-        candidates = CandidateSet([(0, 1)])
-        with pytest.raises(ValueError):
-            candidates.add(-1, 0)
-        assert list(candidates) == [(0, 1)]
-
 
 #: Small ids make repeats likely; the edge ids probe the key range.
 _LEFTS = st.one_of(st.integers(0, 12), st.just(2**31 - 1))
@@ -109,8 +99,9 @@ _PAIRS = st.lists(st.tuples(_LEFTS, _RIGHTS), max_size=30)
 class CandidateSetModel(RuleBasedStateMachine):
     """CandidateSet against a reference ``set`` of tuples.
 
-    Mutations and reads interleave freely, so reads see pairs that are
-    still on the pending list as well as pairs already in the keys.
+    The set under test is rebuilt through every constructor (pairs, id
+    arrays, union) between reads, so each read rule runs over sets built
+    each way.
     """
 
     @initialize(pairs=_PAIRS)
@@ -118,15 +109,16 @@ class CandidateSetModel(RuleBasedStateMachine):
         self.candidates = CandidateSet(pairs)
         self.model = set(pairs)
 
-    @rule(left=_LEFTS, right=_RIGHTS)
-    def add(self, left, right):
-        self.candidates.add(left, right)
-        self.model.add((left, right))
+    @rule(pairs=_PAIRS)
+    def rebuild_from_ids(self, pairs):
+        ids = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+        self.candidates = CandidateSet.from_ids(ids[:, 0], ids[:, 1])
+        self.model = set(pairs)
 
     @rule(pairs=_PAIRS)
-    def update(self, pairs):
-        self.candidates.update(pairs)
-        self.model.update(pairs)
+    def grow_by_union(self, pairs):
+        self.candidates = self.candidates.union(CandidateSet(pairs))
+        self.model |= set(pairs)
 
     @rule()
     def length(self):
@@ -167,8 +159,9 @@ class CandidateSetModel(RuleBasedStateMachine):
 
     @invariant()
     def keys_stay_sorted_unique(self):
-        keys = self.candidates._keys  # no flush: pending pairs stay queued
+        keys = self.candidates.keys
         assert np.all(keys[1:] > keys[:-1])
+        assert not keys.flags.writeable
 
 
 TestCandidateSetModel = CandidateSetModel.TestCase

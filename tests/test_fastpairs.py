@@ -9,7 +9,6 @@ from repro.core.candidates import KEY_WIDTH, CandidateSet, pack_ids
 from repro.core.fastpairs import (
     encode_pairs,
     evaluate_keys,
-    groundtruth_keys,
     keys_to_candidate_set,
     unique_keys,
 )
@@ -30,19 +29,18 @@ class TestEncoding:
         keys = unique_keys(np.array([5, 1, 5, 3]))
         np.testing.assert_array_equal(keys, [1, 3, 5])
 
-    def test_groundtruth_keys(self):
+    def test_groundtruth_keys_are_candidate_keys(self):
         gt = GroundTruth([(1, 2), (0, 0)])
-        keys = groundtruth_keys(gt, width=10)
-        np.testing.assert_array_equal(keys, [0, 12])
+        np.testing.assert_array_equal(gt.keys, [0, KEY_WIDTH + 2])
+        np.testing.assert_array_equal(gt.keys, pack_ids([0, 1], [0, 2]))
 
     def test_empty_groundtruth(self):
-        assert len(groundtruth_keys(GroundTruth(), 10)) == 0
+        assert len(GroundTruth().keys) == 0
 
 
 class TestEvaluateKeys:
     def test_agrees_with_slow_path(self):
         rng = np.random.default_rng(0)
-        width = 20
         gt_pairs = [(i, i) for i in range(10)]
         cand_pairs = [
             (int(a), int(b))
@@ -52,11 +50,8 @@ class TestEvaluateKeys:
         candidates = CandidateSet(cand_pairs)
         slow = evaluate_candidates(candidates, groundtruth, 15, 20)
 
-        cand_keys = unique_keys(
-            np.array([left * width + right for left, right in candidates])
-        )
-        gt_keys = groundtruth_keys(groundtruth, width)
-        fast = evaluate_keys(cand_keys, gt_keys, 15, 20)
+        cand_keys = unique_keys(pack_ids(*np.array(cand_pairs).T))
+        fast = evaluate_keys(cand_keys, groundtruth.keys, 15, 20)
         assert fast.pc == pytest.approx(slow.pc)
         assert fast.pq == pytest.approx(slow.pq)
         assert fast.candidates == slow.candidates
@@ -81,37 +76,34 @@ class TestEvaluateKeys:
 class TestKeysToCandidateSet:
     def test_roundtrip(self):
         original = CandidateSet([(0, 1), (2, 3), (4, 0)])
-        width = 10
-        keys = unique_keys(
-            np.array([left * width + right for left, right in original])
-        )
-        restored = keys_to_candidate_set(keys, width)
+        restored = keys_to_candidate_set(original.keys)
         assert restored == original
 
-    @pytest.mark.parametrize("width", [1, 7, KEY_WIDTH])
+    @pytest.mark.parametrize("right_bound", [1, 7, KEY_WIDTH])
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
-    def test_roundtrips_every_key_array(self, width, data):
-        """Widths 1, a collection size and 2**32 (the set's own width)."""
+    def test_roundtrips_every_key_array(self, right_bound, data):
+        """Keys in input order, repeats kept: the set of their pairs.
+
+        Right ids below 1 (keys that are ``left << 32`` alone), below 7
+        (many repeats) and anywhere below 2**32 (the top bit of the right
+        half set).
+        """
         ids = st.tuples(
-            st.integers(0, 2**31 - 1), st.integers(0, width - 1)
+            st.integers(0, 2**31 - 1), st.integers(0, right_bound - 1)
         )
         pairs = data.draw(st.lists(ids, max_size=40))
         lefts = np.array([left for left, __ in pairs], dtype=np.int64)
         rights = np.array([right for __, right in pairs], dtype=np.int64)
-        keys = unique_keys(encode_pairs(lefts, rights, width))
-        restored = keys_to_candidate_set(keys, width)
+        restored = keys_to_candidate_set(pack_ids(lefts, rights))
         assert list(restored) == sorted(set(pairs))
         assert restored == CandidateSet(pairs)
 
-    def test_repack_keeps_key_order(self):
-        lefts, rights = np.array([3, 0, 1]), np.array([1, 6, 0])
-        keys = unique_keys(encode_pairs(lefts, rights, 7))
-        restored = keys_to_candidate_set(keys, 7)
-        np.testing.assert_array_equal(restored.keys, np.sort(restored.keys))
-        np.testing.assert_array_equal(
-            restored.keys, pack_ids(keys // 7, keys % 7)
-        )
+    def test_sorts_and_deduplicates(self):
+        keys = pack_ids(np.array([3, 0, 1, 3]), np.array([1, 6, 0, 1]))
+        restored = keys_to_candidate_set(keys)
+        np.testing.assert_array_equal(restored.keys, np.unique(keys))
+        assert list(restored) == [(0, 6), (1, 0), (3, 1)]
 
     def test_candidate_keys_are_fastpairs_keys_at_width_two_to_the_32(self):
         lefts = np.array([0, 5, 2**31 - 1])

@@ -23,12 +23,14 @@ from repro.blocking import (
     build_blocks_from_keys,
 )
 from repro.core import registry
+from repro.core.candidates import pack_ids
 from repro.core.fastpairs import encode_pairs, unique_keys
 from repro.core.incremental import (
     IncrementalFilterAdapter,
     IncrementalIndex,
     Operation,
     _smoke_pool,
+    answer_keys,
     random_operations,
     replay_check,
 )
@@ -157,6 +159,17 @@ class TestDifferentialReplay:
         assert index._postings.compactions > 0
         # The identical stream is differentially correct.
         assert replay_check(factory, operations) > 0
+
+    def test_answer_keys_are_candidate_keys_of_stable_uid_ids(self):
+        # Ids are handed out in first-seen order and shared across calls,
+        # so two answers compare as the same candidate-key arrays.
+        uid_ids = {}
+        first = answer_keys(["b", "a", "b"], uid_ids)
+        second = answer_keys(["a", "c"], uid_ids)
+        assert uid_ids == {"b": 0, "a": 1, "c": 2}
+        np.testing.assert_array_equal(first, pack_ids([0, 0], [0, 1]))
+        np.testing.assert_array_equal(second, pack_ids([0, 0], [1, 2]))
+        assert len(answer_keys([], uid_ids)) == 0
 
     def test_replay_check_detects_divergence(self):
         # A broken index (never forgets removals) must be caught.

@@ -6,7 +6,6 @@ import pytest
 from repro.blocking.building import StandardBlocking
 from repro.blocking.metablocking import WEIGHTING_SCHEMES, PairGraph
 from repro.core import registry
-from repro.core.fastpairs import encode_pairs, groundtruth_keys
 from repro.core.stages import LEARNED_STAGES
 from repro.learned import (
     FEATURE_NAMES,

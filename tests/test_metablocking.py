@@ -17,7 +17,7 @@ from repro.blocking.metablocking import (
     PairGraph,
     prune_mask,
 )
-from repro.core.fastpairs import encode_pairs
+from repro.core.candidates import pack_ids
 from repro.datasets.registry import load_dataset
 
 
@@ -492,12 +492,10 @@ class TestPairGraphParity:
                     graph.weights(scheme).tobytes()
                     == reference.weights(scheme).tobytes()
                 ), scheme
-        top = int(graph.rights.max()) + 1 if len(graph) else 1
-        for width in (top, top + 1, 1000):
-            assert np.array_equal(
-                blocks.pair_keys(width),
-                encode_pairs(graph.lefts, graph.rights, width),
-            ), width
+        assert np.array_equal(
+            blocks.distinct_pairs().keys,
+            pack_ids(graph.lefts, graph.rights),
+        )
 
     @settings(max_examples=80, deadline=None)
     @given(_collections)

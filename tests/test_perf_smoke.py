@@ -343,8 +343,8 @@ def test_serving_query_cost_does_not_grow_with_live_set():
 #: Bytes a CandidateSet may retain per pair: its key is 8.
 RETAINED_BYTES_PER_PAIR = 16
 #: Bytes ``keys_to_candidate_set`` may hold at its peak per pair.  Its
-#: id arrays and re-packed keys measure 32; one Python 2-tuple alone is
-#: 56 or more, and the tuple set this guard replaced measured ~143.
+#: sorted copy, repeat mask and kept keys measure 17; one Python 2-tuple
+#: alone is 56 or more, and the tuple set this guard replaced measured ~143.
 PEAK_BYTES_PER_PAIR = 48
 
 
@@ -355,13 +355,12 @@ def test_candidate_set_memory_per_pair():
 
     from repro.core.fastpairs import keys_to_candidate_set
 
-    width = 4000
     keys = np.arange(0, 100_000 * 160, 160, dtype=np.int64)  # ~100k pairs
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        candidates = keys_to_candidate_set(keys, width)
+        candidates = keys_to_candidate_set(keys)
         retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -235,12 +235,10 @@ def test_metablocking_subset_of_distinct_pairs(assignments, scheme, pruning):
 
 
 @given(block_strategy)
-def test_pair_keys_consistent_with_distinct_pairs(assignments):
+def test_distinct_pairs_match_per_block_reference(assignments):
     blocks = _blocks_from_pairs(assignments)
-    width = 13
-    keys = set(blocks.pair_keys(width).tolist())
-    pairs = {l * width + r for l, r in blocks.distinct_pairs()}
-    assert keys == pairs
+    reference = {(l, r) for block in blocks for l in block.left for r in block.right}
+    assert list(blocks.distinct_pairs()) == sorted(reference)
 
 
 # ----------------------------------------------------------------------

@@ -133,6 +133,25 @@ class TestReportBuilder:
         assert "Spearman" in markdown
         assert "| claim | holds |" in markdown
 
+    @staticmethod
+    def _with_grid_counts(matrix, enumerated, pruned):
+        for cell in matrix._results.values():
+            cell.configurations_enumerated = enumerated
+            cell.configurations_pruned = pruned
+        return matrix
+
+    def test_pruning_section_needs_a_pruned_configuration(self, tmp_path):
+        matrix = self._with_grid_counts(_fake_matrix(tmp_path), 10, 0)
+        markdown = ReportBuilder(matrix).render_markdown()
+        assert "Cost-based grid pruning" not in markdown
+        assert "were pruned" not in markdown
+
+    def test_pruning_section_renders_when_a_cell_pruned(self, tmp_path):
+        matrix = self._with_grid_counts(_fake_matrix(tmp_path), 10, 4)
+        markdown = ReportBuilder(matrix).render_markdown()
+        assert "### Cost-based grid pruning" in markdown
+        assert "Overall 104/260 grid configurations (40%)" in markdown
+
     def test_infeasibility_agreement_counts(self, tmp_path):
         report = ReportBuilder(_fake_matrix(tmp_path))
         agreements, comparisons = report.infeasibility_agreement()

@@ -655,7 +655,7 @@ class TestSharedGraphWork:
 
     def test_blocking_tuner(self, ranking_log, monkeypatch):
         _, ranked = ranking_log
-        calls = {"graphs": 0, "prune_mask": 0, "pair_keys": 0}
+        calls = {"graphs": 0, "prune_mask": 0, "distinct_pairs": 0}
 
         def counted(name, function):
             def wrapper(*args, **kwargs):
@@ -676,12 +676,12 @@ class TestSharedGraphWork:
         )
         monkeypatch.setattr(
             BlockCollection,
-            "pair_keys",
-            counted("pair_keys", BlockCollection.pair_keys),
+            "distinct_pairs",
+            counted("distinct_pairs", BlockCollection.distinct_pairs),
         )
         result = BlockingWorkflowTuner("SBW").tune(load_dataset("d1"))
 
-        assert calls["pair_keys"] == 0
+        assert calls["distinct_pairs"] == 0
         # One Comparison Propagation row per graph; every other row is
         # one meta-blocking configuration with exactly one prune_mask.
         configurations = len(spaces.weighting_schemes()) * len(
