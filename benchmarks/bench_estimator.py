@@ -13,10 +13,13 @@ atomic rewrite).  Row kinds (``dataset`` is ``<name>[@<attribute>]:<method>``):
 * ``{kernel: "tune_noprune", wall_s, candidates: |C| of the winner}``
 * ``{kernel: "tune_prune", wall_s, candidates, pruned_frac}``
 
-Tokenization and statistics caches are shared process-wide, so the
-prune/no-prune wall-clock comparison is run-order fair only after the
-first repeat; the headline metrics (parity, pruned fraction) are
-deterministic either way.
+The tokenization memo and the token-statistics memo
+(:func:`repro.datasets.stats.token_stats`) live in this process only:
+the first pruned repeat of a cell counts its key spaces, later repeats
+read them back, so the pruned/unpruned wall-clock comparison is
+run-order fair only after the first repeat; the headline metrics
+(parity, pruned fraction) are deterministic either way.  Nothing but
+``--out`` is written.
 
 Usage::
 

@@ -99,21 +99,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--prune",
-        dest="prune",
         action="store_true",
-        default=None,
         help="cost-based tuning: score every grid configuration with the"
         " cardinality estimators and skip provably dominated ones"
         " before any filter runs (never changes the selected"
-        " configuration; default: the REPRO_TUNING_PRUNE environment"
-        " variable, else off)",
-    )
-    parser.add_argument(
-        "--no-prune",
-        dest="prune",
-        action="store_false",
-        help="disable cost-based grid pruning even if REPRO_TUNING_PRUNE"
-        " is set",
+        " configuration; default: off)",
     )
     return parser
 

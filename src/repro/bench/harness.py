@@ -219,16 +219,16 @@ class ExperimentMatrix:
         policy: Optional[ExecutionPolicy] = None,
         injector: Optional[FaultInjector] = None,
         save_every: Optional[int] = None,
-        prune: Optional[bool] = None,
+        prune: bool = False,
     ) -> None:
         self.methods = list(methods)
         self.datasets = list(datasets) if datasets is not None else bench_datasets()
         self.target_recall = target_recall
         self.profile = profile
         #: Cost-based grid pruning switch, passed through to
-        #: :func:`repro.tuning.tune_method` (None = environment default).
-        #: Pruning never changes a cell's selected configuration, so the
-        #: cache is shared between pruned and unpruned runs.
+        #: :func:`repro.tuning.tune_method`.  Pruning never changes a
+        #: cell's selected configuration, so the cache is shared between
+        #: pruned and unpruned runs.
         self.prune = prune
         self.policy = policy if policy is not None else ExecutionPolicy()
         self.injector = (

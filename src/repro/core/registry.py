@@ -187,12 +187,12 @@ class FilterSpec:
         target_recall: Optional[float] = None,
         profile: str = "",
         cache: Optional[object] = None,
-        prune: Optional[bool] = None,
+        prune: bool = False,
     ):
         """The method's Problem-1 tuner (tuned methods only).
 
-        ``prune`` enables cost-based grid pruning (None defers to the
-        ``REPRO_TUNING_PRUNE`` environment knob).
+        ``prune`` enables cost-based grid pruning on the tuners that
+        have a pruning rule; the others ignore it.
         """
         if self.tuner_factory is None:
             raise ValueError(
@@ -306,7 +306,7 @@ def make_tuner(
     target_recall: Optional[float] = None,
     profile: str = "",
     cache: Optional[object] = None,
-    prune: Optional[bool] = None,
+    prune: bool = False,
 ):
     """The Problem-1 tuner for ``code`` (tuned methods only)."""
     return get(code).make_tuner(target_recall, profile, cache, prune)

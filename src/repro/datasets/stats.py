@@ -8,21 +8,16 @@ feed the cost-based tuning layer.
 * vocabulary size and overall character length per schema setting, with
   and without cleaning (Figures 3b, 3c);
 * :class:`TokenStats` — groundtruth overlap triples, covered-query
-  counts, MCV entries and raw key-length totals, computed once per
-  (dataset, attribute, representation, cleaning) combination and cached
-  on disk alongside the matrix cache.  The estimators of
-  :mod:`repro.tuning.estimator` derive every pruning decision from these
-  statistics without running a single filter.
+  counts and MCV entries, computed once per (texts, key space, cleaning)
+  combination in a process-wide memo (:func:`token_stats`).  The
+  estimators of :mod:`repro.tuning.estimator` derive every pruning
+  decision from these statistics without running a single filter.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
 from collections import Counter
-from dataclasses import asdict, dataclass, fields
-from pathlib import Path
+from dataclasses import dataclass
 from typing import (
     Callable,
     Dict,
@@ -34,11 +29,7 @@ from typing import (
 )
 
 from ..text.memo import clean_collection, tokenize_collection
-from ..text.tokenizers import (
-    RepresentationModel,
-    character_qgrams,
-    word_tokens,
-)
+from ..text.tokenizers import word_tokens
 from .generator import ERDataset
 
 __all__ = [
@@ -50,10 +41,9 @@ __all__ = [
     "TextVolume",
     "text_volume",
     "TokenStats",
-    "TokenStatsCache",
     "compute_token_stats",
-    "shared_stats_cache",
-    "reset_shared_stats_cache",
+    "token_stats",
+    "clear_token_stats_cache",
 ]
 
 
@@ -171,19 +161,13 @@ def text_volume(dataset: ERDataset, attribute: Optional[str] = None) -> TextVolu
 # ----------------------------------------------------------------------
 
 #: Most-common-value entries kept per statistics object: enough for the
-#: estimators' MCV candidate floors, small enough for the disk cache.
+#: estimators' MCV candidate floors.
 TOP_KEYS = 8
 
 
 @dataclass(frozen=True)
 class TokenStats:
-    """Doc-frequency statistics of one (texts, representation) combination.
-
-    All fields are plain ints/floats/tuples so the object round-trips
-    losslessly through JSON.  ``model`` identifies the key space: a
-    representation-model code (``"T1G"`` ... ``"C5GM"``) or a synthetic
-    id for blocking keys / shingles (e.g. ``"block:qgrams:q=3"``,
-    ``"shingle:4"``).
+    """Doc-frequency statistics of one (texts, key space) combination.
 
     The groundtruth triples (``gt_sizes_left[i]``, ``gt_sizes_right[i]``,
     ``gt_overlaps[i]``) hold, for the i-th duplicate pair, the key-set
@@ -192,14 +176,6 @@ class TokenStats:
     reproduce a tuner's duplicate-similarity array bit for bit.
     """
 
-    dataset: str
-    attribute: str
-    model: str
-    cleaning: bool
-    #: Raw (pre-deduplication) key occurrences and their total character
-    #: length — the token-length statistics behind the auto-configurator.
-    key_occurrences: int
-    key_length_sum: int
     #: Entities sharing at least one key with the *other* side's
     #: vocabulary; every covered query returns >= 1 candidate at any k.
     left_covered: int
@@ -211,10 +187,6 @@ class TokenStats:
     gt_sizes_right: Tuple[int, ...]
     gt_overlaps: Tuple[int, ...]
 
-    # ------------------------------------------------------------------
-    # Derived quantities.
-    # ------------------------------------------------------------------
-
     @property
     def gt_overlapping(self) -> int:
         """Duplicate pairs sharing at least one key.
@@ -225,13 +197,6 @@ class TokenStats:
         """
         return sum(1 for overlap in self.gt_overlaps if overlap > 0)
 
-    @property
-    def mean_key_length(self) -> float:
-        """Mean character length over raw key occurrences (0 when empty)."""
-        if not self.key_occurrences:
-            return 0.0
-        return self.key_length_sum / self.key_occurrences
-
     def covered_queries(self, reverse: bool) -> int:
         """Queries sharing >= 1 key with the indexed side.
 
@@ -239,42 +204,6 @@ class TokenStats:
         the right one (the joins' default orientation).
         """
         return self.left_covered if reverse else self.right_covered
-
-    # ------------------------------------------------------------------
-    # Serialization.
-    # ------------------------------------------------------------------
-
-    def to_payload(self) -> Dict[str, object]:
-        return asdict(self)
-
-    @classmethod
-    def from_payload(cls, payload: Dict[str, object]) -> Optional["TokenStats"]:
-        """Tolerant deserialization; None when the payload is unusable."""
-        if not isinstance(payload, dict):
-            return None
-        known = {}
-        for field in fields(cls):
-            if field.name not in payload:
-                return None
-            known[field.name] = payload[field.name]
-        try:
-            known["top_keys"] = tuple(
-                tuple(int(v) for v in entry) for entry in known["top_keys"]
-            )
-            for name in ("gt_sizes_left", "gt_sizes_right", "gt_overlaps"):
-                known[name] = tuple(int(v) for v in known[name])
-            return cls(**known)
-        except (TypeError, ValueError):
-            return None
-
-
-def _raw_keys(
-    text: str, representation: Optional[RepresentationModel]
-) -> List[str]:
-    """The pre-deduplication key occurrences of one text."""
-    if representation is None or representation.qgram_size is None:
-        return word_tokens(text)
-    return character_qgrams(text, representation.qgram_size)
 
 
 def compute_token_stats(
@@ -284,8 +213,6 @@ def compute_token_stats(
     model: str = "",
     cleaning: bool = False,
     key_function: Optional[Callable[[str], Iterable[str]]] = None,
-    dataset: str = "",
-    attribute: str = "",
 ) -> TokenStats:
     """Compute :class:`TokenStats` for one preprocessing combination.
 
@@ -294,44 +221,15 @@ def compute_token_stats(
     them), or ``key_function`` maps a (cleaned) text to its blocking
     keys / shingles and ``model`` is its synthetic id.
     """
-    # The texts every key is drawn from, cleaned through the shared
-    # per-collection memo the tokenizer below reads as well.
-    if cleaning:
-        left_source = clean_collection(left_texts)
-        right_source = clean_collection(right_texts)
-    else:
-        left_source, right_source = left_texts, right_texts
     if key_function is None:
-        representation = RepresentationModel(model)
         left_sets = tokenize_collection(left_texts, model, cleaning)
         right_sets = tokenize_collection(right_texts, model, cleaning)
     else:
-        representation = None
-        left_sets = [frozenset(key_function(text)) for text in left_source]
-        right_sets = [frozenset(key_function(text)) for text in right_source]
-
-    key_occurrences = 0
-    key_length_sum = 0
-    if representation is not None:
-        # Occurrence statistics come from the *raw* token lists (before
-        # the multiset/frozenset transforms) of the same (cleaned) texts
-        # the token sets were built from, so the mean key length is
-        # bit-identical to a direct word_tokens/qgrams pass.
-        for text in left_source:
-            for token in _raw_keys(text, representation):
-                key_occurrences += 1
-                key_length_sum += len(token)
-        for text in right_source:
-            for token in _raw_keys(text, representation):
-                key_occurrences += 1
-                key_length_sum += len(token)
-    else:
-        for keys in left_sets:
-            key_occurrences += len(keys)
-            key_length_sum += sum(len(key) for key in keys)
-        for keys in right_sets:
-            key_occurrences += len(keys)
-            key_length_sum += sum(len(key) for key in keys)
+        if cleaning:
+            left_texts = clean_collection(left_texts)
+            right_texts = clean_collection(right_texts)
+        left_sets = [frozenset(key_function(text)) for text in left_texts]
+        right_sets = [frozenset(key_function(text)) for text in right_texts]
 
     df_left: Counter = Counter()
     df_right: Counter = Counter()
@@ -380,12 +278,6 @@ def compute_token_stats(
         gt_overlaps.append(len(a & b))
 
     return TokenStats(
-        dataset=dataset,
-        attribute=attribute,
-        model=model,
-        cleaning=bool(cleaning),
-        key_occurrences=key_occurrences,
-        key_length_sum=key_length_sum,
         left_covered=left_covered,
         right_covered=right_covered,
         top_keys=top_keys,
@@ -395,165 +287,42 @@ def compute_token_stats(
     )
 
 
-class TokenStatsCache:
-    """Memory + disk cache of :class:`TokenStats`.
+_token_stats_memo: Dict[tuple, TokenStats] = {}
 
-    Statistics for *named* datasets persist in
-    ``.bench_cache/token_stats.json`` (next to the matrix cache, honoring
-    ``REPRO_BENCH_CACHE``) so repeated benchmark runs skip the counting
-    pass entirely; ad-hoc collections (the auto-configurator's inputs)
-    are memoized in memory only, keyed by content.  Disk entries carry a
-    sha256 fingerprint of both text collections and the groundtruth
-    pairs, and are recomputed when the generated dataset drifts.
+
+def token_stats(
+    left_texts: Sequence[str],
+    right_texts: Sequence[str],
+    gt_pairs: Iterable[Tuple[int, int]],
+    model: str = "",
+    cleaning: bool = False,
+    key_function: Optional[Callable[[str], Iterable[str]]] = None,
+) -> TokenStats:
+    """:func:`compute_token_stats`, memoized for the process.
+
+    Keyed by both sides' texts, the groundtruth pairs, ``model`` and
+    ``cleaning``: a ``key_function`` is identified by its ``model`` id,
+    so a pruned ε-Join tune and a pruned kNN-Join tune of one dataset
+    count each key space once between them.
     """
-
-    SCHEMA = 3
-
-    def __init__(self, path: Optional[Path] = None) -> None:
-        default_dir = Path(os.environ.get("REPRO_BENCH_CACHE", ".bench_cache"))
-        self.path = path if path is not None else default_dir / "token_stats.json"
-        self._memory: Dict[object, TokenStats] = {}
-        self._disk: Optional[Dict[str, Dict[str, object]]] = None
-        self._dirty = False
-
-    # ------------------------------------------------------------------
-    # Disk layer.
-    # ------------------------------------------------------------------
-
-    def _load_disk(self) -> Dict[str, Dict[str, object]]:
-        if self._disk is None:
-            entries: Dict[str, Dict[str, object]] = {}
-            try:
-                data = json.loads(self.path.read_text())
-            except (OSError, ValueError):
-                data = None
-            if (
-                isinstance(data, dict)
-                and data.get("schema") == self.SCHEMA
-                and isinstance(data.get("entries"), dict)
-            ):
-                entries = data["entries"]
-            self._disk = entries
-        return self._disk
-
-    def save(self) -> None:
-        """Atomically persist the disk entries (no-op when unchanged)."""
-        if not self._dirty or self._disk is None:
-            return
-        # Imported here: ``repro.bench`` imports the tuning stack, which
-        # imports this module.
-        from ..bench.resilience import atomic_write_json
-
-        atomic_write_json(
-            self.path, {"schema": self.SCHEMA, "entries": self._disk}
-        )
-        self._dirty = False
-
-    # ------------------------------------------------------------------
-    # Lookup.
-    # ------------------------------------------------------------------
-
-    def for_texts(
-        self,
-        left_texts: Sequence[str],
-        right_texts: Sequence[str],
-        gt_pairs: Iterable[Tuple[int, int]],
-        model: str = "",
-        cleaning: bool = False,
-        key_function: Optional[Callable[[str], Iterable[str]]] = None,
-        dataset: str = "",
-        attribute: str = "",
-    ) -> TokenStats:
-        """Statistics for raw text collections (memory-memoized).
-
-        When ``dataset`` is a non-empty name the result is also written
-        through to the disk cache under
-        ``dataset|attribute|model|cleaning``.
-        """
-        gt_list = list(gt_pairs)
-        memory_key = (
-            tuple(left_texts),
-            tuple(right_texts),
-            tuple(gt_list),
-            model,
-            bool(cleaning),
-            attribute,
-        )
-        cached = self._memory.get(memory_key)
-        if cached is not None:
-            return cached
-
-        disk_key = None
-        if dataset:
-            disk_key = f"{dataset}|{attribute}|{model}|{int(bool(cleaning))}"
-            fingerprint = hashlib.sha256(
-                json.dumps(
-                    [list(left_texts), list(right_texts), gt_list], default=int
-                ).encode("utf-8")
-            ).hexdigest()
-            payload = self._load_disk().get(disk_key)
-            if (
-                isinstance(payload, dict)
-                and payload.get("fingerprint") == fingerprint
-            ):
-                stats = TokenStats.from_payload(payload)
-                if stats is not None:
-                    self._memory[memory_key] = stats
-                    return stats
-
+    gt = tuple(gt_pairs)
+    key = (tuple(left_texts), tuple(right_texts), gt, model, bool(cleaning))
+    stats = _token_stats_memo.get(key)
+    if stats is None:
         stats = compute_token_stats(
             left_texts,
             right_texts,
-            gt_list,
+            gt,
             model=model,
             cleaning=cleaning,
             key_function=key_function,
-            dataset=dataset,
-            attribute=attribute,
         )
-        self._memory[memory_key] = stats
-        if disk_key is not None:
-            self._load_disk()[disk_key] = {
-                **stats.to_payload(),
-                "fingerprint": fingerprint,
-            }
-            self._dirty = True
-            self.save()
-        return stats
-
-    def for_dataset(
-        self,
-        dataset: ERDataset,
-        attribute: Optional[str] = None,
-        model: str = "",
-        cleaning: bool = False,
-        key_function: Optional[Callable[[str], Iterable[str]]] = None,
-    ) -> TokenStats:
-        """Statistics for one benchmark dataset under one key space."""
-        return self.for_texts(
-            dataset.left.texts(attribute),
-            dataset.right.texts(attribute),
-            dataset.groundtruth,
-            model=model,
-            cleaning=cleaning,
-            key_function=key_function,
-            dataset=dataset.name,
-            attribute=attribute or "",
-        )
+        # Statistics are a pure function of the key: a concurrent miss
+        # only recounts, and setdefault keeps one object per key.
+        stats = _token_stats_memo.setdefault(key, stats)
+    return stats
 
 
-_SHARED_CACHE: Optional[TokenStatsCache] = None
-
-
-def shared_stats_cache() -> TokenStatsCache:
-    """The process-wide statistics cache the tuning layer shares."""
-    global _SHARED_CACHE
-    if _SHARED_CACHE is None:
-        _SHARED_CACHE = TokenStatsCache()
-    return _SHARED_CACHE
-
-
-def reset_shared_stats_cache() -> None:
-    """Drop the shared cache (tests / REPRO_BENCH_CACHE changes)."""
-    global _SHARED_CACHE
-    _SHARED_CACHE = None
+def clear_token_stats_cache() -> None:
+    """Drop every memoized :class:`TokenStats` (tests / memory)."""
+    _token_stats_memo.clear()

@@ -27,7 +27,10 @@ matrices per (left texts, right texts, model, cleaning)
 :func:`tokenize_collection` only on a miss, so the ε-Join and kNN-Join
 tuners of one collection pair tokenize each combination once between
 them.  :func:`clear_tokenize_cache` leaves it alone; it has its own
-:func:`~repro.tuning.sparse.clear_overlap_cache`.
+:func:`~repro.tuning.sparse.clear_overlap_cache`.  The same holds for
+the cost-based tuners' token statistics
+(:func:`repro.datasets.stats.token_stats`), emptied by
+:func:`~repro.datasets.stats.clear_token_stats_cache`.
 """
 
 from __future__ import annotations

@@ -42,7 +42,7 @@ from ..datasets.generator import ERDataset
 from .baselines import BASELINES, evaluate_baseline, make_baseline
 from .blocking import WORKFLOW_NAMES, BlockingWorkflowTuner, make_builder
 from .dense import EmbeddingCache, KNNSearchTuner, LSHTuner
-from .estimator import CardinalityEstimator, prune_enabled
+from .estimator import CardinalityEstimator
 from .learned import SupervisedMetaBlockingTuner
 from .result import TunedResult, better
 from .sparse import EpsilonJoinTuner, KNNJoinTuner
@@ -64,7 +64,6 @@ __all__ = [
     "evaluate_baseline",
     "make_baseline",
     "make_builder",
-    "prune_enabled",
     "tune_method",
 ]
 
@@ -80,7 +79,7 @@ def tune_method(
     target_recall: float = DEFAULT_RECALL_TARGET,
     profile: str = "",
     cache: Optional[EmbeddingCache] = None,
-    prune: Optional[bool] = None,
+    prune: bool = False,
 ) -> TunedResult:
     """Run Problem-1 optimization for one method on one dataset/setting.
 
@@ -94,7 +93,6 @@ def tune_method(
     pipeline (:mod:`repro.tuning.estimator`): dominated grid
     configurations are discarded from cardinality bounds before any
     filter runs, without ever changing the selected configuration.
-    ``None`` defers to the ``REPRO_TUNING_PRUNE`` environment knob.
     """
     tuner = registry.make_tuner(
         method,

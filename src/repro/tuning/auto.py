@@ -31,11 +31,11 @@ import numpy as np
 from ..core import registry
 from ..core.profile import EntityCollection
 from ..datasets.generator import ERDataset
-from ..datasets.stats import shared_stats_cache
 from ..sparse.base import batch_similarities
 from ..sparse.knn_join import KNNJoin
 from ..sparse.scancount import ScanCountIndex
 from ..text.memo import tokenize_collection
+from ..text.tokenizers import word_tokens
 
 __all__ = ["AutoKNNConfigurator"]
 
@@ -76,22 +76,18 @@ class AutoKNNConfigurator:
         cheaper whole-token model.  Multisets are used throughout, as the
         paper observes they never hurt.
 
-        The token-length statistics come from the shared
-        :class:`~repro.datasets.stats.TokenStats` cache rather than a
-        private tokenization pass; ``key_occurrences``/``key_length_sum``
-        count raw ``word_tokens`` occurrences, so the mean is
-        bit-identical to the previous inline computation.
+        The statistic is the mean character length over every raw
+        ``word_tokens`` occurrence of both collections.
         """
-        stats = shared_stats_cache().for_texts(
-            left.texts(attribute),
-            right.texts(attribute),
-            gt_pairs=(),
-            model="T1G",
-            cleaning=False,
-        )
-        if not stats.key_occurrences:
+        lengths = [
+            len(token)
+            for collection in (left, right)
+            for text in collection.texts(attribute)
+            for token in word_tokens(text)
+        ]
+        if not lengths:
             return "C5GM"
-        mean_length = stats.mean_key_length
+        mean_length = sum(lengths) / len(lengths)
         if mean_length >= 8.0:
             return "T1GM"
         if mean_length >= 6.0:

@@ -41,7 +41,7 @@ from ..core.optimizer import DEFAULT_RECALL_TARGET
 from ..core.stages import boundary
 from ..datasets.generator import ERDataset
 from . import spaces
-from .estimator import BlockingEstimator, coverage_prunable, prune_enabled
+from .estimator import BlockingEstimator, coverage_prunable
 from .result import Incumbent, TunedResult
 
 __all__ = ["BlockingWorkflowTuner", "WORKFLOW_NAMES", "make_builder"]
@@ -87,7 +87,7 @@ class BlockingWorkflowTuner:
         workflow: str,
         target_recall: float = DEFAULT_RECALL_TARGET,
         profile: str = "",
-        prune: Optional[bool] = None,
+        prune: bool = False,
     ) -> None:
         workflow = workflow.upper()
         if workflow not in WORKFLOW_NAMES:
@@ -98,7 +98,7 @@ class BlockingWorkflowTuner:
         self.builder_name = WORKFLOW_NAMES[workflow]
         self.target_recall = target_recall
         self.profile = spaces.active_profile(profile)
-        self.prune = prune_enabled(prune)
+        self.prune = prune
 
     def _builder_prunable(
         self,
@@ -279,7 +279,7 @@ def _register() -> None:
                 filter_factory=lambda params, code=code: (
                     BlockingWorkflowTuner(code).build_filter(params)
                 ),
-                tuner_factory=lambda recall, profile, cache, prune=None, code=code: (
+                tuner_factory=lambda recall, profile, cache, prune, code=code: (
                     BlockingWorkflowTuner(
                         code, target_recall=recall, profile=profile, prune=prune
                     )

@@ -38,7 +38,7 @@ from ..dense.knn_search import FaissKNN, ScannKNN
 from ..dense.minhash import MinHashLSH
 from ..text.cleaning import TextCleaner
 from . import spaces
-from .estimator import MinHashEstimator, coverage_prunable, prune_enabled
+from .estimator import MinHashEstimator, coverage_prunable
 from .result import Incumbent, TunedResult
 
 __all__ = [
@@ -239,7 +239,7 @@ class LSHTuner:
         profile: str = "",
         cache: Optional[EmbeddingCache] = None,
         repetitions: int = 1,
-        prune: Optional[bool] = None,
+        prune: bool = False,
     ) -> None:
         method = method.lower()
         if method not in ("mh-lsh", "hp-lsh", "cp-lsh"):
@@ -249,7 +249,7 @@ class LSHTuner:
         self.profile = spaces.active_profile(profile)
         self.cache = cache or EmbeddingCache()
         self.repetitions = repetitions
-        self.prune = prune_enabled(prune)
+        self.prune = prune
 
     def _grid(self) -> List[Dict[str, object]]:
         if self.method == "mh-lsh":
@@ -287,33 +287,21 @@ class LSHTuner:
 
         return should_prune
 
-    def _config_cost(self, config: Dict[str, object]) -> float:
-        """Estimated execution cost of one grid configuration.
+    @staticmethod
+    def _config_cost(config: Dict[str, object]) -> float:
+        """Estimated execution cost of one MinHash grid configuration.
 
         Only the *relative* order matters (the optimizer sorts by it):
-        hashing work scales with signature length x tables, probing with
-        the probe count, and post-hoc comparison cleaning roughly
-        doubles a run.  Feeding this to ``GridSearchOptimizer.search``
-        evaluates cheap configurations first so the prune rule has an
-        incumbent before the expensive corner of the grid arrives —
-        provably without changing the selected winner.
+        hashing work scales with signature length and shingle size, and
+        post-hoc comparison cleaning roughly doubles a run.  Evaluating
+        cheap configurations first gives the prune rule an incumbent
+        before the expensive corner of the grid arrives — provably
+        without changing the selected winner.
         """
-        if self.method == "mh-lsh":
-            base = float(
-                int(config["bands"]) * int(config["rows"])
-                * (1 + int(config["shingle_k"]))
-            )
-        elif self.method == "hp-lsh":
-            base = float(
-                int(config["tables"]) * int(config["hashes"])
-                + int(config["probes"])
-            )
-        else:  # cp-lsh: rotations scale with the last CP dimension.
-            base = float(
-                int(config["tables"]) * int(config["hashes"])
-                * int(config["last_cp_dimension"])
-                + int(config["probes"])
-            )
+        base = float(
+            int(config["bands"]) * int(config["rows"])
+            * (1 + int(config["shingle_k"]))
+        )
         return base * (2.0 if config.get("cleaning") else 1.0)
 
     def tune(
@@ -322,16 +310,17 @@ class LSHTuner:
         optimizer = GridSearchOptimizer(
             target_recall=self.target_recall, repetitions=self.repetitions
         )
-        should_prune = None
+        should_prune = cost = None
         if self.prune and self.method == "mh-lsh":
             should_prune = self._minhash_prune_rule(dataset, attribute)
+            cost = self._config_cost
         result = optimizer.search(
             self._grid(),
             lambda **params: self.build_filter(params),
             dataset,
             attribute,
             should_prune=should_prune,
-            cost=self._config_cost,
+            cost=cost,
         )
         result.method = self.method
         return result
@@ -371,7 +360,7 @@ def _register() -> None:
                 filter_factory=lambda params, code=code.lower(): (
                     LSHTuner(code).build_filter(params)
                 ),
-                tuner_factory=lambda recall, profile, cache, prune=None, code=code.lower(): (
+                tuner_factory=lambda recall, profile, cache, prune, code=code.lower(): (
                     LSHTuner(
                         code,
                         target_recall=recall,
@@ -406,7 +395,7 @@ def _register() -> None:
                 filter_factory=lambda params, internal=internal: (
                     KNNSearchTuner(internal).build_filter(params)
                 ),
-                tuner_factory=lambda recall, profile, cache, prune=None, internal=internal: (
+                tuner_factory=lambda recall, profile, cache, prune, internal=internal: (
                     KNNSearchTuner(
                         internal,
                         target_recall=recall,

@@ -27,13 +27,12 @@ which the parity suite confirms never fires on the seeded datasets.
 from __future__ import annotations
 
 import math
-import os
 from typing import Callable, Iterable, Mapping, Optional
 
 import numpy as np
 
 from ..datasets.generator import ERDataset
-from ..datasets.stats import TokenStats, TokenStatsCache, shared_stats_cache
+from ..datasets.stats import TokenStats, token_stats
 from ..sparse.similarity import vector_similarity_function
 from ..text.tokenizers import shingles
 from .result import TunedResult
@@ -45,21 +44,8 @@ __all__ = [
     "MinHashEstimator",
     "coverage_prunable",
     "feasible_threshold",
-    "prune_enabled",
     "snap_down",
 ]
-
-
-def prune_enabled(explicit: Optional[bool] = None) -> bool:
-    """Resolve the pruning knob: argument > REPRO_TUNING_PRUNE > off.
-
-    Pruning defaults to off so existing runs (and cached matrices) keep
-    their exact execution profile unless the user opts in.
-    """
-    if explicit is not None:
-        return bool(explicit)
-    value = os.environ.get("REPRO_TUNING_PRUNE", "").strip().lower()
-    return value in ("1", "true", "yes", "on")
 
 
 def snap_down(threshold: float) -> float:
@@ -119,14 +105,10 @@ class CardinalityEstimator:
     """Token statistics of one dataset/setting, per key space."""
 
     def __init__(
-        self,
-        dataset: ERDataset,
-        attribute: Optional[str] = None,
-        stats: Optional[TokenStatsCache] = None,
+        self, dataset: ERDataset, attribute: Optional[str] = None
     ) -> None:
         self.dataset = dataset
         self.attribute = attribute
-        self.stats_cache = stats if stats is not None else shared_stats_cache()
 
     def stats(
         self,
@@ -135,9 +117,10 @@ class CardinalityEstimator:
         key_function: Optional[Callable[[str], Iterable[str]]] = None,
     ) -> TokenStats:
         """Token statistics of one key space over the bound dataset."""
-        return self.stats_cache.for_dataset(
-            self.dataset,
-            self.attribute,
+        return token_stats(
+            self.dataset.left.texts(self.attribute),
+            self.dataset.right.texts(self.attribute),
+            self.dataset.groundtruth,
             model=model,
             cleaning=cleaning,
             key_function=key_function,

@@ -168,7 +168,7 @@ def _register() -> None:
             filter_factory=lambda params: (
                 SupervisedMetaBlockingTuner().build_filter(params)
             ),
-            tuner_factory=lambda recall, profile, cache, prune=None: (
+            tuner_factory=lambda recall, profile, cache, prune: (
                 SupervisedMetaBlockingTuner(
                     target_recall=recall, profile=profile
                 )

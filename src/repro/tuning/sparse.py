@@ -56,7 +56,6 @@ from .estimator import (
     SparseJoinEstimator,
     coverage_prunable,
     feasible_threshold,
-    prune_enabled,
 )
 from .result import Incumbent, TunedResult
 
@@ -223,12 +222,12 @@ class EpsilonJoinTuner:
         target_recall: float = DEFAULT_RECALL_TARGET,
         profile: str = "",
         workers: Optional[int] = None,
-        prune: Optional[bool] = None,
+        prune: bool = False,
     ) -> None:
         self.target_recall = target_recall
         self.profile = spaces.active_profile(profile)
         self.workers = workers
-        self.prune = prune_enabled(prune)
+        self.prune = prune
 
     def _plan_measures(
         self,
@@ -360,12 +359,12 @@ class KNNJoinTuner:
         target_recall: float = DEFAULT_RECALL_TARGET,
         profile: str = "",
         workers: Optional[int] = None,
-        prune: Optional[bool] = None,
+        prune: bool = False,
     ) -> None:
         self.target_recall = target_recall
         self.profile = spaces.active_profile(profile)
         self.workers = workers
-        self.prune = prune_enabled(prune)
+        self.prune = prune
 
     def _combo_prunable(
         self,
@@ -590,7 +589,7 @@ def _register() -> None:
                 filter_factory=lambda params, cls=tuner_class: (
                     cls().build_filter(params)
                 ),
-                tuner_factory=lambda recall, profile, cache, prune=None, cls=tuner_class: (
+                tuner_factory=lambda recall, profile, cache, prune, cls=tuner_class: (
                     cls(target_recall=recall, profile=profile, prune=prune)
                 ),
                 incremental_factory=lambda params, code=code: (

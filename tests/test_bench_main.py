@@ -97,3 +97,13 @@ class TestArgumentParsing:
         assert self._parse("--workers", "0").workers == 0  # one per CPU
         with pytest.raises(SystemExit):
             self._parse("--workers", "-1")
+
+    def test_prune_flag(self, capsys):
+        import pytest
+
+        assert self._parse().prune is False
+        assert self._parse("--prune").prune is True
+        with pytest.raises(SystemExit) as excinfo:
+            self._parse("--no-prune")
+        assert excinfo.value.code == 2
+        assert "--no-prune" in capsys.readouterr().err

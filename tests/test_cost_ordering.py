@@ -134,17 +134,3 @@ class TestCostOrdering:
         ) < mh._config_cost(
             {"bands": 8, "rows": 2, "shingle_k": 3, "cleaning": True}
         )
-        hp = LSHTuner("hp-lsh")
-        assert hp._config_cost(
-            {"tables": 8, "hashes": 10, "probes": 8, "cleaning": False}
-        ) < hp._config_cost(
-            {"tables": 32, "hashes": 16, "probes": 128, "cleaning": False}
-        )
-        cp = LSHTuner("cp-lsh")
-        assert cp._config_cost(
-            {"tables": 8, "hashes": 1, "last_cp_dimension": 512,
-             "probes": 8, "cleaning": False}
-        ) < cp._config_cost(
-            {"tables": 32, "hashes": 2, "last_cp_dimension": 512,
-             "probes": 64, "cleaning": False}
-        )

@@ -27,12 +27,16 @@ from repro.tuning.estimator import (
     SparseJoinEstimator,
     coverage_prunable,
     feasible_threshold,
-    prune_enabled,
     snap_down,
 )
 from repro.tuning.result import TunedResult
 
 SEEDS = (3, 11)
+
+#: Every method whose tuner has a cost-based pruning switch.
+PRUNING_CODES = tuple(WORKFLOW_NAMES) + (
+    "EJ", "kNNJ", "MH-LSH", "CP-LSH", "HP-LSH"
+)
 
 #: Builder parameters of a blocking workflow's tuned ``params``.
 BUILDER_PARAMS = ("q", "t", "l_min", "b_max")
@@ -197,15 +201,12 @@ class TestSharedRules:
 
 
 class TestKnobs:
-    def test_prune_enabled_resolution(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TUNING_PRUNE", raising=False)
-        assert prune_enabled(None) is False
-        assert prune_enabled(True) is True
-        monkeypatch.setenv("REPRO_TUNING_PRUNE", "yes")
-        assert prune_enabled(None) is True
-        assert prune_enabled(False) is False
-        monkeypatch.setenv("REPRO_TUNING_PRUNE", "off")
-        assert prune_enabled(None) is False
+    @pytest.mark.parametrize("code", PRUNING_CODES)
+    def test_registry_tuner_carries_prune(self, code):
+        # ``prune`` is the only switch, and it is off unless passed.
+        assert registry.make_tuner(code).prune is False
+        assert registry.make_tuner(code, prune=True).prune is True
+        assert registry.get(code).make_tuner(prune=True).prune is True
 
     def test_snap_down(self):
         assert snap_down(0.905) == pytest.approx(0.90)

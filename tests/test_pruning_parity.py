@@ -15,7 +15,6 @@ from __future__ import annotations
 import pytest
 
 from repro.datasets.registry import load_dataset
-from repro.datasets.stats import reset_shared_stats_cache
 from repro.tuning import tune_method
 
 #: The methods with estimator-driven pruning rules (the embedding-LSH
@@ -54,23 +53,6 @@ PINNED_COUNTS = {
 #: Aggregated (enumerated, pruned) counters across the parametrized
 #: cells, consumed by the module's final aggregate assertion.
 _TOTALS = {"enumerated": 0, "pruned": 0, "cells": 0}
-
-
-@pytest.fixture(scope="module", autouse=True)
-def isolated_stats_cache(tmp_path_factory):
-    import os
-
-    previous = os.environ.get("REPRO_BENCH_CACHE")
-    os.environ["REPRO_BENCH_CACHE"] = str(
-        tmp_path_factory.mktemp("prune_parity_cache")
-    )
-    reset_shared_stats_cache()
-    yield
-    if previous is None:
-        os.environ.pop("REPRO_BENCH_CACHE", None)
-    else:
-        os.environ["REPRO_BENCH_CACHE"] = previous
-    reset_shared_stats_cache()
 
 
 @pytest.fixture(scope="module")

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
-import json
+import os
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -11,15 +15,18 @@ from repro.core.profile import EntityCollection, EntityProfile
 from repro.datasets import stats as stats_module
 from repro.datasets.generator import DatasetSpec, ERDataset
 from repro.datasets.stats import (
-    TokenStats,
-    TokenStatsCache,
     attribute_stats,
+    clear_token_stats_cache,
     compute_token_stats,
     select_best_attribute,
+    token_stats,
 )
 from repro.text.cleaning import clean_text
-from repro.text.tokenizers import character_qgrams, word_tokens
+from repro.text.tokenizers import word_tokens
+from repro.tuning import tune_method
 from repro.tuning.auto import AutoKNNConfigurator
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def make_dataset(name, left_attrs, right_attrs, gt_pairs):
@@ -84,14 +91,12 @@ class TestComputeTokenStats:
     def test_empty_collections(self):
         stats = compute_token_stats([], [], [], model="T1G")
         assert stats.left_covered == 0 and stats.right_covered == 0
-        assert stats.mean_key_length == 0.0
         assert stats.gt_overlapping == 0
         assert stats.top_keys == ()
 
     def test_all_empty_texts(self):
         stats = compute_token_stats(["", ""], [""], [(0, 0)], model="T1G")
         assert stats.top_keys == ()
-        assert stats.key_occurrences == 0
         assert stats.covered_queries(reverse=False) == 0
         assert stats.gt_overlapping == 0
 
@@ -107,177 +112,131 @@ class TestComputeTokenStats:
         assert stats.gt_overlapping == 1
 
     @pytest.mark.parametrize("model", ["T1G", "C3GM"])
-    def test_cleaned_key_length_comes_from_cleaned_texts(self, model):
+    def test_cleaned_stats_come_from_cleaned_texts(self, model):
         left = ["The running dogs of the houses", "connected printers"]
         right = ["a running dog", "the printer is connecting"]
-        stats = compute_token_stats(
-            left, right, [(0, 0)], model=model, cleaning=True
+        pairs = [(0, 0), (1, 1)]
+        cleaned = compute_token_stats(
+            left, right, pairs, model=model, cleaning=True
         )
-        lengths = []
-        for text in left + right:
-            cleaned = clean_text(text)
-            keys = (
-                word_tokens(cleaned)
-                if model == "T1G"
-                else character_qgrams(cleaned, 3)
-            )
-            lengths.extend(len(key) for key in keys)
-        assert stats.key_occurrences == len(lengths)
-        assert stats.mean_key_length == sum(lengths) / len(lengths)
-
-    def test_json_roundtrip_is_lossless(self):
-        stats = compute_token_stats(
-            ["alpha beta", "beta gamma"],
-            ["beta delta"],
-            [(0, 0)],
-            model="T1G",
-            dataset="tiny",
-            attribute="title",
-        )
-        payload = json.loads(json.dumps(stats.to_payload()))
-        assert TokenStats.from_payload(payload) == stats
-
-    def test_from_payload_ignores_unknown_keys(self):
-        # Caches written before a field was retired (e.g.
-        # ``log_disjoint_mass``) must still load.
-        stats = compute_token_stats(
-            ["alpha beta"], ["beta delta"], [(0, 0)], model="T1G"
-        )
-        payload = json.loads(json.dumps(stats.to_payload()))
-        payload["log_disjoint_mass"] = 1.5
-        assert TokenStats.from_payload(payload) == stats
-
-    def test_from_payload_rejects_garbage(self):
-        assert TokenStats.from_payload(None) is None
-        assert TokenStats.from_payload({"dataset": "x"}) is None
-
-
-class TestTokenStatsCache:
-    def _dataset(self, name="cache-ds", duplicates=2):
-        pairs = [(0, 0), (1, 1)][:duplicates]
-        return make_dataset(
-            name,
-            [{"title": "sonacore ultra laptop"},
-             {"title": "veltron compact mouse"}],
-            [{"title": "sonacore ultra laptop pro"},
-             {"title": "veltron compact mouse"}],
+        precleaned = compute_token_stats(
+            [clean_text(text) for text in left],
+            [clean_text(text) for text in right],
             pairs,
+            model=model,
         )
+        assert cleaned == precleaned
+        assert cleaned != compute_token_stats(left, right, pairs, model=model)
 
-    def test_disk_roundtrip(self, tmp_path, monkeypatch):
-        path = tmp_path / "token_stats.json"
-        first = TokenStatsCache(path)
-        original = first.for_dataset(self._dataset(), "title", model="T1G")
-        assert path.exists()
 
-        # A fresh cache instance must serve the entry from disk without
-        # recomputing anything.
-        monkeypatch.setattr(
-            stats_module,
-            "compute_token_stats",
-            lambda *a, **k: pytest.fail("disk entry was not reused"),
-        )
-        second = TokenStatsCache(path)
-        assert second.for_dataset(self._dataset(), "title", model="T1G") == (
-            original
-        )
+class TestTokenStatsMemo:
+    ARGS = (["alpha beta", "gamma"], ["beta delta", "gamma"], [(0, 0), (1, 1)])
 
-    def test_fingerprint_invalidation(self, tmp_path):
-        path = tmp_path / "token_stats.json"
-        cache = TokenStatsCache(path)
-        full = cache.for_dataset(self._dataset(), "title", model="T1G")
-        # Same name/attribute/model but a drifted groundtruth: the
-        # content fingerprint must force a recomputation instead of
-        # serving the stale entry.
-        drifted = TokenStatsCache(path).for_dataset(
-            self._dataset(duplicates=1), "title", model="T1G"
-        )
-        assert len(full.gt_overlaps) == 2
-        assert len(drifted.gt_overlaps) == 1
+    def test_equal_inputs_share_one_object(self):
+        clear_token_stats_cache()
+        first = token_stats(*self.ARGS, model="T1G")
+        assert token_stats(*self.ARGS, model="T1G") is first
+        assert first == compute_token_stats(*self.ARGS, model="T1G")
 
-    def test_same_sizes_different_texts_recompute(self, tmp_path):
-        # Same name and same collection/groundtruth sizes, different
-        # texts: a size-only fingerprint would serve the stale overlaps.
-        path = tmp_path / "token_stats.json"
-        TokenStatsCache(path).for_texts(
+    def test_clear_drops_memoized_stats(self):
+        first = token_stats(*self.ARGS, model="T1G")
+        clear_token_stats_cache()
+        again = token_stats(*self.ARGS, model="T1G")
+        assert again is not first
+        assert again == first
+
+    def test_same_sizes_different_texts_recompute(self):
+        # Same collection and groundtruth sizes, different texts: the
+        # memo key must tell them apart instead of serving stale overlaps.
+        token_stats(
             ["apple pie", "banana"], ["apple", "cherry"], [(0, 0)],
-            model="T1G", dataset="x",
+            model="T1G",
         )
-        fresh = TokenStatsCache(path).for_texts(
-            ["kiwi", "banana"], ["apple", "cherry"], [(0, 0)],
-            model="T1G", dataset="x",
+        fresh = token_stats(
+            ["kiwi", "banana"], ["apple", "cherry"], [(0, 0)], model="T1G"
         )
         assert fresh.gt_overlaps == (0,)
         assert fresh.left_covered == 0
 
-    def test_corrupt_file_is_ignored(self, tmp_path):
-        path = tmp_path / "token_stats.json"
-        path.write_text("{ not json")
-        cache = TokenStatsCache(path)
-        stats = cache.for_dataset(self._dataset(), "title", model="T1G")
-        assert stats.gt_overlaps == (3, 3)
-        cache.save()
-        assert json.loads(path.read_text())["schema"] == (
-            TokenStatsCache.SCHEMA
-        )
-
-    def test_stale_schema_entries_are_dropped(self, tmp_path, monkeypatch):
-        path = tmp_path / "token_stats.json"
-        cache = TokenStatsCache(path)
-        cache.for_dataset(self._dataset(), "title", model="T1G")
-        cache.save()
-        payload = json.loads(path.read_text())
-        payload["schema"] = TokenStatsCache.SCHEMA - 1
-        path.write_text(json.dumps(payload))
-        recomputed = []
+    def test_each_key_space_computed_once_across_sparse_tuners(
+        self, small_generated, monkeypatch
+    ):
+        computed = Counter()
         original = stats_module.compute_token_stats
 
         def counting(*args, **kwargs):
-            recomputed.append(kwargs.get("model"))
+            computed[(kwargs["model"], kwargs["cleaning"])] += 1
             return original(*args, **kwargs)
 
         monkeypatch.setattr(stats_module, "compute_token_stats", counting)
-        TokenStatsCache(path).for_dataset(self._dataset(), "title", model="T1G")
-        assert recomputed == ["T1G"]
+        clear_token_stats_cache()
+        try:
+            tune_method("EJ", small_generated, profile="fast", prune=True)
+            after_epsilon = dict(computed)
+            tune_method("kNNJ", small_generated, profile="fast", prune=True)
+        finally:
+            clear_token_stats_cache()
+        assert after_epsilon
+        assert dict(computed) == after_epsilon
+        assert set(computed.values()) == {1}
 
-    def test_adhoc_collections_stay_off_disk(self, tmp_path):
-        path = tmp_path / "token_stats.json"
-        cache = TokenStatsCache(path)
-        cache.for_texts(["a b"], ["a c"], [], model="T1G")
-        assert not path.exists()
+    def test_pruned_tunes_write_no_file(self, tmp_path):
+        # A fresh process, so nothing is served from an in-process memo.
+        script = (
+            "from repro.datasets.registry import load_dataset\n"
+            "from repro.tuning import tune_method\n"
+            "dataset = load_dataset('d1')\n"
+            "for method in ('EJ', 'SBW', 'MH-LSH'):\n"
+            "    tune_method(method, dataset, profile='fast', prune=True)\n"
+        )
+        env = dict(
+            os.environ,
+            PYTHONPATH=str(SRC),
+            PYTHONDONTWRITEBYTECODE="1",
+            REPRO_BENCH_CACHE=str(tmp_path),
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", script],
+            cwd=tmp_path,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=600,
+        )
+        assert completed.returncode == 0, completed.stderr[-2000:]
+        assert list(tmp_path.rglob("*")) == []
+
+
+def old_rule(dataset, attribute):
+    """choose_model's rule, computed inline from raw ``word_tokens``."""
+    lengths = []
+    for collection in (dataset.left, dataset.right):
+        for text in collection.texts(attribute):
+            lengths.extend(len(t) for t in word_tokens(text))
+    mean = sum(lengths) / len(lengths)
+    if mean >= 8.0:
+        return "T1GM"
+    if mean >= 6.0:
+        return "C5GM"
+    return "C3GM"
 
 
 class TestAutoConfiguratorRegression:
-    """Satellite check: choose_model now rides the shared statistics."""
-
-    def test_mean_matches_inline_tokenization(self, small_generated):
-        for attribute in (None, small_generated.key_attribute):
-            lengths = []
-            for collection in (small_generated.left, small_generated.right):
-                for text in collection.texts(attribute):
-                    lengths.extend(len(t) for t in word_tokens(text))
-            expected = sum(lengths) / len(lengths)
-            stats = stats_module.shared_stats_cache().for_texts(
-                small_generated.left.texts(attribute),
-                small_generated.right.texts(attribute),
-                gt_pairs=(),
-                model="T1G",
-                cleaning=False,
-            )
-            assert stats.mean_key_length == expected
+    """choose_model's mean token length, pinned against the inline rule."""
 
     def test_choose_model_matches_old_rule(self, small_generated):
-        lengths = []
-        for collection in (small_generated.left, small_generated.right):
-            for text in collection.texts(None):
-                lengths.extend(len(t) for t in word_tokens(text))
-        mean = sum(lengths) / len(lengths)
-        if mean >= 8.0:
-            expected = "T1GM"
-        elif mean >= 6.0:
-            expected = "C5GM"
-        else:
-            expected = "C3GM"
         assert AutoKNNConfigurator.choose_model(
             small_generated.left, small_generated.right
-        ) == expected
+        ) == old_rule(small_generated, None)
+
+    def test_choose_model_reads_the_given_attribute(self, small_generated):
+        attribute = small_generated.key_attribute
+        assert AutoKNNConfigurator.choose_model(
+            small_generated.left, small_generated.right, attribute
+        ) == old_rule(small_generated, attribute)
+
+    def test_choose_model_without_tokens_defaults_to_c5gm(self):
+        dataset = make_dataset("", [{"title": ""}], [{"title": "  "}], [])
+        assert AutoKNNConfigurator.choose_model(
+            dataset.left, dataset.right
+        ) == "C5GM"
