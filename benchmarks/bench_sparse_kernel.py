@@ -71,6 +71,7 @@ from repro.sparse.base import batch_similarities
 from repro.sparse.kernels import query_tokens
 from repro.sparse.scancount import IncrementalScanCountFilter, ScanCountIndex
 from repro.text.memo import clear_tokenize_cache, tokenize_collection
+from repro.text.store import as_store, encode_sets
 from repro.text.tokenizers import RepresentationModel
 from repro.tuning.sparse import KNNJoinTuner, clear_overlap_cache
 from repro.tuning.spaces import representation_models
@@ -192,11 +193,12 @@ def csr_tuner_sweep(
     overlap matrix filled from the same triple (``tuning/sparse.py``);
     this row keeps the per-row cost comparable across commits.
     """
+    queries = as_store(queries)
     query_ptr, set_ids, overlap_counts = index.batch_overlaps(queries)
     results: Dict[str, List[int]] = {}
     for measure in MEASURES:
         similarities = batch_similarities(
-            index, queries, query_ptr, set_ids, overlap_counts, measure
+            index, queries.sizes, query_ptr, set_ids, overlap_counts, measure
         )
         ordered = np.sort(similarities)
         total = len(ordered)
@@ -274,8 +276,7 @@ def tokenize_grid(left_texts: Sequence[str], right_texts: Sequence[str]) -> int:
     for cleaning in (False, True):
         for model in representation_models("fast"):
             for texts in (left_texts, right_texts):
-                sets = tokenize_collection(texts, model, cleaning)
-                total += sum(map(len, sets))
+                total += len(tokenize_collection(texts, model, cleaning).ids)
     return total
 
 
@@ -347,7 +348,7 @@ def run_benchmarks(
     record("index_build_csr", build_csr_s, 0, runs)
 
     encode_s, encoded, runs = timed_median(
-        lambda: query_tokens(csr.vocabulary, right), repeats
+        lambda: query_tokens(csr.vocabulary, encode_sets(right)), repeats
     )
     record("query_encode", encode_s, len(encoded.token_ids), runs)
 

@@ -105,10 +105,10 @@ def duplicate_rank_distribution(
         query_sets = tokenize_collection(query_texts, "C5GM", True)
         index = ScanCountIndex(indexed_sets)
         query_order = list(by_query)
-        queries = [query_sets[query_id] for query_id in query_order]
+        queries = query_sets.take(query_order)
         query_ptr, set_ids, counts = index.batch_overlaps(queries)
         similarities = batch_similarities(
-            index, queries, query_ptr, set_ids, counts, "cosine"
+            index, queries.sizes, query_ptr, set_ids, counts, "cosine"
         )
         for position, query_id in enumerate(query_order):
             start, stop = query_ptr[position], query_ptr[position + 1]

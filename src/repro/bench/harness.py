@@ -25,7 +25,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core import registry
 from ..core.optimizer import DEFAULT_RECALL_TARGET
-from ..datasets.generator import ERDataset
 from ..datasets.registry import (
     DATASET_NAMES,
     SCHEMA_BASED_DATASETS,

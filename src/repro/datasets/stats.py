@@ -222,8 +222,10 @@ def compute_token_stats(
     keys / shingles and ``model`` is its synthetic id.
     """
     if key_function is None:
-        left_sets = tokenize_collection(left_texts, model, cleaning)
-        right_sets = tokenize_collection(right_texts, model, cleaning)
+        left_sets, right_sets = (
+            tokenize_collection(texts, model, cleaning).token_sets()
+            for texts in (left_texts, right_texts)
+        )
     else:
         if cleaning:
             left_texts = clean_collection(left_texts)

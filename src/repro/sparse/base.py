@@ -22,7 +22,7 @@ stage.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from ..core.fastpairs import keys_to_candidate_set
 from ..core.filters import Filter
 from ..core.profile import EntityCollection
 from ..core.stages import INDEX, NN_STAGES, PREPROCESS, QUERY
-from ..text.cleaning import TextCleaner
+from ..text.store import TokenStore, encode_texts
 from ..text.tokenizers import RepresentationModel
 from .scancount import ScanCountIndex
 from .similarity import similarity_function, vector_similarity_function
@@ -41,7 +41,7 @@ __all__ = ["SparseNNFilter", "batch_similarities"]
 
 def batch_similarities(
     index: ScanCountIndex,
-    queries: Sequence[FrozenSet[str]],
+    query_sizes: np.ndarray,
     query_ptr: np.ndarray,
     set_ids: np.ndarray,
     counts: np.ndarray,
@@ -50,13 +50,11 @@ def batch_similarities(
     """Similarity of every (query, indexed set) overlap row, vectorized.
 
     ``(query_ptr, set_ids, counts)`` is the CSR triple produced by
-    :meth:`ScanCountIndex.batch_overlaps` for ``queries``.
+    :meth:`ScanCountIndex.batch_overlaps` for queries of token-set sizes
+    ``query_sizes``.
     """
     if len(set_ids) == 0:
         return np.zeros(0, dtype=np.float64)
-    query_sizes = np.fromiter(
-        (len(query) for query in queries), count=len(queries), dtype=np.int64
-    )
     sizes_b = np.repeat(query_sizes, np.diff(query_ptr))
     return vector_similarity_function(measure)(
         index.sizes[set_ids], sizes_b, counts
@@ -102,15 +100,13 @@ class SparseNNFilter(Filter):
         self.cleaning = cleaning
         self.reverse = reverse
         self.workers = workers
-        self._cleaner = TextCleaner()
 
     def _token_sets(
         self, collection: EntityCollection, attribute: Optional[str]
-    ) -> List[FrozenSet[str]]:
-        texts = collection.texts(attribute)
-        if self.cleaning:
-            texts = [self._cleaner.clean(text) for text in texts]
-        return [self.model.tokens(text) for text in texts]
+    ) -> TokenStore:
+        return encode_texts(
+            collection.texts(attribute), self.model.code, self.cleaning
+        )
 
     def _run(
         self,
@@ -148,7 +144,7 @@ class SparseNNFilter(Filter):
         raise NotImplementedError
 
     def _select_pairs(
-        self, index: ScanCountIndex, queries: Sequence[FrozenSet[str]]
+        self, index: ScanCountIndex, queries: TokenStore
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Selected ``(query_ids, set_ids)`` pairs over the whole batch."""
         params = dict(self._consumer_params())

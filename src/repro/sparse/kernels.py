@@ -42,11 +42,12 @@ is what makes the parallel merge byte-exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, repeat
-from typing import Callable, Dict, FrozenSet, List, Mapping, Sequence, Tuple
+from itertools import repeat
+from typing import Callable, Dict, List, Mapping, Tuple
 
 import numpy as np
 
+from ..text.store import TokenStore
 from .similarity import vector_similarity_function
 
 __all__ = [
@@ -88,24 +89,25 @@ class QueryTokens:
 
 
 def query_tokens(
-    vocabulary: Mapping[str, int], queries: Sequence[FrozenSet[str]]
+    vocabulary: Mapping[str, int], queries: TokenStore
 ) -> QueryTokens:
-    """Map a query batch onto the index vocabulary, once.
+    """Map a coded query batch onto the index vocabulary, once.
 
-    One C-level pass looks every query token up (``-1`` for misses), the
+    Each distinct token of the batch's store is looked up once (``-1``
+    for misses), every occurrence reads its id through that table, the
     misses are dropped, and one in-place sort of the packed
     ``(query << 32) | id`` key orders the ids within each query — the
     same construction :class:`ScanCountIndex` builds its postings with.
     The result is a picklable/shareable array triple rather than Python
     sets.
     """
-    lengths = list(map(len, queries))
-    sizes = np.array(lengths, dtype=np.int64)
-    ids = np.fromiter(
-        map(vocabulary.get, chain.from_iterable(queries), repeat(-1)),
+    remap = np.fromiter(
+        map(vocabulary.get, queries.vocabulary, repeat(-1)),
         dtype=np.int64,
-        count=sum(lengths),
+        count=len(queries.vocabulary),
     )
+    ids = remap[queries.ids]
+    sizes = queries.sizes
     # Query q's packed keys live in [bases[q], bases[q + 1]).
     bases = np.arange(
         0, (len(queries) + 1) << 32, 1 << 32, dtype=np.int64

@@ -131,8 +131,8 @@ class _PrefixJoinBase(SparseNNFilter):
         attribute: Optional[str],
     ) -> CandidateSet:
         with self.trace.stage(PREPROCESS, input_size=len(left) + len(right)):
-            left_sets = self._token_sets(left, attribute)
-            right_sets = self._token_sets(right, attribute)
+            left_sets = self._token_sets(left, attribute).token_sets()
+            right_sets = self._token_sets(right, attribute).token_sets()
             order = TokenOrder(left_sets + right_sets)
             left_sorted = [order.sort(tokens) for tokens in left_sets]
             right_sorted = [order.sort(tokens) for tokens in right_sets]

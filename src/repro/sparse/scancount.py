@@ -11,16 +11,19 @@ thresholds that ER requires.
 
 Storage layout
 --------------
-The index is stored in CSR (compressed sparse row) form: a vocabulary
-``Dict[str, int]`` maps tokens to token ids (the flat position of each
-token's first occurrence — sparse, not dense, so the whole build runs at
-C speed), ``token_ptr`` (int64) delimits each token's slice of
-``postings`` (int32 set ids, ascending within a slice); slices at
-never-assigned ids are empty and unreachable through the vocabulary.  A batched query
-concatenates each query's posting slices (contiguous views, no Python
-iteration over postings) and counts them with one ``np.bincount``, so the
-per-element work happens in NumPy rather than in a Python dict-merge
-loop; the results for the whole batch come back as flat CSR arrays.
+The index is built from a vocabulary-coded
+:class:`~repro.text.store.TokenStore` (a list of frozensets is first
+encoded into one), so its token ids are the store's dense ids and the
+build runs entirely in NumPy: ``token_ptr`` (int64) delimits each token's
+slice of ``postings`` (int32 set ids, ascending within a slice), and a
+``Dict[str, int]`` vocabulary maps token strings to ids for queries
+coded against another vocabulary.  A batched query maps its store's
+vocabulary onto the index's once per distinct token
+(:func:`~repro.sparse.kernels.query_tokens`), concatenates each query's
+posting slices (contiguous views, no Python iteration over postings)
+and counts them with one ``np.bincount``, so the per-element work
+happens in NumPy rather than in a Python dict-merge loop; the results
+for the whole batch come back as flat CSR arrays.
 
 Both sparse joins query this one index through :meth:`ScanCountIndex.
 run_kernel` (the reduction consumers of :mod:`repro.sparse.kernels`);
@@ -42,9 +45,8 @@ the snapshot; a batch of serving probes is a loop over that one path.
 
 from __future__ import annotations
 
-import itertools
 from itertools import chain
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -52,6 +54,7 @@ from ..core.incremental import IncrementalIndex
 from ..core.parallel import query_shards, resolve_workers, run_sharded
 from ..core.profile import EntityProfile
 from ..text.cleaning import TextCleaner
+from ..text.store import TokenSets, as_store
 from ..text.tokenizers import RepresentationModel
 from .kernels import kth_distinct_cutoff, query_tokens
 from .similarity import vector_similarity_function
@@ -73,40 +76,23 @@ class ScanCountIndex:
     (CSR layout) plus a token vocabulary; see the module docstring.
     """
 
-    def __init__(self, token_sets: Sequence[FrozenSet[str]]) -> None:
-        token_sets = list(token_sets)
-        count = len(token_sets)
-        self._sizes = np.fromiter(
-            map(len, token_sets), dtype=np.int64, count=count
+    def __init__(self, token_sets: TokenSets) -> None:
+        store = as_store(token_sets)
+        count = len(store)
+        self._sizes = store.sizes
+        size = len(store.vocabulary)
+        self._vocabulary: Dict[str, int] = dict(
+            zip(store.vocabulary, range(size))
         )
-        total = int(self._sizes.sum())
-        # One pass entirely in C: each token's id is the flat position of
-        # its first occurrence (``setdefault`` hands the position back on
-        # repeats).  Ids are *sparse* — token_ptr simply has empty slices
-        # at never-assigned positions, which no query can ever reference
-        # because the vocabulary only maps to assigned ids.
-        vocabulary: Dict[str, int] = {}
-        tokens_arr = np.fromiter(
-            map(
-                vocabulary.setdefault,
-                chain.from_iterable(token_sets),
-                itertools.count(),
-            ),
-            dtype=np.int64,
-            count=total,
-        )
-        self._vocabulary = vocabulary
-        sets_arr = np.repeat(np.arange(count, dtype=np.int32), self._sizes)
-        counts = np.bincount(tokens_arr, minlength=total)
-        self._token_ptr = np.zeros(total + 1, dtype=np.int64)
+        counts = np.bincount(store.ids, minlength=size)
+        self._token_ptr = np.zeros(size + 1, dtype=np.int64)
         np.cumsum(counts, out=self._token_ptr[1:])
         # Group by token with set ids ascending inside every slice: an
         # in-place sort of the packed (token, set) key is far cheaper
-        # than a stable argsort + gather.  All three packing ops mutate
-        # tokens_arr in place rather than allocating temporaries.
-        composite = tokens_arr
+        # than a stable argsort + gather.
+        composite = store.ids.astype(np.int64)
         composite <<= 32
-        composite |= sets_arr
+        composite |= np.repeat(np.arange(count, dtype=np.int64), self._sizes)
         composite.sort()
         composite &= 0xFFFFFFFF
         self._postings_arr = composite.astype(np.int32)
@@ -131,8 +117,7 @@ class ScanCountIndex:
     def vocabulary(self) -> Dict[str, int]:
         """Token -> token id mapping (treat as read-only).
 
-        Ids are sparse: each is the flat position of the token's first
-        occurrence, so they index ``token_ptr`` but skip values.
+        Ids are the dense ids of the store the index was built from.
         """
         return self._vocabulary
 
@@ -169,18 +154,20 @@ class ScanCountIndex:
     def run_kernel(
         self,
         consumer: str,
-        queries: Sequence[FrozenSet[str]],
+        queries: TokenSets,
         workers: Optional[int] = None,
         **params,
     ):
         """Shard ``queries`` over a named kernel consumer.
 
+        Coded queries are mapped onto the index vocabulary once per
+        distinct token (:func:`~repro.sparse.kernels.query_tokens`).
         Returns the ordered per-shard :class:`~repro.core.parallel.
         ShardResult` list; consumers are the reduction kernels of
         :mod:`repro.sparse.kernels` (``count`` / ``materialize`` /
         ``epsilon`` / ``knn``).
         """
-        qt = query_tokens(self._vocabulary, queries)
+        qt = query_tokens(self._vocabulary, as_store(queries))
         workers = resolve_workers(workers)
         return run_sharded(
             {**self.arrays(), **qt.as_arrays()},
@@ -191,7 +178,7 @@ class ScanCountIndex:
 
     def batch_overlaps(
         self,
-        queries: Sequence[FrozenSet[str]],
+        queries: TokenSets,
         workers: Optional[int] = None,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Exact overlaps of every query with every indexed set, batched.
@@ -233,7 +220,7 @@ class ScanCountIndex:
 
     def count_overlaps(
         self,
-        queries: Sequence[FrozenSet[str]],
+        queries: TokenSets,
         workers: Optional[int] = None,
     ) -> np.ndarray:
         """Number of overlapping indexed sets per query (int64 array).

@@ -58,7 +58,7 @@ class TopKJoin(SparseNNFilter):
         with self.trace.stage(QUERY, input_size=len(right_sets)) as query:
             query_ptr, set_ids, counts = index.batch_overlaps(right_sets)
             similarities = batch_similarities(
-                index, right_sets, query_ptr, set_ids, counts,
+                index, right_sets.sizes, query_ptr, set_ids, counts,
                 self.measure_name,
             )
             rows = np.ones(len(similarities), dtype=bool)

@@ -1,27 +1,34 @@
 """Process-wide memoized text preprocessing shared across benchmark layers.
 
-Historically the memoized tokenizer lived in :mod:`repro.tuning.sparse`,
-which made it awkward for lower layers (the dataset-statistics module
-behind cost-based tuning) to share token sets with the tuners without an
-upward import.  It now lives here, in the text package both sides already
-depend on; :mod:`repro.tuning.sparse` re-exports it unchanged.
+The memoized tokenizer lives in the text package, below both the sparse
+tuners (:mod:`repro.tuning.sparse`) and the dataset-statistics module
+behind cost-based tuning, so both share one encoding without an upward
+import.
 
-Two memo layers, each keyed by the collection's texts:
+:func:`tokenize_collection` returns the vocabulary-coded
+:class:`~repro.text.store.TokenStore` of a collection, and memoises the
+layers of :func:`~repro.text.store.encode_texts` separately, each keyed
+by the collection's texts:
 
-* cleaned texts per collection (:func:`clean_collection`) — stop-word
-  removal and stemming run once per collection, however many
-  representation models read the result;
-* token sets per (texts, model, cleaning) (:func:`tokenize_collection`),
-  built from the cleaned-text layer when ``cleaning`` is set.
+* word sequences per (texts, cleaning) — each collection is tokenized
+  once, and cleaned (stop-word removal and stemming, once per distinct
+  word) once, however many representation models read the result;
+* q-gram occurrences per (texts, cleaning, q), shared by the set and
+  multiset models of one q;
+* stores per (texts, model, cleaning).
+
+:func:`clean_collection` (the Figure-3 text volumes, blocking-key
+statistics) re-joins the memoized cleaned words, so it never cleans a
+collection a second time either.
 
 The ε-Join and kNN-Join tuners, the token-statistics layer
 (:mod:`repro.datasets.stats`), the Figure-3 text volumes and the
 auto-configurator all walk the same (cleaning x model) grid over the same
-collections, so each collection is cleaned once and tokenized once per
-combination.  Filters never read these memos: their own preprocessing
-is part of the run-time they report.
+collections.  Filters never read these memos: they call
+:func:`~repro.text.store.encode_texts` directly, so their own
+preprocessing is part of the run-time they report.
 
-One layer sits above the token sets: the sparse tuners' overlap-count
+One layer sits above the stores: the sparse tuners' overlap-count
 matrices per (left texts, right texts, model, cleaning)
 (:func:`repro.tuning.sparse.overlap_counts`).  It calls
 :func:`tokenize_collection` only on a miss, so the ε-Join and kNN-Join
@@ -36,50 +43,70 @@ the cost-based tuners' token statistics
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import FrozenSet, List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from .cleaning import TextCleaner
+from . import store
+from .store import TokenSequence, TokenStore
 from .tokenizers import RepresentationModel
 
 __all__ = ["clean_collection", "tokenize_collection", "clear_tokenize_cache"]
 
 
 @lru_cache(maxsize=64)
-def _clean_cached(texts: Tuple[str, ...]) -> Tuple[str, ...]:
-    cleaner = TextCleaner()
-    return tuple(cleaner.clean(text) for text in texts)
+def _words(texts: Tuple[str, ...], cleaning: bool) -> TokenSequence:
+    if cleaning:
+        return store.clean_sequence(_words(texts, False))
+    return store.word_sequence(texts)
+
+
+@lru_cache(maxsize=64)
+def _sequence(
+    texts: Tuple[str, ...], cleaning: bool, q: Optional[int]
+) -> TokenSequence:
+    words = _words(texts, cleaning)
+    return words if q is None else store.qgram_sequence(words, q)
 
 
 @lru_cache(maxsize=128)
 def _tokenize_cached(
     texts: Tuple[str, ...], model: str, cleaning: bool
-) -> Tuple[FrozenSet[str], ...]:
-    if cleaning:
-        texts = _clean_cached(texts)
+) -> TokenStore:
     representation = RepresentationModel(model)
-    return tuple(representation.tokens(text) for text in texts)
+    return store.store_of(
+        _sequence(texts, cleaning, representation.qgram_size),
+        representation.is_multiset,
+    )
 
 
 def clean_collection(texts: Sequence[str]) -> List[str]:
-    """The cleaned texts of a collection, memoized per collection."""
-    return list(_clean_cached(tuple(texts)))
+    """The cleaned texts of a collection, memoized per collection.
+
+    Equal to ``TextCleaner().clean(text)`` per text: a cleaned text is
+    its cleaned words joined by single spaces.
+    """
+    words = _words(tuple(texts), True)
+    bounds = words.ptr.tolist()
+    tokens = [words.tokens[i] for i in words.ids.tolist()]
+    return [" ".join(tokens[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
 
 
 def tokenize_collection(
     texts: Sequence[str], model: str, cleaning: bool
-) -> List[FrozenSet[str]]:
-    """Token sets of a list of texts under one preprocessing combination.
+) -> TokenStore:
+    """The coded token sets of a list of texts under one combination.
 
     Memoized per (texts, model, cleaning): every consumer that walks the
     same (cleaning x model) grid over the same collections — sparse
     tuners, token statistics, the auto-configurator — shares one
-    tokenization pass per corpus and combination, and one cleaning pass
-    per corpus.
+    tokenization pass per corpus, one cleaning pass per corpus and one
+    q-gram pass per corpus and q.  The store's arrays are read-only, so
+    callers cannot alter a memoised result.
     """
-    return list(_tokenize_cached(tuple(texts), model, cleaning))
+    return _tokenize_cached(tuple(texts), model, cleaning)
 
 
 def clear_tokenize_cache() -> None:
-    """Drop the memoized cleaned texts and token sets (tests / memory)."""
+    """Drop the memoized word sequences, q-gram sequences and stores."""
     _tokenize_cached.cache_clear()
-    _clean_cached.cache_clear()
+    _sequence.cache_clear()
+    _words.cache_clear()

@@ -24,7 +24,7 @@ static DkNN defaults).
 
 from __future__ import annotations
 
-from typing import FrozenSet, List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
@@ -35,6 +35,7 @@ from ..sparse.base import batch_similarities
 from ..sparse.knn_join import KNNJoin
 from ..sparse.scancount import ScanCountIndex
 from ..text.memo import tokenize_collection
+from ..text.store import TokenSets, as_store
 from ..text.tokenizers import word_tokens
 
 __all__ = ["AutoKNNConfigurator"]
@@ -96,20 +97,20 @@ class AutoKNNConfigurator:
 
     def estimate_k(
         self,
-        indexed_sets: Sequence[FrozenSet[str]],
-        query_sets: Sequence[FrozenSet[str]],
+        indexed_sets: TokenSets,
+        query_sets: TokenSets,
     ) -> int:
         """The similarity-gap estimate of the required cardinality."""
         rng = np.random.default_rng(self.seed)
-        index = ScanCountIndex(list(indexed_sets))
+        index = ScanCountIndex(indexed_sets)
         count = min(self.sample_size, len(query_sets))
         if count == 0:
             return 1
         sample = rng.choice(len(query_sets), size=count, replace=False)
-        queries = [query_sets[int(query_id)] for query_id in sample]
+        queries = as_store(query_sets).take(sample)
         query_ptr, set_ids, overlap_counts = index.batch_overlaps(queries)
         similarities = batch_similarities(
-            index, queries, query_ptr, set_ids, overlap_counts, "cosine"
+            index, queries.sizes, query_ptr, set_ids, overlap_counts, "cosine"
         )
         gap_ranks: List[int] = []
         for position in range(len(queries)):

@@ -22,7 +22,7 @@ skipped.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from ..blocking.building import (
     BlockBuilder,

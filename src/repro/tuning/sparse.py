@@ -3,10 +3,11 @@
 Both joins share the preprocessing grid (cleaning x representation model)
 and read each combination's overlaps from one module-level memo
 (:func:`overlap_counts`), keyed by (left texts, right texts, model,
-cleaning).  On a miss it tokenizes both sides (:func:`tokenize_collection`)
-and runs one batched ScanCount pass into a dense, read-only
-``(queries x sets)`` overlap-count matrix, so the ε-Join and kNN-Join
-tuners of one collection pair pay one pass per combination between them.
+cleaning).  On a miss it reads both sides' coded token stores
+(:func:`tokenize_collection`) and runs one batched ScanCount pass into a
+dense, read-only ``(queries x sets)`` overlap-count matrix, so the
+ε-Join and kNN-Join tuners of one collection pair pay one pass per
+combination between them.
 Entries past :data:`OVERLAP_MEMO_BYTES` are evicted least recently used
 first.  Each tuner derives its whole threshold/cardinality sweep from the
 matrix by pure NumPy — mirroring how ``tuning/blocking.py`` shares
@@ -36,9 +37,7 @@ import copy
 import math
 import threading
 from collections import OrderedDict
-from typing import (
-    Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple,
-)
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -49,8 +48,8 @@ from ..sparse.epsilon_join import EpsilonJoin
 from ..sparse.knn_join import KNNJoin, distinct_similarity_ranks
 from ..sparse.scancount import ScanCountIndex
 from ..sparse.similarity import vector_similarity_function
-
 from ..text.memo import tokenize_collection
+from ..text.store import TokenSets, as_store
 from . import spaces
 from .estimator import (
     SparseJoinEstimator,
@@ -92,24 +91,22 @@ class OverlapCounts(NamedTuple):
 
 
 def count_overlaps(
-    indexed_sets: Sequence[FrozenSet[str]],
-    query_sets: Sequence[FrozenSet[str]],
+    indexed_sets: TokenSets,
+    query_sets: TokenSets,
     workers: Optional[int] = None,
 ) -> OverlapCounts:
     """One :meth:`ScanCountIndex.batch_overlaps` pass into dense counts."""
     index = ScanCountIndex(indexed_sets)
+    queries = as_store(query_sets)
     query_ptr, set_ids, overlaps = index.batch_overlaps(
-        query_sets, workers=workers
+        queries, workers=workers
     )
-    counts = np.zeros((len(query_sets), len(indexed_sets)), dtype=np.int32)
+    counts = np.zeros((len(queries), len(index)), dtype=np.int32)
     query_ids = np.repeat(
-        np.arange(len(query_sets), dtype=np.int64), np.diff(query_ptr)
+        np.arange(len(queries), dtype=np.int64), np.diff(query_ptr)
     )
     counts[query_ids, set_ids] = overlaps
-    query_sizes = np.fromiter(
-        map(len, query_sets), count=len(query_sets), dtype=np.int64
-    )
-    result = OverlapCounts(counts, index.sizes, query_sizes)
+    result = OverlapCounts(counts, index.sizes, queries.sizes)
     for array in result:
         array.flags.writeable = False
     return result

@@ -28,6 +28,7 @@ from repro.sparse.epsilon_join import EpsilonJoin
 from repro.sparse.kernels import query_tokens
 from repro.sparse.knn_join import KNNJoin
 from repro.sparse.scancount import ScanCountIndex
+from repro.text.store import encode_sets
 from repro.tuning import sparse as sparse_tuning
 from repro.tuning.sparse import KNNJoinTuner, clear_overlap_cache
 
@@ -177,7 +178,7 @@ def _kernel_arrays():
     rng = np.random.default_rng(23)
     index = ScanCountIndex(random_token_sets(rng, 80))
     queries = random_token_sets(rng, 40)
-    tokens = query_tokens(index.vocabulary, queries)
+    tokens = query_tokens(index.vocabulary, encode_sets(queries))
     return {**index.arrays(), **tokens.as_arrays()}, len(queries)
 
 

@@ -121,6 +121,19 @@ class TestReportBuilder:
             assert paper_family in ("blocking", "sparse", "dense")
             assert our_family in ("blocking", "sparse", "dense")
 
+    def test_smb_alone_is_no_blocking_win(self, tmp_path):
+        # Table VII has no SMB row: a setting where only SMB beats the
+        # sparse joins is a sparse win, not a blocking one.
+        matrix = _fake_matrix(tmp_path)
+        for setting in ("a", "b"):
+            matrix._results[f"SMB|d1|{setting}"] = CellResult(
+                method="SMB", dataset="d1", setting=setting,
+                pc=0.95, pq=0.9, candidates=40, runtime=0.1, feasible=True,
+            )
+        winners = ReportBuilder(matrix).family_winners()
+        assert winners
+        assert [ours for __, __, ours in winners] == ["sparse"] * len(winners)
+
     def test_claim_verdicts_all_hold_on_planted_shape(self, tmp_path):
         report = ReportBuilder(_fake_matrix(tmp_path))
         verdicts = report.claim_verdicts()

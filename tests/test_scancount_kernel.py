@@ -24,6 +24,7 @@ from repro.sparse.similarity import (
     vector_similarity_function,
 )
 from repro.sparse.topk_join import TopKJoin
+from repro.text.store import encode_sets
 from repro.text.tokenizers import RepresentationModel
 
 
@@ -352,7 +353,7 @@ def _consumer_arrays(rng, num_indexed=35, num_queries=35):
     queries = random_token_sets(rng, num_queries, 10, extra=OOV)
     queries += [frozenset(), frozenset(OOV)]  # empty + fully-OOV
     index = ScanCountIndex(indexed)
-    tokens = query_tokens(index.vocabulary, queries)
+    tokens = query_tokens(index.vocabulary, encode_sets(queries))
     arrays = {**index.arrays(), **tokens.as_arrays()}
     return indexed, queries, arrays
 
@@ -486,7 +487,7 @@ def _kernel_args(indexed, queries):
     from repro.sparse.kernels import query_tokens
 
     index = ScanCountIndex(indexed)
-    tokens = query_tokens(index.vocabulary, queries)
+    tokens = query_tokens(index.vocabulary, encode_sets(queries))
     return (
         index.token_ptr, index.postings, index.sizes,
         tokens.ptr, tokens.token_ids, tokens.sizes,

@@ -35,6 +35,7 @@ from repro.tuning.sparse import (
     overlap_counts,
     tokenize_collection,
 )
+from repro.text.store import encode_sets
 
 
 class TestSnapDown:
@@ -482,16 +483,16 @@ class TestBuildWorkflow:
 
 class TestTokenizeCollection:
     def test_cleaning_applied(self):
-        sets = tokenize_collection(["the running dogs"], "T1G", True)
-        assert sets[0] == frozenset({"run", "dog"})
+        store = tokenize_collection(["the running dogs"], "T1G", True)
+        assert store.token_sets() == [frozenset({"run", "dog"})]
 
     def test_no_cleaning(self):
-        sets = tokenize_collection(["the running dogs"], "T1G", False)
-        assert "the" in sets[0]
+        store = tokenize_collection(["the running dogs"], "T1G", False)
+        assert "the" in store.token_sets()[0]
 
     def test_model_applied(self):
-        sets = tokenize_collection(["abc"], "C2G", False)
-        assert sets[0] == frozenset({"ab", "bc"})
+        store = tokenize_collection(["abc"], "C2G", False)
+        assert store.token_sets() == [frozenset({"ab", "bc"})]
 
     def test_memoized_per_collection_model_cleaning(self):
         from repro.text.memo import _tokenize_cached, clear_tokenize_cache
@@ -502,23 +503,27 @@ class TestTokenizeCollection:
         hits_before = _tokenize_cached.cache_info().hits
         second = tokenize_collection(list(texts), "T1G", False)
         assert _tokenize_cached.cache_info().hits == hits_before + 1
-        assert first == second
+        assert second is first
         # Different model / cleaning are distinct cache entries.
         tokenize_collection(texts, "C2G", False)
         tokenize_collection(texts, "T1G", True)
         assert _tokenize_cached.cache_info().currsize >= 3
         clear_tokenize_cache()
 
-    def test_memoized_result_is_fresh_list(self):
+    def test_memoized_result_is_read_only(self):
         texts = ["alpha beta"]
         first = tokenize_collection(texts, "T1G", False)
-        first.append(frozenset({"mutated"}))
+        for array in (first.ptr, first.ids):
+            with pytest.raises(ValueError):
+                array[0] = 1
+        with pytest.raises(TypeError):
+            first.vocabulary[0] = "mutated"
         second = tokenize_collection(texts, "T1G", False)
-        assert frozenset({"mutated"}) not in second
+        assert second.token_sets() == [frozenset({"alpha", "beta"})]
 
 
 class TestCleanOnce:
-    """The cleaned-text memo: one cleaning pass per collection."""
+    """The word-sequence memo: one cleaning pass per collection."""
 
     def test_fast_grid_cleans_each_collection_once(self):
         dataset = load_dataset("d2")
@@ -531,21 +536,24 @@ class TestCleanOnce:
                 EpsilonJoinTuner(profile="fast", prune=True),
             ):
                 tuner.tune(dataset)
-            info = memo._clean_cached.cache_info()
-            # Every (side, model) cleaned tokenization read the memo, but
-            # left and right were each cleaned once for the whole grid.
+            # Every (side, model, cleaning) store read the memo, but
+            # left and right were each tokenized once and cleaned once
+            # for the whole grid: one word sequence per (side, cleaning).
             models = spaces.representation_models("fast")
-            assert info.hits + info.misses >= 2 * len(models)
-            assert info.misses == 2
-            assert info.currsize == 2
+            stores = memo._tokenize_cached.cache_info()
+            assert stores.hits + stores.misses > 4 * len(models)
+            assert stores.misses == 4 * len(models)
+            words = memo._words.cache_info()
+            assert words.misses == 4
+            assert words.currsize == 4
         finally:
             memo.clear_tokenize_cache()
 
     def test_clear_drops_every_memo(self):
-        memo.tokenize_collection(["the running dogs"], "T1G", True)
+        memo.tokenize_collection(["the running dogs"], "C3GM", True)
         memo.clear_tokenize_cache()
-        assert memo._clean_cached.cache_info().currsize == 0
-        assert memo._tokenize_cached.cache_info().currsize == 0
+        for cached in (memo._words, memo._sequence, memo._tokenize_cached):
+            assert cached.cache_info().currsize == 0
 
     def test_filters_clean_on_their_own(self):
         # A filter's preprocessing is part of its measured run-time, so
@@ -557,8 +565,8 @@ class TestCleanOnce:
             KNNJoin(k=2, model="T1G", cleaning=True),
         ):
             join.candidates(dataset.left, dataset.right)
-        assert memo._clean_cached.cache_info().currsize == 0
-        assert memo._tokenize_cached.cache_info().currsize == 0
+        for cached in (memo._words, memo._sequence, memo._tokenize_cached):
+            assert cached.cache_info().currsize == 0
 
 
 def loop_query_tokens(vocabulary, queries):
@@ -585,7 +593,7 @@ def loop_query_tokens(vocabulary, queries):
 
 def assert_same_encoding(indexed, queries):
     vocabulary = ScanCountIndex(indexed).vocabulary
-    encoded = query_tokens(vocabulary, queries)
+    encoded = query_tokens(vocabulary, encode_sets(queries))
     got = (encoded.ptr, encoded.token_ids, encoded.sizes)
     for actual, expected in zip(got, loop_query_tokens(vocabulary, queries)):
         assert actual.dtype == expected.dtype == np.int64
