@@ -27,7 +27,14 @@ synthetic Clean-Clean ER dataset, then times
 * the kNN-Join result as a ``CandidateSet``: built from its candidate
   keys by ``keys_to_candidate_set``, then evaluated for PC/PQ against
   the groundtruth (``candidate_set``; its ``bytes_per_pair`` is what
-  the set retains per pair under ``tracemalloc``).
+  the set retains per pair under ``tracemalloc``),
+* the blocking family on the same dataset (independent of ``--model``,
+  hence its ``-blocking`` dataset label): Standard and Q-Grams (q=3)
+  Blocking builds (``block_build_sbw`` / ``block_build_qbw3``, their
+  ``candidates`` the blocks' total comparisons) and one whole SBW
+  workflow at the end-to-end benchmark's configuration
+  (``sbw_workflow``, :data:`SBW_WORKFLOW`; its ``candidates`` the
+  workflow's |C|).
 
 Above :data:`MATERIALIZE_LIMIT` entities per side the materializing
 sweep and the serving stream are skipped — the pushdown kernels are the
@@ -60,6 +67,8 @@ from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.blocking.building import QGramsBlocking, StandardBlocking
+from repro.core import registry
 from repro.core.candidates import pack_ids
 from repro.core.fastpairs import keys_to_candidate_set
 from repro.core.groundtruth import GroundTruth
@@ -87,6 +96,9 @@ MATERIALIZE_LIMIT = 20000
 #: RVS passes, and the flat-row tuner it replaced held ~48 B per
 #: overlapping pair, too much to record beside it at 5k.
 TUNER_SWEEP_SIZE = 2000
+#: The SBW configuration the end-to-end ``execute-4k`` workload runs:
+#: Block Purging, Block Filtering 0.5, CBS+WNP meta-blocking.
+SBW_WORKFLOW = {"purging": True, "ratio": 0.5, "cleaner": "CBS+WNP"}
 
 
 def timed(function: Callable[[], object]) -> Tuple[float, object]:
@@ -254,6 +266,22 @@ def knn_tuner_sweep(dataset: ERDataset) -> int:
     return KNNJoinTuner(profile="fast").tune(dataset).candidates
 
 
+def blocking_runs(dataset: ERDataset) -> Dict[str, Callable[[], int]]:
+    """The blocking rows: per kernel name, one run and its fingerprint."""
+    left, right = dataset.left, dataset.right
+    return {
+        "block_build_sbw": lambda: (
+            StandardBlocking().build(left, right).total_comparisons
+        ),
+        "block_build_qbw3": lambda: (
+            QGramsBlocking(3).build(left, right).total_comparisons
+        ),
+        "sbw_workflow": lambda: len(
+            registry.build_filter("SBW", SBW_WORKFLOW).candidates(left, right)
+        ),
+    }
+
+
 def peak_traced_mb(function: Callable[[], object]) -> float:
     """Peak MiB ``tracemalloc`` sees allocated while ``function`` runs."""
     tracemalloc.start()
@@ -341,6 +369,13 @@ def run_benchmarks(
         "tokenize_grid", grid_s, grid_tokens, runs,
         dataset=f"{dataset.spec.name}-fast-grid",
     )
+
+    for kernel, run in blocking_runs(dataset).items():
+        wall_s, fingerprint, runs = timed_median(run, repeats)
+        record(
+            kernel, wall_s, fingerprint, runs,
+            dataset=f"{dataset.spec.name}-blocking",
+        )
 
     build_csr_s, csr, runs = timed_median(
         lambda: ScanCountIndex(left), repeats

@@ -4,6 +4,16 @@ A block groups the entities that share one signature (blocking key).  For
 Clean-Clean ER a block carries two sides — ids from ``E1`` and ids from
 ``E2`` — and only cross-side pairs are candidate comparisons, so a block
 with an empty side contributes nothing and is dropped at construction.
+
+A :class:`BlockCollection` is array-native: its members are one
+:class:`BlockMembers` CSR layout and its keys one object array, so
+purging, filtering and the blocking graph are array operations.  The
+key-grouping builders make a collection with
+:meth:`BlockCollection.from_store`, one sort of a vocabulary-coded
+:class:`~repro.text.store.TokenStore` over the texts of both sides;
+:class:`Block` objects exist only for a caller that iterates a
+collection or hands it blocks one by one (tests, Canopy Clustering,
+Sorted Neighborhood).
 """
 
 from __future__ import annotations
@@ -26,6 +36,7 @@ import numpy as np
 from ..core.candidates import KEY_WIDTH, CandidateSet, unique_keys
 from ..core.incremental import BucketIndex
 from ..core.profile import EntityProfile
+from ..text.store import TokenStore, encode_sets
 
 __all__ = [
     "Block",
@@ -69,10 +80,29 @@ class BlockMembers:
     right: np.ndarray
     right_sizes: np.ndarray
 
+    def __post_init__(self) -> None:
+        # Collections share members (``select`` of an all-true mask).
+        for field in (self.left, self.right, self.left_sizes, self.right_sizes):
+            field.flags.writeable = False
+
     @property
     def comparisons(self) -> np.ndarray:
         """Per block, the number of cross-side pairs it induces."""
         return self.left_sizes * self.right_sizes
+
+    @property
+    def sizes(self) -> np.ndarray:
+        """Per block, the number of entities on both sides."""
+        return self.left_sizes + self.right_sizes
+
+    def select(self, mask: np.ndarray) -> "BlockMembers":
+        """The members of the blocks where ``mask`` is true, in order."""
+        return BlockMembers(
+            self.left[np.repeat(mask, self.left_sizes)],
+            self.left_sizes[mask],
+            self.right[np.repeat(mask, self.right_sizes)],
+            self.right_sizes[mask],
+        )
 
     def pair_occurrences(self) -> np.ndarray:
         """The candidate keys of every pair of every block.
@@ -103,33 +133,137 @@ class BlockMembers:
         return keys
 
 
+def _flat_side(
+    groups: Sequence[Tuple[int, ...]],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """One side's concatenated ids and per-block sizes (int64)."""
+    sizes = np.fromiter(map(len, groups), np.int64, len(groups))
+    flat = np.fromiter(chain.from_iterable(groups), np.int64, int(sizes.sum()))
+    return flat, sizes
+
+
 class BlockCollection:
-    """An ordered list of blocks plus entity-to-block inverted indexes."""
+    """An ordered list of blocks: CSR members plus one key per block.
+
+    ``BlockCollection(blocks)`` takes :class:`Block` objects and drops
+    those with an empty side; :meth:`from_store` groups coded
+    signatures and :meth:`of` wraps ready arrays as they are.  A
+    collection is immutable: :meth:`select` returns a new one.
+    """
 
     def __init__(self, blocks: Iterable[Block] = ()) -> None:
-        self.blocks: List[Block] = [
-            b for b in blocks if b.left and b.right
-        ]
+        kept = [block for block in blocks if block.left and block.right]
+        self._members = BlockMembers(
+            *_flat_side([block.left for block in kept]),
+            *_flat_side([block.right for block in kept]),
+        )
+        self.keys = np.array([block.key for block in kept], dtype=object)
         self._indexes: Dict[str, Dict[int, List[int]]] = {}
 
+    @classmethod
+    def of(cls, members: BlockMembers, keys: np.ndarray) -> "BlockCollection":
+        """The collection of ``members`` keyed by ``keys``, kept as given.
+
+        Unlike the constructor, blocks with an empty side stay.
+        """
+        collection = cls.__new__(cls)
+        collection._members = members
+        collection.keys = keys
+        collection._indexes = {}
+        return collection
+
+    @classmethod
+    def from_store(cls, store: TokenStore, n_left: int) -> "BlockCollection":
+        """Group the rows of ``store`` by signature into blocks.
+
+        Rows ``[0, n_left)`` of ``store`` are the signatures of the E1
+        entities, the remaining rows those of E2.  One sort of the codes
+        ``(key rank in string order, row)`` lists every block's members
+        in order: the blocks come in sorted-key order, each with its
+        left entities ascending and then its right ones.  Blocks with an
+        empty side are dropped.
+        """
+        vocabulary = store.vocabulary
+        order = sorted(range(len(vocabulary)), key=vocabulary.__getitem__)
+        rank = np.empty(len(vocabulary), dtype=np.int64)
+        rank[order] = np.arange(len(vocabulary), dtype=np.int64)
+        rows = len(store)
+        codes = rank[store.ids]
+        codes *= rows
+        codes += np.repeat(np.arange(rows, dtype=np.int64), store.sizes)
+        codes.sort()
+        block_ranks, entities = np.divmod(codes, max(rows, 1))
+        opens = np.ones(len(codes), dtype=bool)
+        np.not_equal(block_ranks[1:], block_ranks[:-1], out=opens[1:])
+        starts = np.flatnonzero(opens)
+        bounds = np.append(starts, len(codes))
+        on_right = entities >= n_left
+        rights_before = np.concatenate(([0], np.cumsum(on_right)))[bounds]
+        right_sizes = np.diff(rights_before)
+        left_sizes = np.diff(bounds) - right_sizes
+        keep = (left_sizes > 0) & (right_sizes > 0)
+        kept = np.repeat(keep, left_sizes + right_sizes)
+        members = BlockMembers(
+            entities[kept & ~on_right],
+            left_sizes[keep],
+            entities[kept & on_right] - n_left,
+            right_sizes[keep],
+        )
+        keys = [order[rank] for rank in block_ranks[starts[keep]].tolist()]
+        return cls.of(
+            members, np.array([vocabulary[i] for i in keys], dtype=object)
+        )
+
     def __len__(self) -> int:
-        return len(self.blocks)
+        return len(self.keys)
 
     def __iter__(self) -> Iterator[Block]:
-        return iter(self.blocks)
+        members = self._members
+        left, right = members.left.tolist(), members.right.tolist()
+        left_bounds = np.cumsum(members.left_sizes).tolist()
+        right_bounds = np.cumsum(members.right_sizes).tolist()
+        for key, l0, l1, r0, r1 in zip(
+            self.keys.tolist(),
+            [0] + left_bounds, left_bounds,
+            [0] + right_bounds, right_bounds,
+        ):
+            yield Block(
+                key=key, left=tuple(left[l0:l1]), right=tuple(right[r0:r1])
+            )
 
     def __getitem__(self, index: int) -> Block:
-        return self.blocks[index]
+        members = self._members
+        index = range(len(self))[index]
+        l0 = int(members.left_sizes[:index].sum())
+        r0 = int(members.right_sizes[:index].sum())
+        l1 = l0 + int(members.left_sizes[index])
+        r1 = r0 + int(members.right_sizes[index])
+        return Block(
+            key=self.keys[index],
+            left=tuple(members.left[l0:l1].tolist()),
+            right=tuple(members.right[r0:r1].tolist()),
+        )
+
+    @property
+    def sizes(self) -> np.ndarray:
+        """Per block, the number of entities it holds."""
+        return self._members.sizes
 
     @property
     def total_comparisons(self) -> int:
         """Sum of per-block comparisons (counts redundant pairs repeatedly)."""
-        return sum(block.comparisons for block in self.blocks)
+        return int(self._members.comparisons.sum())
 
     @property
     def total_assignments(self) -> int:
         """Sum of block sizes, i.e. the number of entity-to-block assignments."""
-        return sum(block.size for block in self.blocks)
+        return len(self._members.left) + len(self._members.right)
+
+    def select(self, mask: np.ndarray) -> "BlockCollection":
+        """The blocks where the boolean ``mask`` is true, in order."""
+        if mask.all():
+            return self
+        return BlockCollection.of(self._members.select(mask), self.keys[mask])
 
     def blocks_of_left(self, entity: int) -> List[int]:
         """Indices of the blocks containing E1 entity ``entity``."""
@@ -149,34 +283,28 @@ class BlockCollection:
 
     def _index(self, side: str) -> Dict[int, List[int]]:
         if side not in self._indexes:
+            entities = getattr(self._members, side)
+            sizes = getattr(self._members, f"{side}_sizes")
+            block_ids = np.repeat(np.arange(len(sizes)), sizes)
             index: Dict[int, List[int]] = {}
-            for block_id, block in enumerate(self.blocks):
-                for entity in getattr(block, side):
-                    index.setdefault(entity, []).append(block_id)
+            for entity, block_id in zip(entities.tolist(), block_ids.tolist()):
+                index.setdefault(entity, []).append(block_id)
             self._indexes[side] = index
         return self._indexes[side]
 
     def members(self) -> BlockMembers:
         """The block members as flat arrays (see :class:`BlockMembers`)."""
-        sides = []
-        for side in ("left", "right"):
-            groups = [getattr(block, side) for block in self.blocks]
-            sizes = np.fromiter(map(len, groups), np.int64, len(groups))
-            flat = np.fromiter(
-                chain.from_iterable(groups), np.int64, int(sizes.sum())
-            )
-            sides.extend((flat, sizes))
-        return BlockMembers(*sides)
+        return self._members
 
     def distinct_pairs(self) -> CandidateSet:
         """All distinct cross-side pairs (Comparison Propagation semantics)."""
         return CandidateSet.from_keys(
-            unique_keys(self.members().pair_occurrences())
+            unique_keys(self._members.pair_occurrences())
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"BlockCollection(blocks={len(self.blocks)}, "
+            f"BlockCollection(blocks={len(self)}, "
             f"comparisons={self.total_comparisons})"
         )
 
@@ -189,21 +317,11 @@ def build_blocks_from_keys(
 
     ``left_keys[i]`` / ``right_keys[j]`` are the signatures of E1 entity
     ``i`` / E2 entity ``j``.  Blocks are emitted in sorted-key order so the
-    result is deterministic; single-side blocks are dropped by the
-    :class:`BlockCollection` constructor.
+    result is deterministic; single-side blocks are dropped (see
+    :meth:`BlockCollection.from_store`).
     """
-    by_key: Dict[str, Tuple[List[int], List[int]]] = {}
-    for entity, keys in enumerate(left_keys):
-        for key in set(keys):
-            by_key.setdefault(key, ([], []))[0].append(entity)
-    for entity, keys in enumerate(right_keys):
-        for key in set(keys):
-            by_key.setdefault(key, ([], []))[1].append(entity)
-    blocks = (
-        Block(key=key, left=tuple(sides[0]), right=tuple(sides[1]))
-        for key, sides in sorted(by_key.items())
-    )
-    return BlockCollection(blocks)
+    store = encode_sets([set(keys) for keys in chain(left_keys, right_keys)])
+    return BlockCollection.from_store(store, len(left_keys))
 
 
 class IncrementalBlockIndex(BucketIndex):

@@ -2,6 +2,13 @@
 
 Every builder maps an entity's textual content to a set of signatures
 (blocking keys); entities with identical signatures end up in one block.
+:meth:`BlockBuilder.build` encodes the signatures of both sides' texts
+into one vocabulary-coded :class:`~repro.text.store.TokenStore`
+(:meth:`BlockBuilder.key_store`) and groups its codes with
+:meth:`~repro.blocking.blocks.BlockCollection.from_store`.  Standard and
+Q-Grams Blocking read their stores off the text substrate (their keys
+are the T1G and C{q}G token sets, token blocking in the sense of
+arXiv:1905.06167); the other builders encode their :meth:`keys` sets.
 
 Implemented builders, in the paper's order:
 
@@ -22,11 +29,19 @@ from __future__ import annotations
 
 import abc
 from itertools import combinations
-from typing import Iterable, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 from ..core.profile import EntityCollection
+from ..text.store import (
+    TokenStore,
+    encode_sets,
+    encode_texts,
+    qgram_sequence,
+    store_of,
+    word_sequence,
+)
 from ..text.tokenizers import token_qgrams, word_tokens
-from .blocks import Block, BlockCollection, build_blocks_from_keys
+from .blocks import Block, BlockCollection
 
 __all__ = [
     "BlockBuilder",
@@ -48,6 +63,10 @@ class BlockBuilder(abc.ABC):
     def keys(self, text: str) -> Set[str]:
         """The signatures of one entity's textual content."""
 
+    def key_store(self, texts: Sequence[str]) -> TokenStore:
+        """Every text's signatures, coded: row ``r`` is ``keys(texts[r])``."""
+        return encode_sets([self.keys(text) for text in texts])
+
     def build(
         self,
         left: EntityCollection,
@@ -55,9 +74,8 @@ class BlockBuilder(abc.ABC):
         attribute: Optional[str] = None,
     ) -> BlockCollection:
         """Blocks between ``left`` and ``right`` under the schema setting."""
-        left_keys = [self.keys(text) for text in left.texts(attribute)]
-        right_keys = [self.keys(text) for text in right.texts(attribute)]
-        return build_blocks_from_keys(left_keys, right_keys)
+        texts = left.texts(attribute) + right.texts(attribute)
+        return BlockCollection.from_store(self.key_store(texts), len(left))
 
     def describe(self) -> str:
         return self.name
@@ -73,6 +91,9 @@ class StandardBlocking(BlockBuilder):
 
     def keys(self, text: str) -> Set[str]:
         return set(word_tokens(text))
+
+    def key_store(self, texts: Sequence[str]) -> TokenStore:
+        return encode_texts(texts, "T1G", cleaning=False)
 
 
 class QGramsBlocking(BlockBuilder):
@@ -90,6 +111,11 @@ class QGramsBlocking(BlockBuilder):
         for token in word_tokens(text):
             grams.update(token_qgrams(token, self.q))
         return grams
+
+    def key_store(self, texts: Sequence[str]) -> TokenStore:
+        # The C{q}G token sets, through the layers of ``encode_texts``
+        # (whose model codes stop at q = 9).
+        return store_of(qgram_sequence(word_sequence(texts), self.q), False)
 
     def describe(self) -> str:
         return f"{self.name}(q={self.q})"
@@ -159,11 +185,11 @@ class _ProactiveBuilder(BlockBuilder):
         right: EntityCollection,
         attribute: Optional[str] = None,
     ) -> BlockCollection:
-        collection = super().build(left, right, attribute)
-        capped = (
-            block for block in collection if block.size <= self.b_max
-        )
-        return BlockCollection(capped)
+        return self.cap(super().build(left, right, attribute))
+
+    def cap(self, blocks: BlockCollection) -> BlockCollection:
+        """``blocks`` without those holding more than ``b_max`` entities."""
+        return blocks.select(blocks.sizes <= self.b_max)
 
     def describe(self) -> str:
         return f"{self.name}(l_min={self.l_min}, b_max={self.b_max})"

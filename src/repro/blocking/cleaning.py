@@ -7,11 +7,11 @@ precision gain.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from .blocks import Block, BlockCollection
+from .blocks import BlockCollection, BlockMembers
 
 __all__ = ["BlockPurging", "BlockFiltering"]
 
@@ -50,9 +50,7 @@ class BlockPurging:
     ) -> BlockCollection:
         """Return the blocks not exceeding the size threshold."""
         threshold = self.max_block_size(blocks, total_entities)
-        return BlockCollection(
-            block for block in blocks if block.size <= threshold
-        )
+        return blocks.select(blocks.sizes <= threshold)
 
     def describe(self) -> str:
         return "block-purging"
@@ -80,25 +78,22 @@ class BlockFiltering:
         order = np.argsort(members.comparisons, kind="stable")
         block_rank = np.empty_like(order)
         block_rank[order] = np.arange(len(order))
-        lefts, left_bounds = self._survivors(
+        left, left_sizes = self._survivors(
             members.left, members.left_sizes, block_rank
         )
-        rights, right_bounds = self._survivors(
+        right, right_sizes = self._survivors(
             members.right, members.right_sizes, block_rank
         )
-        # The collection drops the blocks left with an empty side.
-        return BlockCollection(
-            Block(key=block.key, left=lefts[l0:l1], right=rights[r0:r1])
-            for block, l0, l1, r0, r1 in zip(
-                blocks, left_bounds, left_bounds[1:],
-                right_bounds, right_bounds[1:],
-            )
+        filtered = BlockCollection.of(
+            BlockMembers(left, left_sizes, right, right_sizes), blocks.keys
         )
+        # Drop the blocks left with an empty side.
+        return filtered.select((left_sizes > 0) & (right_sizes > 0))
 
     def _survivors(
         self, entities: np.ndarray, sizes: np.ndarray, block_rank: np.ndarray
-    ) -> Tuple[Tuple[int, ...], List[int]]:
-        """One side's surviving members and, per block, their bounds.
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """One side's surviving members and, per block, their number.
 
         One sort of the keys ``entity * n_blocks + block_rank`` orders
         each entity's assignments; one survives when fewer than
@@ -113,7 +108,7 @@ class BlockFiltering:
         keep = before < limits[entities]
         kept_so_far = np.concatenate(([0], np.cumsum(keep)))
         bounds = kept_so_far[np.concatenate(([0], np.cumsum(sizes)))]
-        return tuple(entities[keep].tolist()), bounds.tolist()
+        return entities[keep], np.diff(bounds)
 
     def describe(self) -> str:
         return f"block-filtering(r={self.ratio})"

@@ -56,6 +56,14 @@ __all__ = [
 
 _LOW = 0xFFFFFFFF
 
+#: The byte map of :func:`word_sequence`: ``[0-9a-z]`` stays, a newline
+#: becomes ``"|"``, any other byte a space.
+_WORD_BYTES = bytes(
+    byte if chr(byte) in "0123456789abcdefghijklmnopqrstuvwxyz"
+    else ord("|") if byte == ord("\n") else ord(" ")
+    for byte in range(256)
+)
+
 
 @dataclass(frozen=True, eq=False)
 class TokenStore:
@@ -172,9 +180,30 @@ def _expand(
 
 
 def word_sequence(texts: Sequence[str]) -> TokenSequence:
-    """The :func:`word_tokens` of every text, tokenized once."""
-    words = _encode_lists(list(map(word_tokens, texts)))
-    return _frozen(TokenSequence(*words))
+    """The :func:`word_tokens` of every text, in one pass over all texts.
+
+    The texts are joined by newlines (a text's own newlines become
+    spaces first, as :func:`~repro.text.tokenizers.normalize` would make
+    them), lowered, and mapped byte by byte: ``[0-9a-z]`` stays, every
+    newline becomes a ``"|"`` word opening a text, everything else a
+    space.  One split then lists every text's words in order.  Lowering
+    the join equals lowering each text: the one context-dependent
+    mapping (final sigma) yields no character that stays.
+    """
+    if not texts:
+        return _frozen(TokenSequence(*_encode_lists([])))
+    joined = " \n ".join(texts)
+    if joined.count("\n") != len(texts) - 1:
+        joined = " \n ".join(text.replace("\n", " ") for text in texts)
+    words = (
+        ("\n " + joined).lower().encode("ascii", "replace")
+        .translate(_WORD_BYTES).decode("ascii").split()
+    )
+    # "|" opens every text, so it has id 0.
+    _, ids, tokens = _encode_lists([words])
+    opens = np.flatnonzero(ids == 0)
+    ptr = np.append(opens, len(ids)) - np.arange(len(opens) + 1)
+    return _frozen(TokenSequence(ptr, ids[ids != 0] - 1, tokens[1:]))
 
 
 def clean_sequence(words: TokenSequence) -> TokenSequence:

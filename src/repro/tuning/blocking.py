@@ -6,7 +6,9 @@ building parameters, Block Purging on/off, Block Filtering ratio and
 comparison cleaning configuration is a point of one joint grid.
 
 The search shares expensive intermediates across the grid: blocks are
-built once per builder configuration, the blocking graph once per block
+built once per builder configuration — once per ``l_min`` for the
+proactive builders, whose ``b_max`` only caps block sizes and is applied
+as a mask — the blocking graph once per block
 collection — its rows are also the distinct pairs that Comparison
 Propagation and the recall bound evaluate — the pair weights once per
 weighting scheme, and each weight vector's node ranking (dense rank,
@@ -24,6 +26,7 @@ from __future__ import annotations
 import math
 from typing import Dict, Optional
 
+from ..blocking.blocks import BlockCollection
 from ..blocking.building import (
     BlockBuilder,
     ExtendedQGramsBlocking,
@@ -141,6 +144,11 @@ class BlockingWorkflowTuner:
         estimator: Optional[BlockingEstimator] = None
         if self.prune:
             estimator = BlockingEstimator(dataset, attribute)
+        # A proactive builder's uncapped blocks and the parameters (all but
+        # ``b_max``) they were built with; the grid lists every ``b_max``
+        # of one ``l_min`` in a row.
+        uncapped_for: Optional[Dict[str, object]] = None
+        uncapped: Optional[BlockCollection] = None
 
         for builder_params in spaces.builder_grid(self.builder_name, self.profile):
             incumbent.enumerated += 1
@@ -154,7 +162,20 @@ class BlockingWorkflowTuner:
                 incumbent.pruned += 1
                 continue
             builder = make_builder(self.builder_name, **builder_params)
-            base_blocks = builder.build(dataset.left, dataset.right, attribute)
+            if proactive:
+                shared = {
+                    k: v for k, v in builder_params.items() if k != "b_max"
+                }
+                if shared != uncapped_for:
+                    uncapped_for = shared
+                    uncapped = BlockBuilder.build(
+                        builder, dataset.left, dataset.right, attribute
+                    )
+                base_blocks = builder.cap(uncapped)
+            else:
+                base_blocks = builder.build(
+                    dataset.left, dataset.right, attribute
+                )
             purging_options = (False,) if proactive else (False, True)
             for purging in purging_options:
                 if purging:

@@ -199,3 +199,25 @@ class TestRuntimeBreakdown:
         assert len(breakdowns) == 2
         names = {b.method for b in breakdowns}
         assert names == {"kNNJ", "PBW"}
+
+
+def test_cached_epsilon_join_thresholds_lie_on_the_grid():
+    """The committed cache holds the thresholds the tuner selects.
+
+    The ε-Join grid is snapped to two decimals, so a cached threshold off
+    it (say 0.5700000000000001) predates the snap and rebuilds a filter
+    the tuner never chose.
+    """
+    import json
+    from pathlib import Path
+
+    cache = Path(__file__).resolve().parents[1] / ".bench_cache" / "matrix.json"
+    cells = json.loads(cache.read_text())["cells"]
+    thresholds = {
+        key: cell["params"]["threshold"]
+        for key, cell in cells.items()
+        if cell["method"] == "EJ" and "threshold" in cell["params"]
+    }
+    assert thresholds
+    off_grid = {k: t for k, t in thresholds.items() if round(t, 2) != t}
+    assert not off_grid

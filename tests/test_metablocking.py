@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.blocking.blocks import Block, BlockCollection
+from repro.blocking.blocks import Block, BlockCollection, BlockMembers
 from repro.blocking.building import StandardBlocking
 from repro.blocking.metablocking import (
     PRUNING_ALGORITHMS,
@@ -186,9 +186,16 @@ class TestDegenerateGraphs:
                 assert np.all(np.isfinite(weights)), scheme
 
     def test_zero_comparison_block_is_skipped(self):
-        collection = BlockCollection([Block("ok", (0,), (0,))])
         # Bypass the constructor filter: a block with an empty side.
-        collection.blocks.append(Block("lonely", (1,), ()))
+        collection = BlockCollection.of(
+            BlockMembers(
+                left=np.array([0, 1]),
+                left_sizes=np.array([1, 1]),
+                right=np.array([0]),
+                right_sizes=np.array([1, 0]),
+            ),
+            np.array(["ok", "lonely"], dtype=object),
+        )
         graph = PairGraph(collection)  # must not raise ZeroDivisionError
         assert len(graph) == 1
         self._assert_all_schemes_finite(graph)

@@ -15,8 +15,12 @@ from repro.datasets.registry import load_dataset
 from repro.sparse.scancount import ScanCountIndex
 from repro.text import memo
 from repro.text.cleaning import TextCleaner
-from repro.text.store import TokenStore, as_store, encode_sets, encode_texts
-from repro.text.tokenizers import REPRESENTATION_MODELS, RepresentationModel
+from repro.text.store import (
+    TokenStore, as_store, encode_sets, encode_texts, word_sequence,
+)
+from repro.text.tokenizers import (
+    REPRESENTATION_MODELS, RepresentationModel, word_tokens,
+)
 
 #: Word pieces covering the encoder's edge cases: stop-words,
 #: punctuation, non-ASCII, words shorter than q, heavily repeated
@@ -30,6 +34,14 @@ PIECES = [
     "running", "dogs", "connection", "generously", "ULTRA", "x100", "2024",
 ]
 SEPARATORS = [" ", "  ", "-", ".", "\t", "/"]
+#: Pieces for the one-pass word tokenizer: newlines inside a text, the
+#: separator word it uses, and characters whose lowercase is
+#: context-dependent (final sigma), longer (dotted capital I) or ASCII
+#: (Kelvin sign).
+NEWLINE_PIECES = [
+    "\n", "\r\n", " ", "|", "a|b", "ΣΑΣ", "ΟΔΟΣ\n", "σ", "İ", "İx",
+    "\u212a", "\u212aelvin", "word", "W0rd", "\u0307", "\x00", "é",
+]
 
 texts_strategy = st.lists(
     st.one_of(
@@ -83,6 +95,39 @@ class TestStoreDecodes:
         cleaner = TextCleaner()
         assert memo.clean_collection(texts) == [cleaner.clean(t) for t in texts]
         memo.clear_tokenize_cache()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                texts_strategy.map(" ".join),
+                st.lists(st.sampled_from(NEWLINE_PIECES), max_size=10).map(
+                    "".join
+                ),
+                st.text(max_size=20),
+            ),
+            max_size=8,
+        )
+    )
+    def test_word_sequence_matches_word_tokens(self, texts):
+        sequence = word_sequence(texts)
+        assert len(sequence.ptr) == len(texts) + 1
+        assert sequence.ptr.dtype == np.int64 and sequence.ids.dtype == np.int32
+        bounds = sequence.ptr.tolist()
+        assert [
+            [sequence.tokens[i] for i in sequence.ids[lo:hi].tolist()]
+            for lo, hi in zip(bounds, bounds[1:])
+        ] == [word_tokens(text) for text in texts]
+        # Every token occurs, ids dense by first use.
+        assert sorted(set(sequence.ids.tolist())) == list(
+            range(len(sequence.tokens))
+        )
+
+    def test_word_sequence_degenerate_collections(self):
+        for texts in ([], [""], ["", ""], ["\n"], ["a\nb", "\n\nc", ""]):
+            bounds = word_sequence(texts).ptr.tolist()
+            assert len(bounds) == len(texts) + 1
+            assert bounds[-1] == sum(len(word_tokens(t)) for t in texts)
 
     def test_repeated_grams_number_every_occurrence(self):
         store = encode_texts(["aaaaaa aaaa"], "C3GM", False)
