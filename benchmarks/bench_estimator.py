@@ -4,7 +4,9 @@ Dependency-free (stdlib + numpy + the repro package): for each
 (dataset, setting, method) cell it runs the Problem-1 tuner twice —
 without and with cost-based pruning — asserting the selected
 configuration is identical (the layer's hard invariant) and recording
-both wall times plus the pruned fraction of the enumerated grid.
+both wall times plus the pruned fraction of the enumerated grid.  The
+kNN-Join tuner is the only one with a prune rule, so it is the default
+and only meaningful method; any other accepts ``prune`` and ignores it.
 
 Rows share BENCH_sparse.json with the kernel bench and ride its
 row helpers (keyed merge where a fresh row replaces the recorded one,
@@ -15,7 +17,7 @@ atomic rewrite).  Row kinds (``dataset`` is ``<name>[@<attribute>]:<method>``):
 
 The tokenization memo and the token-statistics memo
 (:func:`repro.datasets.stats.token_stats`) live in this process only:
-the first pruned repeat of a cell counts its key spaces, later repeats
+the first pruned repeat of a cell counts its combinations, later repeats
 read them back, so the pruned/unpruned wall-clock comparison is
 run-order fair only after the first repeat; the headline metrics
 (parity, pruned fraction) are deterministic either way.  Nothing but
@@ -24,7 +26,7 @@ run-order fair only after the first repeat; the headline metrics
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_estimator.py \
-        [--datasets d1,d5] [--methods EJ,kNNJ,...] [--repeats 1] \
+        [--datasets d1,d5] [--methods kNNJ] [--repeats 1] \
         [--key-attribute] [--out BENCH_sparse.json]
 """
 
@@ -42,12 +44,9 @@ from bench_sparse_kernel import timed_median, write_rows  # noqa: E402
 from repro.datasets.registry import DATASET_NAMES, load_dataset  # noqa: E402
 from repro.tuning import tune_method  # noqa: E402
 
-#: The methods whose tuners consult the estimators (EJ/kNNJ prune per
-#: combination, the blocking workflows per builder point, MH-LSH through
-#: the grid optimizer's veto hook).
-DEFAULT_METHODS = (
-    "EJ", "kNNJ", "SBW", "QBW", "EQBW", "SABW", "ESABW", "MH-LSH",
-)
+#: The methods with a prune rule: kNN-Join skips whole (cleaning, RVS,
+#: model) combinations from their token coverage.
+DEFAULT_METHODS = ("kNNJ",)
 #: d1 is clean (little to prune), d5 misplaces the key attribute (heavy
 #: infeasibility pruning) — together they chart both regimes.
 DEFAULT_DATASETS = ("d1", "d5")

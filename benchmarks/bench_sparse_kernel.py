@@ -501,11 +501,10 @@ def run_benchmarks(
 #: records its pruned fraction, the serving bench (``bench_serving.py``)
 #: its throughput and latency quantiles, the ``candidate_set`` row its
 #: retained bytes per pair, the ``knn_tuner_sweep`` row its traced peak
-#: MiB; ``qerror`` keeps the recorded q-error rows of the retired
-#: estimate mode intact on rewrite.
+#: MiB.
 OPTIONAL_METRICS = (
-    "qerror", "pruned_frac", "ops_per_s", "p50_ms", "p99_ms",
-    "bytes_per_pair", "peak_mb",
+    "pruned_frac", "ops_per_s", "p50_ms", "p99_ms", "bytes_per_pair",
+    "peak_mb",
 )
 
 

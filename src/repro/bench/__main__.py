@@ -100,10 +100,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--prune",
         action="store_true",
-        help="cost-based tuning: score every grid configuration with the"
-        " cardinality estimators and skip provably dominated ones"
-        " before any filter runs (never changes the selected"
-        " configuration; default: off)",
+        help="cost-based tuning: the kNN-Join tuner skips (cleaning,"
+        " RVS, model) combinations whose token coverage cannot beat the"
+        " incumbent before their overlap pass runs (never changes the"
+        " selected configuration; other tuners ignore it; default: off)",
     )
     return parser
 

@@ -225,9 +225,10 @@ class ExperimentMatrix:
         self.target_recall = target_recall
         self.profile = profile
         #: Cost-based grid pruning switch, passed through to
-        #: :func:`repro.tuning.tune_method`.  Pruning never changes a
-        #: cell's selected configuration, so the cache is shared between
-        #: pruned and unpruned runs.
+        #: :func:`repro.tuning.tune_method` (only the kNN-Join tuner has a
+        #: prune rule).  Pruning never changes a cell's selected
+        #: configuration, so the cache is shared between pruned and
+        #: unpruned runs.
         self.prune = prune
         self.policy = policy if policy is not None else ExecutionPolicy()
         self.injector = (

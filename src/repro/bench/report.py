@@ -153,12 +153,12 @@ class ReportBuilder:
         """Cost-based tuning effect per cell.
 
         Returns ``(cell label, enumerated, pruned, executed)`` for every
-        completed cell whose tuner consulted the cardinality estimators
-        (``configurations_enumerated > 0``); cells from a run without
-        ``--prune`` report zero enumerated and are omitted.  ``executed``
-        is ``enumerated - pruned``: the grid points whose filter actually
-        ran (the finer-grained per-filter count stays in
-        ``configurations_tried``).
+        completed cell that counted its grid decision points
+        (``configurations_enumerated > 0``; every tuner does, with or
+        without ``--prune``, so only cells cached before the counter
+        existed are omitted).  ``executed`` is ``enumerated - pruned``:
+        the grid points whose filter actually ran (the finer-grained
+        per-filter count stays in ``configurations_tried``).
         """
         rows = []
         for dataset, setting, label in self._settings():

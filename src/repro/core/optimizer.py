@@ -110,53 +110,23 @@ class GridSearchOptimizer:
         factory: Callable[..., Filter],
         dataset: ERDataset,
         attribute: Optional[str] = None,
-        should_prune: Optional[
-            Callable[[Dict[str, object], object], bool]
-        ] = None,
-        cost: Optional[Callable[[Dict[str, object]], float]] = None,
     ):
         """Run the grid; return the Problem-1 winner as a ``TunedResult``.
 
-        ``factory(**config)`` must build a configured filter.  When no
-        configuration reaches the target, the highest-PC configuration is
-        returned with ``feasible=False``.
-
-        ``should_prune(config, best)`` — supplied by cost-based tuners —
-        may veto a configuration before its filter is built.  It is only
-        consulted once an incumbent exists, and to preserve the selection
-        it must return True only when the configuration provably cannot
-        *strictly* beat the incumbent under ``better()``.
-
-        ``cost(config)`` — an estimated execution cost — reorders the
-        grid cheap-first, so incumbents arrive early and ``should_prune``
-        has something to compare against from the start.  The selected
-        winner is guaranteed identical to the enumeration-order run:
-        ``better()``'s quality ordering is total, each configuration is
-        offered to the :class:`~repro.tuning.result.Incumbent` at its
-        *original* index, so ties keep the lower one (the
-        enumeration-order semantics of "first maximal wins"), and a
-        config enumerated before the incumbent is never pruned — only
-        evaluated — so an original-order tie can still flip the winner
-        to it.
+        ``factory(**config)`` must build a configured filter.  The grid is
+        evaluated in enumeration order, so on an exact quality tie the
+        first maximal configuration wins.  When no configuration reaches
+        the target, the highest-PC configuration is returned with
+        ``feasible=False``.
         """
         from ..tuning.result import Incumbent
 
-        ordered = list(enumerate(configurations))
-        if not ordered:
+        configurations = list(configurations)
+        if not configurations:
             raise ValueError("empty configuration grid")
-        if cost is not None:
-            ordered.sort(key=lambda pair: (cost(pair[1]), pair[0]))
         incumbent = Incumbent("", self.target_recall)
-        for index, config in ordered:
+        for config in configurations:
             incumbent.enumerated += 1
-            if (
-                should_prune is not None
-                and incumbent.best is not None
-                and index > incumbent.position
-                and should_prune(config, incumbent.best)
-            ):
-                incumbent.pruned += 1
-                continue
             filter_ = factory(**config)
             incumbent.method = filter_.name
             evaluation = self.evaluate(filter_, dataset, attribute)
@@ -165,7 +135,6 @@ class GridSearchOptimizer:
                 evaluation.pc,
                 evaluation.pq,
                 evaluation.candidates,
-                position=index,
             )
         return incumbent.finish(
             lambda params: factory(**params), dataset, attribute

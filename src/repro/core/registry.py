@@ -191,8 +191,8 @@ class FilterSpec:
     ):
         """The method's Problem-1 tuner (tuned methods only).
 
-        ``prune`` enables cost-based grid pruning on the tuners that
-        have a pruning rule; the others ignore it.
+        ``prune`` enables the kNN-Join tuner's coverage prune rule;
+        every other tuner ignores it.
         """
         if self.tuner_factory is None:
             raise ValueError(

@@ -7,28 +7,21 @@ feed the cost-based tuning layer.
 * attribute coverage and groundtruth coverage (Figure 3a);
 * vocabulary size and overall character length per schema setting, with
   and without cleaning (Figures 3b, 3c);
-* :class:`TokenStats` — groundtruth overlap triples, covered-query
-  counts and MCV entries, computed once per (texts, key space, cleaning)
-  combination in a process-wide memo (:func:`token_stats`).  The
-  estimators of :mod:`repro.tuning.estimator` derive every pruning
-  decision from these statistics without running a single filter.
+* :class:`TokenStats` — the token coverage of one (texts, model,
+  cleaning) combination, memoised for the process
+  (:func:`token_stats`); the kNN-Join tuner's prune rule
+  (:mod:`repro.tuning.sparse`) reads it without running a filter.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from typing import (
-    Callable,
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..text.memo import clean_collection, tokenize_collection
+from ..text.store import TokenStore
 from ..text.tokenizers import word_tokens
 from .generator import ERDataset
 
@@ -160,45 +153,22 @@ def text_volume(dataset: ERDataset, attribute: Optional[str] = None) -> TextVolu
 # Token statistics for cost-based tuning.
 # ----------------------------------------------------------------------
 
-#: Most-common-value entries kept per statistics object: enough for the
-#: estimators' MCV candidate floors.
-TOP_KEYS = 8
-
 
 @dataclass(frozen=True)
 class TokenStats:
-    """Doc-frequency statistics of one (texts, key space) combination.
+    """Token coverage of one (texts, model, cleaning) combination."""
 
-    The groundtruth triples (``gt_sizes_left[i]``, ``gt_sizes_right[i]``,
-    ``gt_overlaps[i]``) hold, for the i-th duplicate pair, the key-set
-    sizes of both entities and the size of their intersection — exactly
-    the inputs of the paper's set-similarity measures, so estimators can
-    reproduce a tuner's duplicate-similarity array bit for bit.
-    """
-
-    #: Entities sharing at least one key with the *other* side's
-    #: vocabulary; every covered query returns >= 1 candidate at any k.
+    #: Entities sharing at least one token with the *other* side; every
+    #: covered query returns >= 1 candidate at any k.
     left_covered: int
     right_covered: int
-    #: MCV entries, heaviest convolution first:
-    #: (df_left, df_right, max_doc_size_left, max_doc_size_right).
-    top_keys: Tuple[Tuple[int, int, int, int], ...]
-    gt_sizes_left: Tuple[int, ...]
-    gt_sizes_right: Tuple[int, ...]
-    gt_overlaps: Tuple[int, ...]
-
-    @property
-    def gt_overlapping(self) -> int:
-        """Duplicate pairs sharing at least one key.
-
-        A provable ceiling on the duplicates *any* configuration over
-        this key space can retain: token-disjoint pairs never meet in a
-        block, a posting list or an overlap row.
-        """
-        return sum(1 for overlap in self.gt_overlaps if overlap > 0)
+    #: Duplicate pairs sharing at least one token: a ceiling on the
+    #: duplicates any configuration over these token sets retains, since
+    #: token-disjoint pairs never meet in a posting list or overlap row.
+    gt_overlapping: int
 
     def covered_queries(self, reverse: bool) -> int:
-        """Queries sharing >= 1 key with the indexed side.
+        """Queries sharing >= 1 token with the indexed side.
 
         ``reverse=False`` indexes the left collection and queries with
         the right one (the joins' default orientation).
@@ -206,86 +176,57 @@ class TokenStats:
         return self.left_covered if reverse else self.right_covered
 
 
+def _rows_hit(store: TokenStore, hit: np.ndarray) -> int:
+    """Rows of ``store`` with at least one entry of ``hit`` (per id) set."""
+    rows = np.repeat(np.arange(len(store), dtype=np.int64), store.sizes)
+    return int(np.unique(rows[hit]).size)
+
+
 def compute_token_stats(
     left_texts: Sequence[str],
     right_texts: Sequence[str],
     gt_pairs: Iterable[Tuple[int, int]],
-    model: str = "",
+    model: str,
     cleaning: bool = False,
-    key_function: Optional[Callable[[str], Iterable[str]]] = None,
 ) -> TokenStats:
     """Compute :class:`TokenStats` for one preprocessing combination.
 
-    Either ``model`` names a representation model (token sets come from
-    the shared memoized tokenizer, so a subsequent tuner pass reuses
-    them), or ``key_function`` maps a (cleaned) text to its blocking
-    keys / shingles and ``model`` is its synthetic id.
+    Both sides' coded stores come from the shared memoised tokenizer, so
+    a subsequent tuner pass reuses them.  Right-side token ids are mapped
+    onto the left vocabulary once; a row is covered when it holds a
+    token some row of the other side holds.
     """
-    if key_function is None:
-        left_sets, right_sets = (
-            tokenize_collection(texts, model, cleaning).token_sets()
-            for texts in (left_texts, right_texts)
-        )
-    else:
-        if cleaning:
-            left_texts = clean_collection(left_texts)
-            right_texts = clean_collection(right_texts)
-        left_sets = [frozenset(key_function(text)) for text in left_texts]
-        right_sets = [frozenset(key_function(text)) for text in right_texts]
-
-    df_left: Counter = Counter()
-    df_right: Counter = Counter()
-    for keys in left_sets:
-        df_left.update(keys)
-    for keys in right_sets:
-        df_right.update(keys)
-
-    shared = df_left.keys() & df_right.keys()
-    products = {key: df_left[key] * df_right[key] for key in shared}
-    heaviest = sorted(products, key=lambda key: (-products[key], key))[:TOP_KEYS]
-    top_set = set(heaviest)
-    max_doc_left = {key: 0 for key in top_set}
-    max_doc_right = {key: 0 for key in top_set}
-    if top_set:
-        for keys in left_sets:
-            size = len(keys)
-            for key in keys & top_set:
-                if size > max_doc_left[key]:
-                    max_doc_left[key] = size
-        for keys in right_sets:
-            size = len(keys)
-            for key in keys & top_set:
-                if size > max_doc_right[key]:
-                    max_doc_right[key] = size
-    top_keys = tuple(
-        (df_left[key], df_right[key], max_doc_left[key], max_doc_right[key])
-        for key in heaviest
+    left = tokenize_collection(left_texts, model, cleaning)
+    right = tokenize_collection(right_texts, model, cleaning)
+    # Right vocabulary id -> left id of a token some left row holds, or -1.
+    held = {left.vocabulary[i]: i for i in np.unique(left.ids).tolist()}
+    to_left = np.fromiter(
+        (held.get(token, -1) for token in right.vocabulary),
+        dtype=np.int64,
+        count=len(right.vocabulary),
     )
+    right_on_left = to_left[right.ids]
+    shared = right_on_left >= 0
+    left_shared = np.zeros(len(left.vocabulary), dtype=bool)
+    left_shared[right_on_left[shared]] = True
 
-    left_covered = sum(
-        1 for keys in left_sets if not keys.isdisjoint(df_right)
-    )
-    right_covered = sum(
-        1 for keys in right_sets if not keys.isdisjoint(df_left)
-    )
-
-    gt_sizes_left: List[int] = []
-    gt_sizes_right: List[int] = []
-    gt_overlaps: List[int] = []
-    for left_id, right_id in gt_pairs:
-        a = left_sets[left_id]
-        b = right_sets[right_id]
-        gt_sizes_left.append(len(a))
-        gt_sizes_right.append(len(b))
-        gt_overlaps.append(len(a & b))
+    pairs = np.asarray(list(gt_pairs), dtype=np.int64).reshape(-1, 2)
+    gt_left = left.take(pairs[:, 0])
+    gt_right = right.take(pairs[:, 1])
+    # Key each (pair, left token id) and keep the pairs both sides share.
+    width = len(left.vocabulary) + 1
+    pair_ids = np.arange(len(pairs), dtype=np.int64)
+    left_keys = np.repeat(pair_ids, gt_left.sizes) * width + gt_left.ids
+    right_ids = to_left[gt_right.ids]
+    right_keys = (
+        np.repeat(pair_ids, gt_right.sizes) * width + right_ids
+    )[right_ids >= 0]
+    common = np.intersect1d(left_keys, right_keys, assume_unique=True)
 
     return TokenStats(
-        left_covered=left_covered,
-        right_covered=right_covered,
-        top_keys=top_keys,
-        gt_sizes_left=tuple(gt_sizes_left),
-        gt_sizes_right=tuple(gt_sizes_right),
-        gt_overlaps=tuple(gt_overlaps),
+        left_covered=_rows_hit(left, left_shared[left.ids]),
+        right_covered=_rows_hit(right, shared),
+        gt_overlapping=int(np.unique(common // width).size),
     )
 
 
@@ -296,28 +237,21 @@ def token_stats(
     left_texts: Sequence[str],
     right_texts: Sequence[str],
     gt_pairs: Iterable[Tuple[int, int]],
-    model: str = "",
+    model: str,
     cleaning: bool = False,
-    key_function: Optional[Callable[[str], Iterable[str]]] = None,
 ) -> TokenStats:
     """:func:`compute_token_stats`, memoized for the process.
 
     Keyed by both sides' texts, the groundtruth pairs, ``model`` and
-    ``cleaning``: a ``key_function`` is identified by its ``model`` id,
-    so a pruned ε-Join tune and a pruned kNN-Join tune of one dataset
-    count each key space once between them.
+    ``cleaning``, so repeated pruned kNN-Join tunes of one dataset count
+    each combination once between them.
     """
     gt = tuple(gt_pairs)
     key = (tuple(left_texts), tuple(right_texts), gt, model, bool(cleaning))
     stats = _token_stats_memo.get(key)
     if stats is None:
         stats = compute_token_stats(
-            left_texts,
-            right_texts,
-            gt,
-            model=model,
-            cleaning=cleaning,
-            key_function=key_function,
+            left_texts, right_texts, gt, model=model, cleaning=cleaning
         )
         # Statistics are a pure function of the key: a concurrent miss
         # only recounts, and setdefault keeps one object per key.

@@ -42,7 +42,6 @@ from ..datasets.generator import ERDataset
 from .baselines import BASELINES, evaluate_baseline, make_baseline
 from .blocking import WORKFLOW_NAMES, BlockingWorkflowTuner, make_builder
 from .dense import EmbeddingCache, KNNSearchTuner, LSHTuner
-from .estimator import CardinalityEstimator
 from .learned import SupervisedMetaBlockingTuner
 from .result import TunedResult, better
 from .sparse import EpsilonJoinTuner, KNNJoinTuner
@@ -51,7 +50,6 @@ __all__ = [
     "BASELINES",
     "FINE_TUNED_METHODS",
     "BlockingWorkflowTuner",
-    "CardinalityEstimator",
     "EmbeddingCache",
     "EpsilonJoinTuner",
     "KNNJoinTuner",
@@ -89,10 +87,10 @@ def tune_method(
     (:class:`repro.bench.resilience.FaultInjector`) can target one
     method's tuning pass by name.
 
-    ``prune=True`` enables the cost-based estimate -> prune -> execute
-    pipeline (:mod:`repro.tuning.estimator`): dominated grid
-    configurations are discarded from cardinality bounds before any
-    filter runs, without ever changing the selected configuration.
+    ``prune=True`` lets the kNN-Join tuner, the one tuner with a prune
+    rule, skip (cleaning, RVS, model) combinations whose token coverage
+    caps them below the incumbent before their overlap pass runs; the
+    selected configuration never changes.  Every other tuner ignores it.
     """
     tuner = registry.make_tuner(
         method,

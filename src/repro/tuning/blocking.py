@@ -23,7 +23,6 @@ skipped.
 
 from __future__ import annotations
 
-import math
 from typing import Dict, Optional
 
 from ..blocking.blocks import BlockCollection
@@ -41,10 +40,8 @@ from ..blocking.workflow import BlockingWorkflow, ComparisonPropagation, MetaBlo
 from ..core.candidates import pack_ids
 from ..core.fastpairs import evaluate_keys
 from ..core.optimizer import DEFAULT_RECALL_TARGET
-from ..core.stages import boundary
 from ..datasets.generator import ERDataset
 from . import spaces
-from .estimator import BlockingEstimator, coverage_prunable
 from .result import Incumbent, TunedResult
 
 __all__ = ["BlockingWorkflowTuner", "WORKFLOW_NAMES", "make_builder"]
@@ -90,7 +87,6 @@ class BlockingWorkflowTuner:
         workflow: str,
         target_recall: float = DEFAULT_RECALL_TARGET,
         profile: str = "",
-        prune: bool = False,
     ) -> None:
         workflow = workflow.upper()
         if workflow not in WORKFLOW_NAMES:
@@ -101,32 +97,6 @@ class BlockingWorkflowTuner:
         self.builder_name = WORKFLOW_NAMES[workflow]
         self.target_recall = target_recall
         self.profile = spaces.active_profile(profile)
-        self.prune = prune
-
-    def _builder_prunable(
-        self,
-        estimator: BlockingEstimator,
-        builder_params: Dict[str, object],
-        needed: int,
-        total_duplicates: int,
-        best: Optional[TunedResult],
-    ) -> bool:
-        """Can this builder configuration's whole subtree beat ``best``?
-
-        Purging, filtering, the proactive ``b_max`` cap and comparison
-        cleaning only ever *remove* pairs from the key-sharing set, so
-        the groundtruth key coverage of the builder caps PC for every
-        downstream configuration.  A subtree whose cap cannot strictly
-        beat the incumbent under ``better()`` is skipped before any
-        block is built.
-        """
-        if best is None:
-            return False
-        with boundary("estimate"):
-            stats = estimator.key_stats(self.builder_name, builder_params)
-            return coverage_prunable(
-                stats.gt_overlapping, needed, total_duplicates, best
-            )
 
     # ------------------------------------------------------------------
     # Search.
@@ -139,11 +109,6 @@ class BlockingWorkflowTuner:
         size1, size2 = len(dataset.left), len(dataset.right)
         proactive = self.builder_name in _PROACTIVE
         incumbent = Incumbent(self.workflow, self.target_recall)
-        total_duplicates = len(dataset.groundtruth)
-        needed = math.ceil(self.target_recall * total_duplicates)
-        estimator: Optional[BlockingEstimator] = None
-        if self.prune:
-            estimator = BlockingEstimator(dataset, attribute)
         # A proactive builder's uncapped blocks and the parameters (all but
         # ``b_max``) they were built with; the grid lists every ``b_max``
         # of one ``l_min`` in a row.
@@ -152,15 +117,6 @@ class BlockingWorkflowTuner:
 
         for builder_params in spaces.builder_grid(self.builder_name, self.profile):
             incumbent.enumerated += 1
-            if estimator is not None and self._builder_prunable(
-                estimator,
-                builder_params,
-                needed,
-                total_duplicates,
-                incumbent.best,
-            ):
-                incumbent.pruned += 1
-                continue
             builder = make_builder(self.builder_name, **builder_params)
             if proactive:
                 shared = {
@@ -302,7 +258,7 @@ def _register() -> None:
                 ),
                 tuner_factory=lambda recall, profile, cache, prune, code=code: (
                     BlockingWorkflowTuner(
-                        code, target_recall=recall, profile=profile, prune=prune
+                        code, target_recall=recall, profile=profile
                     )
                 ),
                 incremental_factory=lambda params, name=WORKFLOW_NAMES[code]: (

@@ -21,14 +21,12 @@ the grid search does not recompute the most expensive preprocessing.
 
 from __future__ import annotations
 
-import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..core.candidates import pack_ids
 from ..core.optimizer import DEFAULT_RECALL_TARGET, GridSearchOptimizer
-from ..core.stages import boundary
 from ..datasets.generator import ERDataset
 from ..dense.crosspolytope import CrossPolytopeLSH
 from ..dense.deepblocker import DeepBlocker
@@ -38,7 +36,6 @@ from ..dense.knn_search import FaissKNN, ScannKNN
 from ..dense.minhash import MinHashLSH
 from ..text.cleaning import TextCleaner
 from . import spaces
-from .estimator import MinHashEstimator, coverage_prunable
 from .result import Incumbent, TunedResult
 
 __all__ = [
@@ -239,7 +236,6 @@ class LSHTuner:
         profile: str = "",
         cache: Optional[EmbeddingCache] = None,
         repetitions: int = 1,
-        prune: bool = False,
     ) -> None:
         method = method.lower()
         if method not in ("mh-lsh", "hp-lsh", "cp-lsh"):
@@ -249,7 +245,6 @@ class LSHTuner:
         self.profile = spaces.active_profile(profile)
         self.cache = cache or EmbeddingCache()
         self.repetitions = repetitions
-        self.prune = prune
 
     def _grid(self) -> List[Dict[str, object]]:
         if self.method == "mh-lsh":
@@ -265,62 +260,17 @@ class LSHTuner:
             return HyperplaneLSH(**params, embedder=self.cache.embedder)
         return CrossPolytopeLSH(**params, embedder=self.cache.embedder)
 
-    def _minhash_prune_rule(self, dataset: ERDataset, attribute: Optional[str]):
-        """A selection-safe ``should_prune`` callback for MinHash LSH.
-
-        A banded signature collision requires a shared shingle (modulo
-        raw hash collisions), so the shingle-coverage of the groundtruth
-        caps PC for every (bands, rows) layout over that shingle space.
-        Only coverage facts are used — LSH gives no candidate floor, so
-        no PQ-domination rule applies.
-        """
-        estimator = MinHashEstimator(dataset, attribute)
-        total_duplicates = len(dataset.groundtruth)
-        needed = math.ceil(self.target_recall * total_duplicates)
-
-        def should_prune(config: Dict[str, object], best: TunedResult) -> bool:
-            with boundary("estimate"):
-                stats = estimator.key_stats(config)
-                return coverage_prunable(
-                    stats.gt_overlapping, needed, total_duplicates, best
-                )
-
-        return should_prune
-
-    @staticmethod
-    def _config_cost(config: Dict[str, object]) -> float:
-        """Estimated execution cost of one MinHash grid configuration.
-
-        Only the *relative* order matters (the optimizer sorts by it):
-        hashing work scales with signature length and shingle size, and
-        post-hoc comparison cleaning roughly doubles a run.  Evaluating
-        cheap configurations first gives the prune rule an incumbent
-        before the expensive corner of the grid arrives — provably
-        without changing the selected winner.
-        """
-        base = float(
-            int(config["bands"]) * int(config["rows"])
-            * (1 + int(config["shingle_k"]))
-        )
-        return base * (2.0 if config.get("cleaning") else 1.0)
-
     def tune(
         self, dataset: ERDataset, attribute: Optional[str] = None
     ) -> TunedResult:
         optimizer = GridSearchOptimizer(
             target_recall=self.target_recall, repetitions=self.repetitions
         )
-        should_prune = cost = None
-        if self.prune and self.method == "mh-lsh":
-            should_prune = self._minhash_prune_rule(dataset, attribute)
-            cost = self._config_cost
         result = optimizer.search(
             self._grid(),
             lambda **params: self.build_filter(params),
             dataset,
             attribute,
-            should_prune=should_prune,
-            cost=cost,
         )
         result.method = self.method
         return result
@@ -366,7 +316,6 @@ def _register() -> None:
                         target_recall=recall,
                         profile=profile,
                         cache=cache,
-                        prune=prune,
                     )
                 ),
                 # MinHash signatures over every shingle set exhaust memory

@@ -45,8 +45,8 @@ class TunedResult:
         Number of grid decision points the search enumerated (executed
         plus pruned).  0 for tuners predating cost-based pruning.
     configurations_pruned:
-        Decision points discarded by the cardinality estimators without
-        executing a filter (0 when pruning is disabled).
+        Decision points a prune rule discarded without executing a
+        filter (0 when pruning is disabled).
     """
 
     method: str
@@ -84,30 +84,20 @@ def better(
     return challenger if challenger.pc > current.pc else current
 
 
-def _quality_ties(current: TunedResult, challenger: TunedResult) -> bool:
-    """True when ``better()`` considers the two results exactly equal."""
-    if current.feasible != challenger.feasible:
-        return False
-    if current.feasible:
-        return current.pq == challenger.pq
-    return current.pc == challenger.pc
-
-
 class Incumbent:
     """The running Problem-1 winner of one search, with its counters.
 
     ``tried`` counts executed configurations (:meth:`offer` adds them);
     ``enumerated`` (grid decision points visited, executed plus pruned)
-    and ``pruned`` (decision points the estimators discarded unexecuted)
+    and ``pruned`` (decision points a prune rule discarded unexecuted)
     are counted by the search itself, since only it knows its decision
-    points.  ``position`` is the enumeration position of ``best``.
+    points.
     """
 
     def __init__(self, method: str, target_recall: float) -> None:
         self.method = method
         self.target_recall = target_recall
         self.best: Optional[TunedResult] = None
-        self.position = -1
         self.tried = 0
         self.enumerated = 0
         self.pruned = 0
@@ -119,20 +109,14 @@ class Incumbent:
         pq: float,
         candidates: int,
         tried: int = 1,
-        position: Optional[int] = None,
     ) -> None:
         """Fold one evaluated configuration into the record.
 
         ``tried`` is the number of grid configurations the offer stands
         for (a sweep offers its pick once).  The challenger replaces the
-        incumbent when ``better()`` prefers it, or on an exact quality
-        tie when it comes earlier in enumeration order: the first
-        maximal configuration wins even when a search visits the grid
-        out of order.  ``position`` defaults to the number of
-        configurations tried so far, which grows with every offer.
+        incumbent only when ``better()`` strictly prefers it, so with
+        offers in enumeration order the first maximal configuration wins.
         """
-        if position is None:
-            position = self.tried
         self.tried += tried
         challenger = TunedResult(
             method=self.method,
@@ -142,11 +126,7 @@ class Incumbent:
             candidates=candidates,
             feasible=pc >= self.target_recall,
         )
-        if self.best is None or better(self.best, challenger) is challenger or (
-            _quality_ties(self.best, challenger) and position < self.position
-        ):
-            self.best = challenger
-            self.position = position
+        self.best = better(self.best, challenger)
 
     def finish(
         self,

@@ -29,6 +29,9 @@ matrix by pure NumPy — mirroring how ``tuning/blocking.py`` shares
   duplicate's rank is read from its query's sorted row.  The sweep over
   k uses cumulative histograms of those ranks, and stops at the first
   feasible k (the paper's early termination), which also maximizes PQ.
+  With ``prune=True`` it first skips every (cleaning, RVS, model)
+  combination whose token coverage (:func:`coverage_prunable`) proves it
+  cannot strictly beat the incumbent: the only prune rule of the tuners.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ import numpy as np
 from ..core.optimizer import DEFAULT_RECALL_TARGET
 from ..core.stages import boundary
 from ..datasets.generator import ERDataset
+from ..datasets.stats import token_stats
 from ..sparse.epsilon_join import EpsilonJoin
 from ..sparse.knn_join import KNNJoin, distinct_similarity_ranks
 from ..sparse.scancount import ScanCountIndex
@@ -51,11 +55,6 @@ from ..sparse.similarity import vector_similarity_function
 from ..text.memo import tokenize_collection
 from ..text.store import TokenSets, as_store
 from . import spaces
-from .estimator import (
-    SparseJoinEstimator,
-    coverage_prunable,
-    feasible_threshold,
-)
 from .result import Incumbent, TunedResult
 
 __all__ = [
@@ -69,6 +68,59 @@ __all__ = [
 #: Queries per row-sorted block of the kNN sweep; bounds the sorted copy
 #: and the rank array to ``QUERY_BLOCK x sets`` entries.
 QUERY_BLOCK = 1024
+
+
+def snap_down(threshold: float) -> float:
+    """The largest 0.01-grid value <= ``threshold`` (but at least 0.01).
+
+    Never rounding up keeps every duplicate at or above ``threshold``
+    selected, which is what guarantees PC >= τ.  ``threshold * 100`` can
+    land a hair off an integer either way, so the floor is corrected by
+    at most one grid step against the rounded grid values themselves.
+    """
+    steps = math.floor(threshold * 100)
+    if round((steps + 1) / 100, 2) <= threshold:
+        steps += 1
+    elif round(steps / 100, 2) > threshold:
+        steps -= 1
+    return max(0.01, round(steps / 100, 2))
+
+
+def feasible_threshold(
+    duplicate_similarities: np.ndarray, needed: int
+) -> Optional[float]:
+    """The ε-Join's chosen threshold for one combination, or None.
+
+    The needed-th highest duplicate similarity, snapped down to the 0.01
+    grid: the largest grid threshold keeping PC >= τ, hence the one with
+    maximal PQ.  None when the combination is infeasible (fewer than
+    ``needed`` duplicates share a token).
+    """
+    if needed == 0:
+        return snap_down(1.0)
+    ranked = np.sort(duplicate_similarities)[::-1]
+    if len(ranked) >= needed and ranked[needed - 1] > 0.0:
+        return snap_down(float(ranked[needed - 1]))
+    return None
+
+
+def coverage_prunable(
+    gt_overlapping: int,
+    needed: int,
+    total_duplicates: int,
+    best: TunedResult,
+) -> bool:
+    """The coverage cap: can a combination whose duplicates share a token
+    ``gt_overlapping`` times never *strictly* beat ``best``?
+
+    A feasible incumbent is only beaten by a feasible configuration,
+    which needs ``needed`` retained duplicates; an infeasible one is
+    beaten on PC, which ``gt_overlapping / total_duplicates`` caps.
+    """
+    if best.feasible:
+        return needed > 0 and gt_overlapping < needed
+    pc_cap = gt_overlapping / total_duplicates if total_duplicates else 0.0
+    return pc_cap <= best.pc
 
 
 class OverlapCounts(NamedTuple):
@@ -219,58 +271,10 @@ class EpsilonJoinTuner:
         target_recall: float = DEFAULT_RECALL_TARGET,
         profile: str = "",
         workers: Optional[int] = None,
-        prune: bool = False,
     ) -> None:
         self.target_recall = target_recall
         self.profile = spaces.active_profile(profile)
         self.workers = workers
-        self.prune = prune
-
-    def _plan_measures(
-        self,
-        estimator: SparseJoinEstimator,
-        model: str,
-        cleaning: bool,
-        measures: Sequence[str],
-        needed: int,
-        best: Optional[TunedResult],
-    ) -> Tuple[List[str], int]:
-        """Estimator pass over one (cleaning, model) combination.
-
-        Returns the measures worth executing plus the pruned count.  Two
-        provably selection-safe rules:
-
-        * an *infeasible* combination (fewer than ``needed`` duplicates
-          share a key, so no threshold reaches the PC target) is exactly
-          the combination the unpruned tuner silently skips — pruning it
-          merely skips the overlap pass that would discover the same;
-        * when the incumbent is feasible, the MCV candidate floor caps
-          this combination's PQ at found / floor; when that cap cannot
-          *strictly* beat the incumbent's PQ, ``better()`` would keep the
-          incumbent anyway.
-        """
-        surviving: List[str] = []
-        pruned = 0
-        with boundary("estimate"):
-            for measure in measures:
-                dup_sims = estimator.duplicate_similarities(
-                    model, cleaning, measure
-                )
-                threshold = feasible_threshold(dup_sims, needed)
-                if threshold is None:
-                    pruned += 1
-                    continue
-                if best is not None and best.feasible:
-                    floor = estimator.candidate_floor(
-                        model, cleaning, measure, threshold
-                    )
-                    if floor > 0:
-                        found = int(np.count_nonzero(dup_sims >= threshold))
-                        if found / floor <= best.pq:
-                            pruned += 1
-                            continue
-                surviving.append(measure)
-        return surviving, pruned
 
     def tune(
         self, dataset: ERDataset, attribute: Optional[str] = None
@@ -281,33 +285,16 @@ class EpsilonJoinTuner:
         measures = spaces.similarity_measures(self.profile)
         left_texts = dataset.left.texts(attribute)
         right_texts = dataset.right.texts(attribute)
-        estimator: Optional[SparseJoinEstimator] = None
-        if self.prune:
-            estimator = SparseJoinEstimator(dataset, attribute)
         for cleaning in (False, True):
             for model in spaces.representation_models(self.profile):
                 incumbent.enumerated += len(measures)
-                if estimator is not None:
-                    surviving, newly_pruned = self._plan_measures(
-                        estimator,
-                        model,
-                        cleaning,
-                        measures,
-                        needed,
-                        incumbent.best,
-                    )
-                    incumbent.pruned += newly_pruned
-                    if not surviving:
-                        continue  # skip the overlap pass entirely
-                else:
-                    surviving = list(measures)
                 matrix = _OverlapMatrix(
                     overlap_counts(
                         left_texts, right_texts, model, cleaning, self.workers
                     ),
                     duplicates,
                 )
-                for measure in surviving:
+                for measure in measures:
                     dup_sims = matrix.duplicate_similarities(measure)
                     threshold = feasible_threshold(dup_sims, needed)
                     if threshold is None:
@@ -365,30 +352,34 @@ class KNNJoinTuner:
 
     def _combo_prunable(
         self,
-        estimator: SparseJoinEstimator,
+        left_texts: Sequence[str],
+        right_texts: Sequence[str],
+        duplicates: Sequence[Tuple[int, int]],
         model: str,
         cleaning: bool,
         reverse: bool,
         needed: int,
-        total_duplicates: int,
         best: Optional[TunedResult],
     ) -> bool:
         """Can this (cleaning, reverse, model) combination beat ``best``?
 
         The kNN sweep's PC/PQ are capped by two measure-independent
-        bound-mode facts: duplicates found <= duplicates sharing a key
-        (``gt_ov``), and |C| at any k >= 1 is at least the number of
-        covered queries (each returns its rank-1 row).  A combination
-        whose caps cannot *strictly* beat the incumbent under
-        ``better()`` would never replace it, so skipping the whole
-        tokenize + overlap pass is selection-safe.
+        facts of the combination's :class:`~repro.datasets.stats.TokenStats`:
+        duplicates found <= duplicates sharing a token (``gt_ov``), and
+        |C| at any k >= 1 is at least the number of covered queries (each
+        returns its rank-1 row).  A combination whose caps cannot
+        *strictly* beat the incumbent under ``better()`` would never
+        replace it, so skipping the whole tokenize + overlap pass is
+        selection-safe.
         """
         if best is None:
             return False
         with boundary("estimate"):
-            stats = estimator.stats(model, cleaning)
+            stats = token_stats(
+                left_texts, right_texts, duplicates, model, cleaning
+            )
             gt_ov = stats.gt_overlapping
-            if coverage_prunable(gt_ov, needed, total_duplicates, best):
+            if coverage_prunable(gt_ov, needed, len(duplicates), best):
                 return True
             if not best.feasible:
                 return False
@@ -406,9 +397,6 @@ class KNNJoinTuner:
         measures = spaces.similarity_measures(self.profile)
         total_duplicates = len(dataset.groundtruth)
         needed = math.ceil(self.target_recall * total_duplicates)
-        estimator: Optional[SparseJoinEstimator] = None
-        if self.prune:
-            estimator = SparseJoinEstimator(dataset, attribute)
         left_texts = dataset.left.texts(attribute)
         right_texts = dataset.right.texts(attribute)
         duplicates = list(dataset.groundtruth)
@@ -419,13 +407,14 @@ class KNNJoinTuner:
             for reverse in (False, True):
                 for model in spaces.representation_models(self.profile):
                     incumbent.enumerated += len(measures)
-                    if estimator is not None and self._combo_prunable(
-                        estimator,
+                    if self.prune and self._combo_prunable(
+                        left_texts,
+                        right_texts,
+                        duplicates,
                         model,
                         cleaning,
                         reverse,
                         needed,
-                        total_duplicates,
                         incumbent.best,
                     ):
                         incumbent.pruned += len(measures)
@@ -574,8 +563,18 @@ def _build_incremental(code: str, params: Dict[str, object]):
 def _register() -> None:
     from ..core import registry, stages
 
-    for order, (code, tuner_class) in enumerate(
-        (("EJ", EpsilonJoinTuner), ("kNNJ", KNNJoinTuner)), start=7
+    # Only the kNN-Join tuner has a prune rule; EJ drops the knob.
+    tuner_factories = (
+        lambda recall, profile, cache, prune: EpsilonJoinTuner(
+            target_recall=recall, profile=profile
+        ),
+        lambda recall, profile, cache, prune: KNNJoinTuner(
+            target_recall=recall, profile=profile, prune=prune
+        ),
+    )
+    for order, (code, tuner_class, tuner_factory) in enumerate(
+        zip(("EJ", "kNNJ"), (EpsilonJoinTuner, KNNJoinTuner), tuner_factories),
+        start=7,
     ):
         registry.register(
             registry.FilterSpec(
@@ -586,9 +585,7 @@ def _register() -> None:
                 filter_factory=lambda params, cls=tuner_class: (
                     cls().build_filter(params)
                 ),
-                tuner_factory=lambda recall, profile, cache, prune, cls=tuner_class: (
-                    cls(target_recall=recall, profile=profile, prune=prune)
-                ),
+                tuner_factory=tuner_factory,
                 incremental_factory=lambda params, code=code: (
                     _build_incremental(code, params)
                 ),

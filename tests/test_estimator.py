@@ -1,11 +1,13 @@
-"""Soundness tests for the facts the pruning tuners rely on.
+"""Soundness tests for the facts the kNN-Join's prune rule relies on.
 
 Each fact is checked against the filter it bounds, on seeded synthetic
-datasets: the MCV candidate floor never exceeds the ε-Join's |C|, the
-covered-query count never exceeds the kNN-Join's |C| at k = 1, and the
-groundtruth key coverage never undercounts the duplicates a tuned
-blocking or MinHash winner finds.  Violating any of them could change a
-tuner's selected configuration under ``--prune``.
+datasets: the covered-query count never exceeds the kNN-Join's |C| at
+k = 1, the duplicates it finds never exceed those sharing a token, and
+the coverage cap never vetoes a configuration that could
+strictly beat the incumbent.  Violating either could change the tuner's
+selected configuration under ``--prune``.  The ε-Join's threshold rule
+(:func:`feasible_threshold`), which the same module holds, is checked
+against the tuner's choice.
 """
 
 from __future__ import annotations
@@ -19,27 +21,18 @@ from repro.core import registry
 from repro.core.optimizer import DEFAULT_RECALL_TARGET
 from repro.datasets.generator import DatasetSpec, generate
 from repro.datasets.noise import NoiseProfile
+from repro.datasets.stats import token_stats
 from repro.tuning import tune_method
-from repro.tuning.blocking import WORKFLOW_NAMES
-from repro.tuning.estimator import (
-    BlockingEstimator,
-    MinHashEstimator,
-    SparseJoinEstimator,
+from repro.tuning.result import TunedResult
+from repro.tuning.sparse import (
+    _OverlapMatrix,
     coverage_prunable,
     feasible_threshold,
+    overlap_counts,
     snap_down,
 )
-from repro.tuning.result import TunedResult
 
 SEEDS = (3, 11)
-
-#: Every method whose tuner has a cost-based pruning switch.
-PRUNING_CODES = tuple(WORKFLOW_NAMES) + (
-    "EJ", "kNNJ", "MH-LSH", "CP-LSH", "HP-LSH"
-)
-
-#: Builder parameters of a blocking workflow's tuned ``params``.
-BUILDER_PARAMS = ("q", "t", "l_min", "b_max")
 
 
 @pytest.fixture(scope="module", params=SEEDS)
@@ -62,37 +55,17 @@ def candidates(code, params, dataset):
     return filter_.candidates(dataset.left, dataset.right, None)
 
 
-def duplicates_found(candidate_set, dataset):
-    return sum(1 for pair in dataset.groundtruth if pair in candidate_set)
-
-
 class TestSparseJoinFacts:
-    def test_candidate_floor_never_exceeds_epsilon_join(self, seeded_dataset):
-        estimator = SparseJoinEstimator(seeded_dataset)
-        floors = []
-        for model in ("T1G", "C3GM"):
-            for cleaning in (False, True):
-                for measure in ("cosine", "jaccard"):
-                    for threshold in (0.05, 0.3, 0.7):
-                        floor = estimator.candidate_floor(
-                            model, cleaning, measure, threshold
-                        )
-                        params = {
-                            "model": model,
-                            "cleaning": cleaning,
-                            "measure": measure,
-                            "threshold": threshold,
-                        }
-                        actual = len(candidates("EJ", params, seeded_dataset))
-                        assert floor <= actual
-                        floors.append(floor)
-        assert max(floors) > 0  # the rule fires somewhere
-
     def test_covered_queries_never_exceed_knn_join(self, seeded_dataset):
-        estimator = SparseJoinEstimator(seeded_dataset)
         for model in ("T1G", "C3GM"):
             for cleaning in (False, True):
-                stats = estimator.stats(model, cleaning)
+                stats = token_stats(
+                    seeded_dataset.left.texts(),
+                    seeded_dataset.right.texts(),
+                    seeded_dataset.groundtruth,
+                    model,
+                    cleaning,
+                )
                 for reverse in (False, True):
                     params = {
                         "model": model,
@@ -103,46 +76,14 @@ class TestSparseJoinFacts:
                     }
                     covered = stats.covered_queries(reverse)
                     assert covered > 0
-                    actual = len(candidates("kNNJ", params, seeded_dataset))
-                    assert covered <= actual
-
-
-class TestCoverageFacts:
-    @pytest.mark.parametrize("code", ["SBW", "QBW"])
-    def test_coverage_bounds_blocking_winner(self, code, seeded_dataset):
-        winner = tune_method(code, seeded_dataset, profile="fast", prune=False)
-        if not winner.params:
-            pytest.skip("all configurations infeasible on this seed")
-        builder_params = {
-            name: winner.params[name]
-            for name in BUILDER_PARAMS
-            if name in winner.params
-        }
-        stats = BlockingEstimator(seeded_dataset).key_stats(
-            WORKFLOW_NAMES[code], builder_params
-        )
-        found = duplicates_found(
-            candidates(code, winner.params, seeded_dataset), seeded_dataset
-        )
-        assert found > 0
-        assert stats.gt_overlapping >= found
-
-    def test_coverage_bounds_minhash_winner(self, seeded_dataset):
-        winner = tune_method(
-            "MH-LSH", seeded_dataset, profile="fast", prune=False
-        )
-        stats = MinHashEstimator(seeded_dataset).key_stats(winner.params)
-        filter_ = registry.build_filter("MH-LSH", winner.params)
-        for repetition in range(3):
-            filter_.reseed(repetition)
-            found = duplicates_found(
-                filter_.candidates(
-                    seeded_dataset.left, seeded_dataset.right, None
-                ),
-                seeded_dataset,
-            )
-            assert found > 0
-            assert stats.gt_overlapping >= found
+                    actual = candidates("kNNJ", params, seeded_dataset)
+                    assert covered <= len(actual)
+                    # Token-disjoint duplicates never share a row.
+                    found = sum(
+                        1 for pair in seeded_dataset.groundtruth
+                        if pair in actual
+                    )
+                    assert found <= stats.gt_overlapping
 
 
 class TestSharedRules:
@@ -193,15 +134,21 @@ class TestSharedRules:
         needed = math.ceil(
             DEFAULT_RECALL_TARGET * len(seeded_dataset.groundtruth)
         )
-        estimator = SparseJoinEstimator(seeded_dataset)
-        similarities = estimator.duplicate_similarities(
-            params["model"], params["cleaning"], params["measure"]
+        matrix = _OverlapMatrix(
+            overlap_counts(
+                seeded_dataset.left.texts(),
+                seeded_dataset.right.texts(),
+                params["model"],
+                params["cleaning"],
+            ),
+            list(seeded_dataset.groundtruth),
         )
+        similarities = matrix.duplicate_similarities(params["measure"])
         assert feasible_threshold(similarities, needed) == params["threshold"]
 
 
 class TestKnobs:
-    @pytest.mark.parametrize("code", PRUNING_CODES)
+    @pytest.mark.parametrize("code", ["kNNJ"])
     def test_registry_tuner_carries_prune(self, code):
         # ``prune`` is the only switch, and it is off unless passed.
         assert registry.make_tuner(code).prune is False

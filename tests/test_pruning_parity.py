@@ -1,26 +1,30 @@
 """Pruning-safety suite: cost-based pruning never changes the selection.
 
-Every method whose tuner consults the cardinality estimators is run
-twice per cell — with and without ``prune`` — and the selected
-configuration plus its metrics must be byte-identical.  Each cell's
-pruned and enumerated grid counts are pinned, so a change to a pruning
-rule that prunes differently fails even when it keeps the winner.
-Across the two reference cells (a clean dataset and one with a
-misplaced key attribute) the pruned share of the enumerated grid must
-clear 30%, the acceptance floor of the cost-based-tuning layer.
+Each method is run twice per cell — with and without ``prune`` — and the
+selected configuration plus its metrics must be byte-identical.  The
+kNN-Join tuner is the only one with a prune rule: its pruned and
+enumerated grid counts are pinned, so a change to the rule that prunes
+differently fails even when it keeps the winner, and across the two
+reference cells (a clean dataset and one with a misplaced key attribute)
+its pruned share of the enumerated grid must clear 30%.  For every other
+method ``prune=True`` must prune nothing.
 """
 
 from __future__ import annotations
 
+import inspect
+
 import pytest
 
+from repro.core import registry
 from repro.datasets.registry import load_dataset
-from repro.tuning import tune_method
+from repro.tuning import FINE_TUNED_METHODS, tune_method
 
-#: The methods with estimator-driven pruning rules (the embedding-LSH
-#: tuners accept the knob but have no sound rule; the dense kNN and SMB
-#: tuners do not take it).
-PRUNING_METHODS = (
+#: The methods tuned in both modes here: kNN-Join, the one method with a
+#: prune rule, plus the sparse, blocking and MinHash tuners, which must
+#: treat ``prune=True`` as a no-op.  (The embedding tuners take seconds to
+#: minutes per cell; ``test_prune_reaches_only_knnj`` covers them.)
+PARITY_METHODS = (
     "EJ", "kNNJ", "SBW", "QBW", "EQBW", "SABW", "ESABW", "MH-LSH",
 )
 
@@ -29,29 +33,15 @@ PRUNING_METHODS = (
 #: low-coverage attribute, so infeasibility pruning dominates.
 CELLS = (("d1", False), ("d5", True))
 
-#: (configurations_enumerated, configurations_pruned) of the pruned
-#: pass, per (method, dataset).
+#: (configurations_enumerated, configurations_pruned) of kNN-Join's
+#: pruned pass, per dataset.
 PINNED_COUNTS = {
-    ("EJ", "d1"): (20, 0),
-    ("EJ", "d5"): (20, 20),
     ("kNNJ", "d1"): (40, 10),
     ("kNNJ", "d5"): (40, 36),
-    ("SBW", "d1"): (1, 0),
-    ("SBW", "d5"): (1, 0),
-    ("QBW", "d1"): (2, 0),
-    ("QBW", "d5"): (2, 1),
-    ("EQBW", "d1"): (2, 0),
-    ("EQBW", "d5"): (2, 1),
-    ("SABW", "d1"): (6, 0),
-    ("SABW", "d5"): (6, 3),
-    ("ESABW", "d1"): (6, 0),
-    ("ESABW", "d5"): (6, 3),
-    ("MH-LSH", "d1"): (12, 0),
-    ("MH-LSH", "d5"): (12, 11),
 }
 
-#: Aggregated (enumerated, pruned) counters across the parametrized
-#: cells, consumed by the module's final aggregate assertion.
+#: Aggregated (enumerated, pruned) counters of the kNN-Join cells,
+#: consumed by the module's final aggregate assertion.
 _TOTALS = {"enumerated": 0, "pruned": 0, "cells": 0}
 
 
@@ -61,7 +51,7 @@ def datasets():
 
 
 @pytest.mark.parametrize("dataset_name,use_key", CELLS)
-@pytest.mark.parametrize("method", PRUNING_METHODS)
+@pytest.mark.parametrize("method", PARITY_METHODS)
 def test_pruning_preserves_selection(method, dataset_name, use_key, datasets):
     dataset = datasets[dataset_name]
     attribute = dataset.key_attribute if use_key else None
@@ -81,6 +71,10 @@ def test_pruning_preserves_selection(method, dataset_name, use_key, datasets):
     assert pruned.configurations_enumerated == (
         plain.configurations_enumerated
     )
+    if method != "kNNJ":
+        assert pruned.configurations_pruned == 0
+        assert pruned.configurations_tried == plain.configurations_tried
+        return
     assert (
         pruned.configurations_enumerated,
         pruned.configurations_pruned,
@@ -91,8 +85,19 @@ def test_pruning_preserves_selection(method, dataset_name, use_key, datasets):
     _TOTALS["cells"] += 1
 
 
+@pytest.mark.parametrize("code", FINE_TUNED_METHODS)
+def test_prune_reaches_only_knnj(code):
+    # ``prune`` stays a registry knob for every tuned method, but only
+    # the kNN-Join tuner takes it: for the others ``prune=True`` builds
+    # the very tuner ``prune=False`` does.
+    tuner = registry.make_tuner(code, prune=True)
+    takes_prune = "prune" in inspect.signature(type(tuner)).parameters
+    assert takes_prune is (code == "kNNJ")
+    assert hasattr(tuner, "prune") is (code == "kNNJ")
+
+
 def test_aggregate_pruned_fraction_clears_floor():
-    expected_cells = len(PRUNING_METHODS) * len(CELLS)
+    expected_cells = len(PINNED_COUNTS)
     if _TOTALS["cells"] < expected_cells:
         pytest.skip(
             "aggregate needs the full parametrized run"

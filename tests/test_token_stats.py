@@ -1,4 +1,4 @@
-"""Tests for the token-statistics layer behind cost-based tuning."""
+"""Tests for the token statistics behind the kNN-Join's prune rule."""
 
 from __future__ import annotations
 
@@ -14,7 +14,9 @@ from repro.core.groundtruth import GroundTruth
 from repro.core.profile import EntityCollection, EntityProfile
 from repro.datasets import stats as stats_module
 from repro.datasets.generator import DatasetSpec, ERDataset
+from repro.datasets.registry import load_dataset
 from repro.datasets.stats import (
+    TokenStats,
     attribute_stats,
     clear_token_stats_cache,
     compute_token_stats,
@@ -22,7 +24,7 @@ from repro.datasets.stats import (
     token_stats,
 )
 from repro.text.cleaning import clean_text
-from repro.text.tokenizers import word_tokens
+from repro.text.tokenizers import REPRESENTATION_MODELS, tokenize, word_tokens
 from repro.tuning import tune_method
 from repro.tuning.auto import AutoKNNConfigurator
 
@@ -87,35 +89,80 @@ class TestAttributeSelection:
             select_best_attribute(dataset)
 
 
+def reference_stats(left_texts, right_texts, gt_pairs, model, cleaning):
+    """:class:`TokenStats` from per-text frozensets, one text at a time."""
+
+    def sets(texts):
+        return [
+            tokenize(clean_text(text) if cleaning else text, model)
+            for text in texts
+        ]
+
+    left, right = sets(left_texts), sets(right_texts)
+    left_tokens = frozenset().union(*left)
+    right_tokens = frozenset().union(*right)
+    return TokenStats(
+        left_covered=sum(1 for keys in left if keys & right_tokens),
+        right_covered=sum(1 for keys in right if keys & left_tokens),
+        gt_overlapping=sum(1 for a, b in gt_pairs if left[a] & right[b]),
+    )
+
+
 class TestComputeTokenStats:
     def test_empty_collections(self):
         stats = compute_token_stats([], [], [], model="T1G")
-        assert stats.left_covered == 0 and stats.right_covered == 0
-        assert stats.gt_overlapping == 0
-        assert stats.top_keys == ()
+        assert stats == TokenStats(0, 0, 0)
 
     def test_all_empty_texts(self):
         stats = compute_token_stats(["", ""], [""], [(0, 0)], model="T1G")
-        assert stats.top_keys == ()
         assert stats.covered_queries(reverse=False) == 0
-        assert stats.gt_overlapping == 0
+        assert stats == TokenStats(0, 0, 0)
 
-    def test_groundtruth_triples_match_token_sets(self):
+    def test_out_of_vocabulary_sides(self):
+        # No token is shared: nothing is covered, no duplicate overlaps.
+        left = ["alpha beta", "gamma"]
+        right = ["delta", "epsilon zeta", ""]
+        pairs = [(0, 0), (1, 1), (1, 2)]
+        stats = compute_token_stats(left, right, pairs, model="T1G")
+        assert stats == TokenStats(0, 0, 0)
+        # One side empty altogether.
+        assert compute_token_stats(left, [], [], model="C3G") == (
+            TokenStats(0, 0, 0)
+        )
+
+    def test_gt_overlapping_matches_token_sets(self):
         left = ["red apple pie", "blue car"]
         right = ["red apple tart", "green bike"]
         stats = compute_token_stats(
             left, right, [(0, 0), (1, 1)], model="T1G"
         )
-        assert stats.gt_sizes_left == (3, 2)
-        assert stats.gt_sizes_right == (3, 2)
-        assert stats.gt_overlaps == (2, 0)
-        assert stats.gt_overlapping == 1
+        assert stats == TokenStats(
+            left_covered=1, right_covered=1, gt_overlapping=1
+        )
+
+    @pytest.mark.parametrize("cleaning", [False, True])
+    @pytest.mark.parametrize("model", REPRESENTATION_MODELS)
+    @pytest.mark.parametrize("name", ["d1", "d2"])
+    def test_matches_frozenset_reference(self, name, model, cleaning):
+        dataset = load_dataset(name)
+        args = (
+            dataset.left.texts(),
+            dataset.right.texts(),
+            list(dataset.groundtruth),
+            model,
+            cleaning,
+        )
+        stats = compute_token_stats(*args)
+        assert stats == reference_stats(*args)
+        assert stats.gt_overlapping > 0
 
     @pytest.mark.parametrize("model", ["T1G", "C3GM"])
     def test_cleaned_stats_come_from_cleaned_texts(self, model):
-        left = ["The running dogs of the houses", "connected printers"]
-        right = ["a running dog", "the printer is connecting"]
-        pairs = [(0, 0), (1, 1)]
+        left = [
+            "The running dogs of the houses", "connected printers", "of the"
+        ]
+        right = ["a running dog", "the printer is connecting", "other"]
+        pairs = [(0, 0), (1, 1), (2, 2)]
         cleaned = compute_token_stats(
             left, right, pairs, model=model, cleaning=True
         )
@@ -155,7 +202,7 @@ class TestTokenStatsMemo:
         fresh = token_stats(
             ["kiwi", "banana"], ["apple", "cherry"], [(0, 0)], model="T1G"
         )
-        assert fresh.gt_overlaps == (0,)
+        assert fresh.gt_overlapping == 0
         assert fresh.left_covered == 0
 
     def test_each_key_space_computed_once_across_sparse_tuners(
@@ -171,13 +218,16 @@ class TestTokenStatsMemo:
         monkeypatch.setattr(stats_module, "compute_token_stats", counting)
         clear_token_stats_cache()
         try:
+            # The ε-Join tuner has no prune rule and reads no statistics.
             tune_method("EJ", small_generated, profile="fast", prune=True)
-            after_epsilon = dict(computed)
+            assert not computed
+            tune_method("kNNJ", small_generated, profile="fast", prune=True)
+            after_first = dict(computed)
             tune_method("kNNJ", small_generated, profile="fast", prune=True)
         finally:
             clear_token_stats_cache()
-        assert after_epsilon
-        assert dict(computed) == after_epsilon
+        assert after_first
+        assert dict(computed) == after_first
         assert set(computed.values()) == {1}
 
     def test_pruned_tunes_write_no_file(self, tmp_path):
@@ -186,7 +236,7 @@ class TestTokenStatsMemo:
             "from repro.datasets.registry import load_dataset\n"
             "from repro.tuning import tune_method\n"
             "dataset = load_dataset('d1')\n"
-            "for method in ('EJ', 'SBW', 'MH-LSH'):\n"
+            "for method in ('EJ', 'kNNJ', 'SBW'):\n"
             "    tune_method(method, dataset, profile='fast', prune=True)\n"
         )
         env = dict(

@@ -25,7 +25,6 @@ from repro.sparse.scancount import ScanCountIndex
 from repro.sparse.similarity import vector_similarity_function
 from repro.text import memo
 from repro.text.tokenizers import RepresentationModel
-from repro.tuning.estimator import snap_down
 from repro.tuning.sparse import (
     EpsilonJoinTuner,
     KNNJoinTuner,
@@ -33,6 +32,7 @@ from repro.tuning.sparse import (
     clear_overlap_cache,
     count_overlaps,
     overlap_counts,
+    snap_down,
     tokenize_collection,
 )
 from repro.text.store import encode_sets
@@ -228,7 +228,7 @@ def _tuned(dataset):
         (result.params, result.pc, result.pq, result.candidates,
          result.feasible)
         for result in (
-            tuner(profile="fast", prune=False).tune(dataset)
+            tuner(profile="fast").tune(dataset)
             for tuner in (EpsilonJoinTuner, KNNJoinTuner)
         )
     ]
@@ -239,7 +239,7 @@ class TestOverlapMemo:
 
     def test_both_tuners_share_one_pass_per_cleaning_and_model(self, calls):
         dataset = load_dataset("d2")
-        EpsilonJoinTuner(profile="fast", prune=False).tune(dataset)
+        EpsilonJoinTuner(profile="fast").tune(dataset)
         assert calls["batch_overlaps"] == 10
         KNNJoinTuner(profile="fast", prune=False).tune(dataset)
         # The kNN tuner reads every forward matrix from the memo.
@@ -380,7 +380,7 @@ class TestSparseTunerEdgeCases:
     @pytest.mark.parametrize("tuner", [EpsilonJoinTuner, KNNJoinTuner])
     def test_result_is_pinned(self, tuner, case):
         left, right, gt_pairs, ej, knn = _EDGE_CASES[case]
-        result = tuner(profile="fast", prune=False).tune(
+        result = tuner(profile="fast").tune(
             _edge_dataset(left, right, gt_pairs)
         )
         expected = ej if tuner is EpsilonJoinTuner else knn
@@ -531,9 +531,9 @@ class TestCleanOnce:
         clear_overlap_cache()  # a warm overlap memo skips tokenization
         try:
             for tuner in (
-                EpsilonJoinTuner(profile="fast", prune=False),
+                EpsilonJoinTuner(profile="fast"),
                 KNNJoinTuner(profile="fast", prune=False),
-                EpsilonJoinTuner(profile="fast", prune=True),
+                KNNJoinTuner(profile="fast", prune=True),
             ):
                 tuner.tune(dataset)
             # Every (side, model, cleaning) store read the memo, but

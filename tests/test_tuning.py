@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.core.candidates import CandidateSet
+from repro.core.filters import Filter
 from repro.core.optimizer import GridSearchOptimizer
 from repro.sparse.epsilon_join import EpsilonJoin
 from repro.tuning import (
@@ -16,6 +18,19 @@ from repro.tuning.dense import EmbeddingCache, KNNSearchTuner, LSHTuner
 from repro.tuning.result import Incumbent, TunedResult, better
 from repro.tuning.sparse import EpsilonJoinTuner, KNNJoinTuner
 from repro.tuning import spaces
+
+
+class ScriptedFilter(Filter):
+    """Returns a canned candidate set; used to script exact outcomes."""
+
+    name = "scripted"
+
+    def __init__(self, pairs):
+        super().__init__()
+        self._pairs = list(pairs)
+
+    def _run(self, left, right, attribute):
+        return CandidateSet(self._pairs)
 
 
 class TestTunedResult:
@@ -68,11 +83,6 @@ class TestIncumbent:
         in_order.offer({"id": 2}, 0.92, 0.5, 10)
         assert in_order.best.params == {"id": 1}
         assert in_order.tried == 4
-        out_of_order = Incumbent("m", 0.9)
-        out_of_order.offer({"id": 2}, 0.92, 0.5, 10, position=2)
-        out_of_order.offer({"id": 1}, 0.95, 0.5, 10, position=1)
-        assert out_of_order.best.params == {"id": 1}
-        assert out_of_order.position == 1
 
 
 class TestGridSearchOptimizer:
@@ -92,6 +102,29 @@ class TestGridSearchOptimizer:
         assert result.feasible
         assert result.configurations_tried == 3
         assert result.runtime > 0.0
+
+    def test_exact_tie_goes_to_the_first_configuration(self, tiny_dataset):
+        gt = sorted(tiny_dataset.groundtruth)
+        outcomes = {
+            # Infeasible: one duplicate found, tiny candidate set.
+            1: [gt[0]],
+            # Feasible, diluted: all duplicates + noise pairs.
+            2: gt + [(0, 3), (3, 0), (1, 3)],
+            # Feasible, perfect PQ: the winner.
+            3: list(gt),
+            # Exact quality tie with config 3 (same PQ, same PC).
+            4: list(gt),
+        }
+        result = GridSearchOptimizer(target_recall=0.6).search(
+            [{"id": i} for i in sorted(outcomes)],
+            lambda id: ScriptedFilter(outcomes[id]),
+            tiny_dataset,
+        )
+        assert result.params == {"id": 3}
+        assert (result.pc, result.pq, result.feasible) == (1.0, 1.0, True)
+        assert result.configurations_tried == 4
+        assert result.configurations_enumerated == 4
+        assert result.configurations_pruned == 0
 
     def test_search_empty_grid_raises(self, tiny_dataset):
         optimizer = GridSearchOptimizer()
