@@ -19,7 +19,7 @@ from typing import FrozenSet, Iterable, Iterator, Tuple
 import numpy as np
 
 __all__ = ["CandidateSet", "KEY_WIDTH", "count_shared", "encode_pairs",
-           "pack_ids", "unique_keys"]
+           "pack_ids", "shared_rows", "unique_keys"]
 
 Pair = Tuple[int, int]
 
@@ -74,12 +74,17 @@ def unique_keys(keys: np.ndarray) -> np.ndarray:
     return keys[keep]
 
 
+def shared_rows(keys: np.ndarray, probes: np.ndarray) -> np.ndarray:
+    """The rows of the sorted ``keys`` that hold one of the unique ``probes``."""
+    if not len(keys) or not len(probes):
+        return np.empty(0, dtype=np.intp)
+    positions = np.minimum(np.searchsorted(keys, probes), len(keys) - 1)
+    return positions[keys[positions] == probes]
+
+
 def count_shared(keys: np.ndarray, probes: np.ndarray) -> int:
     """How many of the unique ``probes`` occur in the sorted ``keys``."""
-    if not len(keys) or not len(probes):
-        return 0
-    positions = np.minimum(np.searchsorted(keys, probes), len(keys) - 1)
-    return int(np.count_nonzero(keys[positions] == probes))
+    return len(shared_rows(keys, probes))
 
 
 class CandidateSet:

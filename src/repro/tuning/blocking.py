@@ -5,15 +5,22 @@ fine-tuned *simultaneously* (Section II): every combination of block
 building parameters, Block Purging on/off, Block Filtering ratio and
 comparison cleaning configuration is a point of one joint grid.
 
-The search shares expensive intermediates across the grid: blocks are
-built once per builder configuration — once per ``l_min`` for the
-proactive builders, whose ``b_max`` only caps block sizes and is applied
-as a mask — the blocking graph once per block
-collection — its rows are also the distinct pairs that Comparison
-Propagation and the recall bound evaluate — the pair weights once per
-weighting scheme, and each weight vector's node ranking (dense rank,
-sorted per-side keys, per-entity means) once for all pruning algorithms
-that read it.  Only pruning runs per configuration, on arrays.
+The search does each piece of grid work once.  Blocks are built once
+per builder configuration — once per ``l_min`` for the proactive
+builders, whose ``b_max`` only caps block sizes and is applied as a
+mask.  Each distinct block collection is swept once: Block Purging
+only drops whole blocks, so when it drops none the purged branch is the
+unpurged one, and its rows are offered again with ``purging=True``
+rather than rebuilt (each re-offer ties the offer it copies, so the
+winner and the tried count do not change).  Per swept collection the
+blocking graph is built once per filtering ratio — its rows are also
+the distinct pairs that Comparison Propagation and the recall bound
+evaluate — the pair weights once per weighting scheme, and each weight
+vector's node ranking (dense rank, sorted per-side keys, per-entity
+means) once for all pruning algorithms that read it.  Only pruning runs
+per configuration, on arrays, and its mask is scored by counting rows
+(:class:`~repro.core.fastpairs.MaskEvaluator`), not by building and
+searching the masked keys.
 
 Early termination mirrors the paper: Block Purging / Filtering bound the
 recall of everything downstream, so as soon as the distinct pairs of the
@@ -23,7 +30,9 @@ skipped.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 from ..blocking.blocks import BlockCollection
 from ..blocking.building import (
@@ -38,7 +47,8 @@ from ..blocking.cleaning import BlockFiltering, BlockPurging
 from ..blocking.metablocking import PairGraph, prune_mask
 from ..blocking.workflow import BlockingWorkflow, ComparisonPropagation, MetaBlocking
 from ..core.candidates import pack_ids
-from ..core.fastpairs import evaluate_keys
+from ..core.fastpairs import MaskEvaluator, evaluate_keys
+from ..core.metrics import FilterEvaluation
 from ..core.optimizer import DEFAULT_RECALL_TARGET
 from ..datasets.generator import ERDataset
 from . import spaces
@@ -114,6 +124,10 @@ class BlockingWorkflowTuner:
         # of one ``l_min`` in a row.
         uncapped_for: Optional[Dict[str, object]] = None
         uncapped: Optional[BlockCollection] = None
+        ratios = sorted(
+            [1.0] if proactive else spaces.block_filtering_ratios(self.profile),
+            reverse=True,
+        )
 
         for builder_params in spaces.builder_grid(self.builder_name, self.profile):
             incumbent.enumerated += 1
@@ -132,63 +146,73 @@ class BlockingWorkflowTuner:
                 base_blocks = builder.build(
                     dataset.left, dataset.right, attribute
                 )
-            purging_options = (False,) if proactive else (False, True)
-            for purging in purging_options:
-                if purging:
-                    blocks = BlockPurging().clean(base_blocks, size1 + size2)
-                else:
-                    blocks = base_blocks
-                ratios = (
-                    [1.0]
-                    if proactive
-                    else spaces.block_filtering_ratios(self.profile)
-                )
-                for ratio in sorted(ratios, reverse=True):
-                    if ratio < 1.0:
-                        filtered = BlockFiltering(ratio).clean(blocks)
-                    else:
-                        filtered = blocks
-                    if filtered.total_comparisons > MAX_GRAPH_COMPARISONS:
-                        continue
-                    graph = PairGraph(filtered)
-                    # The graph's rows are the distinct pairs, (left,
-                    # right)-sorted: their keys are sorted-unique, and so
-                    # are the keys under any mask — no re-sort needed.
-                    graph_keys = pack_ids(graph.lefts, graph.rights)
-                    upper = evaluate_keys(graph_keys, gt_keys, size1, size2)
-                    base_params = dict(builder_params)
-                    base_params.update({"purging": purging, "ratio": ratio})
-                    # Comparison Propagation: the distinct pairs themselves.
+            sweep = self._sweep(base_blocks, ratios, gt_keys, size1, size2)
+            sweeps = [(False, sweep)]
+            if not proactive:
+                purged = BlockPurging().clean(base_blocks, size1 + size2)
+                if len(purged) != len(base_blocks):
+                    sweep = self._sweep(purged, ratios, gt_keys, size1, size2)
+                # Otherwise purging dropped no block: the purged workflow
+                # is the unpurged one, and each re-offer ties the offer it
+                # copies (``better()`` is strict), so the winner and the
+                # tried count are those of evaluating it again.
+                sweeps.append((True, sweep))
+            for purging, rows in sweeps:
+                for params, evaluation in rows:
                     incumbent.offer(
-                        {**base_params, "cleaner": "CP"},
-                        upper.pc,
-                        upper.pq,
-                        upper.candidates,
+                        {**builder_params, "purging": purging, **params},
+                        evaluation.pc,
+                        evaluation.pq,
+                        evaluation.candidates,
                     )
-                    if upper.pc < self.target_recall:
-                        # Recall is already out of reach: CP recorded the
-                        # closest miss (the paper's red cells report the
-                        # best-recall configuration); smaller ratios only
-                        # shrink the candidate set (the paper's early stop).
-                        break
-                    # Meta-blocking: one graph, six weightings, seven prunings.
-                    for scheme in spaces.weighting_schemes(self.profile):
-                        weights = graph.weights(scheme)
-                        for algorithm in spaces.pruning_algorithms(self.profile):
-                            mask = prune_mask(graph, weights, algorithm)
-                            evaluation = evaluate_keys(
-                                graph_keys[mask], gt_keys, size1, size2
-                            )
-                            incumbent.offer(
-                                {
-                                    **base_params,
-                                    "cleaner": f"{scheme}+{algorithm}",
-                                },
-                                evaluation.pc,
-                                evaluation.pq,
-                                evaluation.candidates,
-                            )
         return incumbent.finish(self.build_filter, dataset, attribute)
+
+    def _sweep(
+        self,
+        blocks: BlockCollection,
+        ratios: List[float],
+        gt_keys: np.ndarray,
+        size1: int,
+        size2: int,
+    ) -> List[Tuple[Dict[str, object], FilterEvaluation]]:
+        """Every (ratio, cleaner) point of one block collection, in order.
+
+        Each row is ``(params, evaluation)``; ``params`` holds the ratio
+        and the cleaner code.
+        """
+        rows: List[Tuple[Dict[str, object], FilterEvaluation]] = []
+        for ratio in ratios:
+            if ratio < 1.0:
+                filtered = BlockFiltering(ratio).clean(blocks)
+            else:
+                filtered = blocks
+            if filtered.total_comparisons > MAX_GRAPH_COMPARISONS:
+                continue
+            graph = PairGraph(filtered)
+            # The graph's rows are the distinct pairs, (left, right)-sorted:
+            # their keys are sorted-unique, and so are the keys under any
+            # mask — which the mask evaluator relies on.
+            graph_keys = pack_ids(graph.lefts, graph.rights)
+            upper = evaluate_keys(graph_keys, gt_keys, size1, size2)
+            # Comparison Propagation: the distinct pairs themselves.
+            rows.append(({"ratio": ratio, "cleaner": "CP"}, upper))
+            if upper.pc < self.target_recall:
+                # Recall is already out of reach: CP recorded the closest
+                # miss (the paper's red cells report the best-recall
+                # configuration); smaller ratios only shrink the candidate
+                # set (the paper's early stop).
+                break
+            # Meta-blocking: one graph, six weightings, seven prunings.
+            evaluator = MaskEvaluator(graph_keys, gt_keys, size1, size2)
+            for scheme in spaces.weighting_schemes(self.profile):
+                weights = graph.weights(scheme)
+                for algorithm in spaces.pruning_algorithms(self.profile):
+                    mask = prune_mask(graph, weights, algorithm)
+                    rows.append((
+                        {"ratio": ratio, "cleaner": f"{scheme}+{algorithm}"},
+                        evaluator.evaluate(mask),
+                    ))
+        return rows
 
     # ------------------------------------------------------------------
     # Materialization.

@@ -5,7 +5,9 @@ As with the unsupervised workflows, the expensive intermediates are
 shared aggressively: blocks are built once, the blocking graph and its
 feature matrix are computed once, each (model, sample size) pair is
 trained once, and every pruning configuration then reduces to one
-vectorized mask + key evaluation over the pre-computed scores.
+vectorized mask over the pre-computed scores, scored by counting its
+rows (:class:`~repro.core.fastpairs.MaskEvaluator`) — no masked key
+array is built.
 
 The winning parameter dict carries the *serialized trained model* (a
 JSON string under ``"weights"``), so rebuilding the filter from tuned
@@ -25,7 +27,7 @@ import numpy as np
 from ..blocking.building import StandardBlocking
 from ..blocking.metablocking import PairGraph
 from ..core.candidates import pack_ids
-from ..core.fastpairs import evaluate_keys
+from ..core.fastpairs import MaskEvaluator
 from ..core.optimizer import DEFAULT_RECALL_TARGET
 from ..datasets.generator import ERDataset
 from ..learned.features import edge_features
@@ -71,6 +73,9 @@ class SupervisedMetaBlockingTuner:
         graph = PairGraph(blocks)
         matrix = edge_features(graph)
         keys = pack_ids(graph.lefts, graph.rights)
+        # The graph's rows are (left, right)-sorted, so its keys are
+        # sorted-unique and every pruning mask is scored by counting.
+        evaluator = MaskEvaluator(keys, gt_keys, size1, size2)
         incumbent = Incumbent(self.method, self.target_recall)
         for model_kind in spaces.smb_models(self.profile):
             for sample_size in spaces.smb_sample_sizes(self.profile):
@@ -102,11 +107,7 @@ class SupervisedMetaBlockingTuner:
                     ))
                 incumbent.enumerated += len(masks)
                 for prune_params, mask in masks:
-                    # The graph's rows are (left, right)-sorted, so the
-                    # masked keys stay sorted-unique — no re-sort needed.
-                    evaluation = evaluate_keys(
-                        keys[mask], gt_keys, size1, size2
-                    )
+                    evaluation = evaluator.evaluate(mask)
                     incumbent.offer(
                         {**base_params, **prune_params},
                         evaluation.pc,

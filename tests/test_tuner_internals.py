@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.blocking.blocks import BlockCollection
+from repro.blocking.cleaning import BlockPurging
 from repro.blocking.metablocking import MetaBlocking, NodeRanking, PairGraph
 from repro.blocking.workflow import ComparisonPropagation
 from repro.core.groundtruth import GroundTruth
@@ -17,6 +18,7 @@ from repro.tuning import sparse as sparse_tuning
 from repro.tuning import spaces
 from repro.tuning.blocking import BlockingWorkflowTuner
 from repro.tuning.learned import SupervisedMetaBlockingTuner
+from repro.tuning.result import Incumbent
 from repro.tuning.dense import EmbeddingCache, _first_feasible_k
 from repro.sparse import EpsilonJoin, KNNJoin
 from repro.sparse.kernels import query_tokens
@@ -661,9 +663,25 @@ class TestSharedGraphWork:
         monkeypatch.setattr(NodeRanking, "_dense_rank", logged_dense_rank)
         return graphs, ranked
 
-    def test_blocking_tuner(self, ranking_log, monkeypatch):
-        _, ranked = ranking_log
-        calls = {"graphs": 0, "prune_mask": 0, "distinct_pairs": 0}
+    @pytest.fixture()
+    def blocking_calls(self, monkeypatch):
+        """Counts of the blocking tuner's graph, purge and mask work.
+
+        ``reoffered`` counts the offers of a purged sweep that the tuner
+        did not evaluate, because Block Purging dropped no block and the
+        unpurged sweep stands for it; ``cp`` counts Comparison
+        Propagation offers, one per (builder, purging, ratio) graph the
+        parent search built.
+        """
+        calls = {
+            "graphs": 0,
+            "prune_mask": 0,
+            "distinct_pairs": 0,
+            "purges": 0,
+            "reoffered": 0,
+            "cp": 0,
+        }
+        purge_kept_all = []
 
         def counted(name, function):
             def wrapper(*args, **kwargs):
@@ -672,8 +690,24 @@ class TestSharedGraphWork:
 
             return wrapper
 
-        # The tuner's own graphs and masks; the runtime measurement of the
-        # winner goes through MetaBlocking and is not counted.
+        class LoggedPurging(BlockPurging):
+            def clean(self, blocks, *args, **kwargs):
+                calls["purges"] += 1
+                purged = super().clean(blocks, *args, **kwargs)
+                purge_kept_all.append(len(purged) == len(blocks))
+                return purged
+
+        offer = Incumbent.offer
+
+        def logged_offer(self, params, *args, **kwargs):
+            calls["cp"] += params["cleaner"] == "CP"
+            if params["purging"] and purge_kept_all[-1]:
+                calls["reoffered"] += 1
+            return offer(self, params, *args, **kwargs)
+
+        # The tuner's own graphs, purges and masks; the runtime
+        # measurement of the winner goes through BlockingWorkflow and
+        # MetaBlocking and is not counted.
         monkeypatch.setattr(
             blocking_tuning, "PairGraph", counted("graphs", PairGraph)
         )
@@ -687,23 +721,50 @@ class TestSharedGraphWork:
             "distinct_pairs",
             counted("distinct_pairs", BlockCollection.distinct_pairs),
         )
-        result = BlockingWorkflowTuner("SBW").tune(load_dataset("d1"))
+        monkeypatch.setattr(blocking_tuning, "BlockPurging", LoggedPurging)
+        monkeypatch.setattr(Incumbent, "offer", logged_offer)
+        return calls
+
+    @pytest.mark.parametrize(
+        "name, reuses", [("d1", False), ("d5", True)], ids=["d1", "d5"]
+    )
+    def test_blocking_tuner(self, ranking_log, blocking_calls, name, reuses):
+        _, ranked = ranking_log
+        calls = blocking_calls
+        result = BlockingWorkflowTuner("SBW").tune(load_dataset(name))
 
         assert calls["distinct_pairs"] == 0
-        # One Comparison Propagation row per graph; every other row is
-        # one meta-blocking configuration with exactly one prune_mask.
+        # Block Purging drops no block on d5: its purged sweep is the
+        # unpurged one, offered again rather than evaluated.
+        assert (calls["reoffered"] > 0) == reuses
+        evaluated = result.configurations_tried - calls["reoffered"]
+        # One Comparison Propagation row per graph; every other evaluated
+        # row is one meta-blocking configuration with exactly one
+        # prune_mask.
         configurations = len(spaces.weighting_schemes()) * len(
             spaces.pruning_algorithms()
         )
-        assert calls["prune_mask"] == (
-            result.configurations_tried - calls["graphs"]
-        )
+        assert calls["prune_mask"] == evaluated - calls["graphs"]
         assert calls["prune_mask"] % configurations == 0
         swept = calls["prune_mask"] // configurations
         assert swept > 0
         # At most one dense rank per (graph, weighting scheme).
         assert 0 < len(ranked) <= swept * len(spaces.weighting_schemes())
         assert len(set(ranked)) == len(ranked)
+
+    def test_blocking_tuner_builds_each_distinct_graph_once(
+        self, blocking_calls
+    ):
+        """On d5 Block Purging drops no block, so the purged branch's
+        graphs are the unpurged ones: half the graphs a search that
+        rebuilds every (purging, ratio) graph makes, while purging still
+        runs once per builder configuration."""
+        calls = blocking_calls
+        result = BlockingWorkflowTuner("SBW").tune(load_dataset("d5"))
+
+        assert calls["purges"] == result.configurations_enumerated
+        assert calls["graphs"] > 0
+        assert 2 * calls["graphs"] == calls["cp"]
 
     def test_smb_tuner(self, ranking_log):
         graphs, ranked = ranking_log
